@@ -15,13 +15,22 @@ over bitsets, with optional threshold-mode early exit.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_BUDGET = 10 ** 7
+
+_CUT_KINDS = {"mim": (False, False), "sim": (True, True)}
 
 
 class _ThresholdHit(Exception):
     pass
+
+
+def conflict_sides(kind):
+    """The (conflict_in_a, conflict_in_b) flags of a mim or sim cut."""
+    if kind not in _CUT_KINDS:
+        raise ValidationError(f"unknown cut kind {kind!r}")
+    return _CUT_KINDS[kind]
 
 
 def cut_edges(adjacent, side_a, side_b):

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .matchings import DEFAULT_BUDGET, max_induced_matching
+from .matchings import DEFAULT_BUDGET, conflict_sides, max_induced_matching
+from .tree import Tree, path
 from .wgraph import BalancingTree, WeightedGraph
 
 
@@ -172,67 +172,36 @@ def build_partitioned(h: WeightedGraph) -> PartitionedGraph:
     return gs
 
 
-_KINDS = {"mim": (False, False), "sim": (True, True)}
-
-
 def cut_value(adjacent, side_a, side_b, kind: str, threshold=None,
               budget: int = DEFAULT_BUDGET):
     """Exact mim/sim value of the cut (A, B), or a lower-bound stop at the
     threshold.  Returns (value, exact)."""
-    if kind not in _KINDS:
-        raise ValidationError(f"unknown cut kind {kind!r}")
+    in_a, in_b = conflict_sides(kind)
     set_a, set_b = set(side_a), set(side_b)
     if set_a & set_b:
         raise ValidationError("cut sides overlap")
-    in_a, in_b = _KINDS[kind]
     return max_induced_matching(adjacent, sorted(set_a), sorted(set_b),
                                 in_a, in_b, threshold=threshold, budget=budget)
 
 
-@dataclass
-class TreeMapping:
+class TreeMapping(Tree):
     """Tree whose nodes each carry exactly one part of the partition."""
 
-    tree_adj: dict           # node -> [node]
-    part_at: dict            # node -> part key (H vertex / gadget owner)
-    is_path: bool = False
-    node_of: dict = field(init=False)
-
-    def __post_init__(self):
-        nodes = set(self.tree_adj)
-        if set(self.part_at) != nodes:
+    def __init__(self, tree_adj: dict, part_at: dict, is_path: bool = False):
+        if set(part_at) != set(tree_adj):
             raise ValidationError("part placement does not cover the tree nodes")
-        if len(set(self.part_at.values())) != len(nodes):
+        if len(set(part_at.values())) != len(part_at):
             raise ValidationError("part placement is not a bijection")
-        self.node_of = {part: node for node, part in self.part_at.items()}
-        if self.is_path and any(len(v) > 2 for v in self.tree_adj.values()):
+        if is_path and any(len(v) > 2 for v in tree_adj.values()):
             raise ValidationError("path flag set but tree has a degree-3 node")
-
-    def edges(self):
-        for x, nbrs in self.tree_adj.items():
-            for y in nbrs:
-                if x < y:
-                    yield x, y
-
-    def side_parts(self, x, y):
-        """Part keys mapped to y's side of tree edge (x, y)."""
-        seen = {y}
-        stack = [y]
-        while stack:
-            a = stack.pop()
-            for b in self.tree_adj[a]:
-                if b != x and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return [self.part_at[node] for node in sorted(seen)]
+        super().__init__(tree_adj, {part: node for node, part in part_at.items()})
+        self.part_at = part_at  # node -> part key (H vertex / gadget owner)
+        self.is_path = is_path
+        self.node_of = self.placement
 
 
-def mapping_cut(gs, mapping: TreeMapping, edge):
-    """The S-cut (A, B) of G induced by a tree edge of the mapping."""
-    x, y = edge
-    if y not in mapping.tree_adj.get(x, ()):
-        raise ValidationError(f"{edge} is not a tree edge")
-    parts_b = set(mapping.side_parts(x, y))
+def _parts_cut(gs, mapping: TreeMapping, parts_b):
+    """The S-cut (A, B) of G with the parts in parts_b on side B."""
     side_a, side_b = [], []
     for u in mapping.part_at.values():
         target = side_b if u in parts_b else side_a
@@ -240,13 +209,18 @@ def mapping_cut(gs, mapping: TreeMapping, edge):
     return side_a, side_b
 
 
+def mapping_cut(gs, mapping: TreeMapping, edge):
+    """The S-cut (A, B) of G induced by a tree edge of the mapping."""
+    return _parts_cut(gs, mapping, mapping.side(*edge))
+
+
 def mapping_value(gs, mapping: TreeMapping, kind: str, threshold=None,
                   budget: int = DEFAULT_BUDGET):
     """Max cut value over the mapping's tree edges.  Returns (value, exact)."""
     best = 0
     exact = True
-    for edge in mapping.edges():
-        side_a, side_b = mapping_cut(gs, mapping, edge)
+    for _, parts_b in mapping.sides():
+        side_a, side_b = _parts_cut(gs, mapping, parts_b)
         value, is_exact = cut_value(gs.adjacent, side_a, side_b, kind,
                                     threshold=threshold, budget=budget)
         if value > best:
@@ -261,12 +235,7 @@ def path_mapping_from_order(gs, order) -> TreeMapping:
     """Path mapping S(v_i) -> p_i from an order on V(H)."""
     if sorted(order) != gs.parts():
         raise ValidationError("order does not cover the parts' H-vertices")
-    n = len(order)
-    adj = {i: [] for i in range(n)}
-    for i in range(n - 1):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
-    return TreeMapping(tree_adj=adj, part_at={i: u for i, u in enumerate(order)},
+    return TreeMapping(tree_adj=path(order).tree_adj, part_at=dict(enumerate(order)),
                        is_path=True)
 
 

@@ -14,12 +14,13 @@ projects back to a tree mapping of (G, S).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .matchings import DEFAULT_BUDGET
 from .red1 import Constants, validate_constants
 from .red2 import PartitionedGraph, TreeMapping, cut_value
+from .tree import Tree
 from .widths import TreeLayout, linear_layout_from_order
 
 
@@ -238,24 +239,15 @@ def caterpillar_layout(star: Gstar, h_order) -> TreeLayout:
     return linear_layout_from_order(leaves)
 
 
-@dataclass
-class HybridTree:
+class HybridTree(Tree):
     """Subcubic tree whose nodes hold either a whole gadget or one vertex."""
 
-    tree_adj: dict
-    node_of: dict            # G*-vertex -> node
-    preimages: dict = field(init=False)
-
-    def __post_init__(self):
-        self.preimages = {node: set() for node in self.tree_adj}
-        for v, node in self.node_of.items():
+    def __init__(self, tree_adj: dict, node_of: dict):
+        super().__init__(tree_adj, node_of)
+        self.node_of = node_of  # G*-vertex -> node
+        self.preimages = {node: set() for node in tree_adj}
+        for v, node in node_of.items():
             self.preimages[node].add(v)
-
-    def edges(self):
-        for x, nbrs in self.tree_adj.items():
-            for y in nbrs:
-                if x < y:
-                    yield x, y
 
     def check_shape(self, star: Gstar) -> None:
         for x, nbrs in self.tree_adj.items():
@@ -269,39 +261,27 @@ class HybridTree:
             if pre != parts[u]:
                 raise ValidationError(f"node {node} holds a strict partial gadget")
 
-    def side_vertices(self, x, y):
-        """G*-vertices mapped to y's side of tree edge (x, y)."""
-        seen = {y}
-        stack = [y]
-        while stack:
-            a = stack.pop()
-            for b in self.tree_adj[a]:
-                if b != x and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return [v for v, node in self.node_of.items() if node in seen]
-
 
 def hybrid_from_layout(layout: TreeLayout) -> HybridTree:
     """A tree layout is already a hybrid tree: leaves hold one vertex each."""
     return HybridTree(tree_adj={k: list(v) for k, v in layout.tree_adj.items()},
-                      node_of={v: leaf for leaf, v in layout.leaf_vertex.items()})
+                      node_of=dict(layout.placement))
+
+
+def _star_cut(star: Gstar, side_b):
+    return [v for v in range(star.n) if v not in side_b], sorted(side_b)
 
 
 def hybrid_cut_sides(ht: HybridTree, star: Gstar, edge):
-    x, y = edge
-    side_b = set(ht.side_vertices(x, y))
-    side_a = [v for v in range(star.n) if v not in side_b]
-    return side_a, sorted(side_b)
+    return _star_cut(star, ht.side(*edge))
 
 
 def hybrid_sim_values(ht: HybridTree, star: Gstar, budget: int = DEFAULT_BUDGET):
     """Exact sim value per tree edge, keyed by the edge."""
     out = {}
-    for edge in ht.edges():
-        side_a, side_b = hybrid_cut_sides(ht, star, edge)
-        value, _ = cut_value(star.adjacent, side_a, side_b, "sim", budget=budget)
-        out[edge] = value
+    for edge, far in ht.sides():
+        side_a, side_b = _star_cut(star, far)
+        out[edge], _ = cut_value(star.adjacent, side_a, side_b, "sim", budget=budget)
     return out
 
 
@@ -320,23 +300,21 @@ def find_default_edge(star: Gstar, ht: HybridTree, u):
         if ht.preimages[node] == whole:
             return "node", node
     copies = [set(gadget.copy_vertices(i)) for i in range(gadget.copies)]
-    root = min(ht.tree_adj)
-    seen = {root}
-    queue = [root]
-    bfs_edges = []
-    while queue:
-        x = queue.pop(0)
+    far = dict(ht.sides())
+    placed = frozenset(ht.node_of)
+    queue = [min(ht.tree_adj)]
+    seen = set(queue)
+    for x in queue:
         for y in sorted(ht.tree_adj[x]):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-                bfs_edges.append((x, y))
-    for x, y in bfs_edges:
-        side_b = set(ht.side_vertices(x, y))
-        has_b = any(cp <= side_b for cp in copies)
-        has_a = any(not (cp & side_b) for cp in copies)
-        if has_a and has_b:
-            return "edge", (x, y)
+            if y in seen:
+                continue
+            seen.add(y)
+            queue.append(y)
+            side_b = far[(x, y)] if x < y else placed - far[(y, x)]
+            has_b = any(cp <= side_b for cp in copies)
+            has_a = any(not (cp & side_b) for cp in copies)
+            if has_a and has_b:
+                return "edge", (x, y)
     raise DefaultEdgeNotFound(f"no default node or edge for gadget of {u}")
 
 
@@ -350,18 +328,11 @@ def group_gadget(star: Gstar, ht: HybridTree, u) -> HybridTree:
     kind, where = find_default_edge(star, ht, u)
     if kind == "node":
         return ht
-    x, y = where
     new_node = max(ht.tree_adj) + 1
-    adj = {k: list(v) for k, v in ht.tree_adj.items()}
-    adj[x].remove(y)
-    adj[y].remove(x)
-    adj[new_node] = [x, y]
-    adj[x].append(new_node)
-    adj[y].append(new_node)
     node_of = dict(ht.node_of)
     for v in star.part_vertices(u):
         node_of[v] = new_node
-    return HybridTree(tree_adj=adj, node_of=node_of)
+    return HybridTree(tree_adj=ht.subdivide(*where, new_node), node_of=node_of)
 
 
 def group_all(star: Gstar, ht: HybridTree) -> HybridTree:
@@ -385,28 +356,22 @@ def hybrid_to_tree_mapping(star: Gstar, ht: HybridTree) -> TreeMapping:
                 f"node {node} holds a strict partial preimage; grouping incomplete")
         owner_at[node] = u
 
+    # each run of empty nodes merges into the least part node next to it
     adj = {k: set(v) for k, v in ht.tree_adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(adj):
-            if owner_at.get(x) is None:
-                continue
-            for y in sorted(adj[x]):
-                if owner_at.get(y) is None:
-                    # contract (x, y): y's neighbors transfer to x
-                    for z in adj[y]:
-                        if z != x:
-                            adj[z].discard(y)
-                            adj[z].add(x)
-                            adj[x].add(z)
-                    adj[x].discard(y)
-                    del adj[y]
-                    del owner_at[y]
-                    changed = True
-                    break
-            if changed:
-                break
+    for x in sorted(adj):
+        if owner_at.get(x) is None:
+            continue
+        stack = [y for y in adj[x] if owner_at[y] is None]
+        while stack:
+            y = stack.pop()
+            adj[x].discard(y)
+            for z in adj.pop(y) - {x}:
+                adj[z].discard(y)
+                adj[z].add(x)
+                adj[x].add(z)
+                if owner_at[z] is None:
+                    stack.append(z)
+            del owner_at[y]
     if any(owner is None for owner in owner_at.values()):
         raise ValidationError("empty nodes remain after contraction")
     return TreeMapping(tree_adj={k: sorted(v) for k, v in adj.items()},

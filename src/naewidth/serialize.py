@@ -289,84 +289,71 @@ def assignment_from_doc(doc):
     return tuple(v == "T" for v in doc["values"])
 
 
-def _edges_doc(adj):
-    return sorted([x, y] for x in adj for y in adj[x] if x < y)
+def _tree_doc(kind, tree, key, pairs, **flags):
+    return {"format_version": FORMAT_VERSION, "kind": kind, "nodes": sorted(tree.tree_adj),
+            "edges": sorted([x, y] for x, y in tree.edges()),
+            key: sorted(map(list, pairs.items())), **flags}
 
 
-def _adj_from_edges(nodes, edges):
-    adj = {n: [] for n in nodes}
+def _tree_from_doc(doc, kind, key, node_at, flag=None):
+    """Validated adjacency and placement dict of a tree document.
+
+    `key` holds [a, b] integer pairs with the tree node at index `node_at`;
+    `flag` names a required boolean field.
+    """
+    _expect(doc, kind)
+    try:
+        nodes, edges, pairs = doc["nodes"], doc["edges"], doc[key]
+        well_typed = (all(type(x) is int for x in nodes)
+                      and all(len(p) == 2 and type(p[0]) is type(p[1]) is int
+                              for p in edges + pairs)
+                      and (flag is None or type(doc[flag]) is bool))
+    except (KeyError, TypeError):
+        well_typed = False
+    if not well_typed:
+        raise ValidationError(f"malformed {kind} document")
+    adj = {x: [] for x in nodes}
+    if (len(adj) != len(nodes) or len(dict(pairs)) != len(pairs)
+            or any(x not in adj or y not in adj for x, y in edges)
+            or any(p[node_at] not in adj for p in pairs)):
+        raise ValidationError(f"{kind} document repeats a key or names an unlisted node")
     for x, y in edges:
         adj[x].append(y)
         adj[y].append(x)
-    return adj
+    return adj, dict(pairs)
 
 
 def balancing_tree_doc(bt: BalancingTree):
-    return {"format_version": FORMAT_VERSION, "kind": "balancing_tree",
-            "nodes": sorted(bt.tree_adj),
-            "edges": _edges_doc(bt.tree_adj),
-            "placement": sorted([v, node] for v, node in bt.placement.items())}
+    return _tree_doc("balancing_tree", bt, "placement", bt.placement)
 
 
 def balancing_tree_from_doc(doc) -> BalancingTree:
-    _expect(doc, "balancing_tree")
-    adj = _adj_from_edges(doc["nodes"], doc["edges"])
-    return BalancingTree(tree_adj=adj,
-                         placement={v: node for v, node in doc["placement"]})
+    adj, placement = _tree_from_doc(doc, "balancing_tree", "placement", 1)
+    return BalancingTree(tree_adj=adj, placement=placement)
 
 
 def tree_mapping_doc(m: TreeMapping):
-    return {"format_version": FORMAT_VERSION, "kind": "tree_mapping",
-            "nodes": sorted(m.tree_adj),
-            "edges": _edges_doc(m.tree_adj),
-            "parts": sorted([node, part] for node, part in m.part_at.items()),
-            "is_path": m.is_path}
+    return _tree_doc("tree_mapping", m, "parts", m.part_at, is_path=m.is_path)
 
 
 def tree_mapping_from_doc(doc) -> TreeMapping:
-    _expect(doc, "tree_mapping")
-    adj = _adj_from_edges(doc["nodes"], doc["edges"])
-    return TreeMapping(tree_adj=adj,
-                       part_at={node: part for node, part in doc["parts"]},
-                       is_path=doc["is_path"])
+    adj, part_at = _tree_from_doc(doc, "tree_mapping", "parts", 0, "is_path")
+    return TreeMapping(tree_adj=adj, part_at=part_at, is_path=doc["is_path"])
 
 
 def tree_layout_doc(layout: TreeLayout):
-    return {"format_version": FORMAT_VERSION, "kind": "tree_layout",
-            "nodes": sorted(layout.tree_adj),
-            "edges": _edges_doc(layout.tree_adj),
-            "leaves": sorted([leaf, v] for leaf, v in layout.leaf_vertex.items()),
-            "linear": layout.linear}
+    return _tree_doc("tree_layout", layout, "leaves", layout.leaf_vertex, linear=layout.linear)
 
 
 def tree_layout_from_doc(doc) -> TreeLayout:
-    _expect(doc, "tree_layout")
-    adj = _adj_from_edges(doc["nodes"], doc["edges"])
-    layout = TreeLayout(tree_adj=adj,
-                        leaf_vertex={leaf: v for leaf, v in doc["leaves"]},
-                        linear=doc["linear"])
-    if layout.linear:
-        layout.leaf_order = _linear_leaf_order(layout)
-    return layout
-
-
-def _linear_leaf_order(layout: TreeLayout):
-    """Recover the leaf order of a canonical caterpillar document."""
-    n = len(layout.leaf_vertex)
-    if n == 1:
-        return list(layout.leaf_vertex.values())
-    return [layout.leaf_vertex[leaf] for leaf in sorted(layout.leaf_vertex)]
+    adj, leaf_vertex = _tree_from_doc(doc, "tree_layout", "leaves", 0, "linear")
+    return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=doc["linear"])
 
 
 def hybrid_tree_doc(ht: HybridTree):
-    return {"format_version": FORMAT_VERSION, "kind": "hybrid_tree",
-            "nodes": sorted(ht.tree_adj),
-            "edges": _edges_doc(ht.tree_adj),
-            "placement": sorted([v, node] for v, node in ht.node_of.items())}
+    return _tree_doc("hybrid_tree", ht, "placement", ht.node_of)
 
 
 def hybrid_tree_from_doc(doc) -> HybridTree:
-    _expect(doc, "hybrid_tree")
-    adj = _adj_from_edges(doc["nodes"], doc["edges"])
-    return HybridTree(tree_adj=adj,
-                      node_of={v: node for v, node in doc["placement"]})
+    adj, node_of = _tree_from_doc(doc, "hybrid_tree", "placement", 1)
+    return HybridTree(tree_adj=adj, node_of=node_of)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, CapExceededError, ValidationError
+from .tree import Tree, path
 
 ROLES = (
     "variable", "variable_bar", "t", "f", "t_bar", "f_bar", "clause",
@@ -370,64 +370,19 @@ def naive_balancing_orders(g, t):
     return out
 
 
-@dataclass
-class BalancingTree:
+class BalancingTree(Tree):
     """Unrooted tree plus a bijection from graph vertices to tree nodes."""
 
-    tree_adj: dict
-    placement: dict  # vertex id -> tree node
-    node_for: dict = field(init=False)
-
-    def __post_init__(self):
-        self.node_for = dict(self.placement)
-        nodes = set(self.tree_adj)
-        if set(self.placement.values()) != nodes or len(self.placement) != len(nodes):
+    def __init__(self, tree_adj: dict, placement: dict):
+        if set(placement.values()) != set(tree_adj) or len(placement) != len(tree_adj):
             raise ValidationError("placement is not a bijection onto the tree nodes")
-        self._check_tree()
-
-    def _check_tree(self):
-        nodes = list(self.tree_adj)
-        if not nodes:
-            raise ValidationError("empty tree")
-        edge_count = sum(len(v) for v in self.tree_adj.values()) // 2
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in self.tree_adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(nodes) or edge_count != len(nodes) - 1:
-            raise ValidationError("tree is not connected and acyclic")
-
-    def edges(self):
-        for x, nbrs in self.tree_adj.items():
-            for y in nbrs:
-                if x < y:
-                    yield x, y
-
-    def component_after_removal(self, x, y):
-        """Nodes on y's side of the edge (x, y)."""
-        seen = {y}
-        stack = [y]
-        while stack:
-            a = stack.pop()
-            for bb in self.tree_adj[a]:
-                if bb != x and bb not in seen:
-                    seen.add(bb)
-                    stack.append(bb)
-        return seen
+        super().__init__(tree_adj, placement)
 
 
 def path_tree_from_order(order) -> BalancingTree:
     """Path-shaped balancing tree carrying the given order."""
-    n = len(order)
-    adj = {i: [] for i in range(n)}
-    for i in range(n - 1):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
-    return BalancingTree(tree_adj=adj, placement={v: i for i, v in enumerate(order)})
+    line = path(order)
+    return BalancingTree(tree_adj=line.tree_adj, placement=line.placement)
 
 
 def check_balancing_tree(g, bt: BalancingTree, t):
@@ -437,9 +392,7 @@ def check_balancing_tree(g, bt: BalancingTree, t):
     if set(bt.placement) != set(verts):
         raise ValidationError("placement does not cover the vertex set")
     vertex_at = {node: v for v, node in bt.placement.items()}
-    for x, y in bt.edges():
-        y_side_nodes = bt.component_after_removal(x, y)
-        far = {vertex_at[node] for node in y_side_nodes}
+    for (x, y), far in bt.sides():
         vx, vy = vertex_at[x], vertex_at[y]
         wx = sum(w for u, w in nbrs(vx) if u in far)
         if wx > t:
@@ -479,9 +432,6 @@ def enumerate_labeled_trees(labels):
     if n == 1:
         yield {labels[0]: []}
         return
-    if n == 2:
-        yield {labels[0]: [labels[1]], labels[1]: [labels[0]]}
-        return
     for seq in itertools.product(labels, repeat=n - 2):
         yield _prufer_decode(seq, labels)
 
@@ -496,7 +446,7 @@ def solve_balancing_tree(g, t, cap: int = DEFAULT_TREE_CAP):
     verts, _ = _adjacency(g)
     verts = sorted(verts)
     if len(verts) > cap:
-        raise BudgetExceededError(f"|V| = {len(verts)} exceeds tree-enumeration cap {cap}")
+        raise CapExceededError(f"|V| = {len(verts)} exceeds tree-enumeration cap {cap}")
     for adj in enumerate_labeled_trees(verts):
         bt = BalancingTree(tree_adj=adj, placement={v: v for v in verts})
         ok, _ = check_balancing_tree(g, bt, t)

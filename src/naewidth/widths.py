@@ -10,60 +10,45 @@ subset DP, ternary trees via leaf insertion (their count is (2L-5)!!).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
-from .matchings import DEFAULT_BUDGET, max_induced_matching
+from .matchings import DEFAULT_BUDGET, conflict_sides, max_induced_matching
+from .tree import Tree, path
 
 GENERAL_CAP = 8
 LINEAR_CAP = 10
 
-_KIND_SIDES = {"mim": (False, False), "sim": (True, True)}
 
-
-@dataclass
-class TreeLayout:
+class TreeLayout(Tree):
     """Tree with graph vertices bijectively on its leaves.
 
     General layouts have every internal node of degree 3; linear layouts are
     the canonical left-aligned caterpillar of a vertex order (spine
-    p_1..p_{N-1}, leaf l_j under p_j, and l_N also under p_{N-1}).
+    p_1..p_{N-1}, leaf l_j under p_j, and l_N also under p_{N-1}), whose
+    leaf order is read off the leaf node ids.
     """
 
-    tree_adj: dict          # node -> [node]
-    leaf_vertex: dict       # leaf node -> graph vertex
-    linear: bool = False
-    leaf_order: list = field(default=None)
-
-    def __post_init__(self):
-        leaves = {x for x, nbrs in self.tree_adj.items() if len(nbrs) <= 1}
-        if set(self.leaf_vertex) != leaves:
+    def __init__(self, tree_adj: dict, leaf_vertex: dict, linear: bool = False,
+                 leaf_order=None):
+        leaves = {x for x, nbrs in tree_adj.items() if len(nbrs) <= 1}
+        if set(leaf_vertex) != leaves:
             raise ValidationError("leaf map must cover exactly the tree leaves")
-        if len(set(self.leaf_vertex.values())) != len(self.leaf_vertex):
+        if len(set(leaf_vertex.values())) != len(leaf_vertex):
             raise ValidationError("leaf map is not injective")
-        if not self.linear:
-            for x, nbrs in self.tree_adj.items():
-                if len(nbrs) not in (1, 3) and len(self.tree_adj) > 1:
-                    raise ValidationError(f"internal node {x} has degree {len(nbrs)}")
-
-    def edges(self):
-        for x, nbrs in self.tree_adj.items():
-            for y in nbrs:
-                if x < y:
-                    yield x, y
-
-    def cuts(self):
-        """Yield ((x, y), A) where A is the leaf set on y's side of the edge."""
-        for x, y in self.edges():
-            seen = {y}
-            stack = [y]
-            while stack:
-                a = stack.pop()
-                for b in self.tree_adj[a]:
-                    if b != x and b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-            yield (x, y), frozenset(self.leaf_vertex[n] for n in seen if n in self.leaf_vertex)
+        for x, nbrs in tree_adj.items():
+            if x in leaves:
+                continue
+            if not linear and len(nbrs) != 3:
+                raise ValidationError(f"internal node {x} has degree {len(nbrs)}")
+            if linear and (len(nbrs) > 3 or sum(y not in leaves for y in nbrs) > 2):
+                raise ValidationError(f"linear layout is not a caterpillar at node {x}")
+        super().__init__(tree_adj, {v: leaf for leaf, v in leaf_vertex.items()})
+        self.leaf_vertex = leaf_vertex  # leaf node -> graph vertex
+        self.linear = linear
+        if linear and leaf_order is None:
+            leaf_order = [leaf_vertex[leaf] for leaf in sorted(leaf_vertex)]
+        self.leaf_order = leaf_order
 
 
 def linear_layout_from_order(order) -> TreeLayout:
@@ -72,26 +57,16 @@ def linear_layout_from_order(order) -> TreeLayout:
     if n == 0:
         raise ValidationError("empty order")
     if n == 1:
-        return TreeLayout(tree_adj={0: []}, leaf_vertex={0: order[0]},
-                          linear=True, leaf_order=list(order))
-    if n == 2:
-        adj = {0: [1, 2], 1: [0], 2: [0]}
-        return TreeLayout(tree_adj=adj, leaf_vertex={1: order[0], 2: order[1]},
-                          linear=True, leaf_order=list(order))
-    # spine nodes 0..n-2; leaf j sits at node n-1+j
-    adj = {i: [] for i in range(2 * n - 1)}
-    for i in range(n - 2):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
+        return TreeLayout(tree_adj={0: []}, leaf_vertex={0: order[0]}, linear=True)
+    adj = path(range(n - 1)).tree_adj  # spine nodes 0..n-2; leaf j sits at node n-1+j
     leaf_vertex = {}
-    for j in range(n):
+    for j, v in enumerate(order):
         spine = min(j, n - 2)
         leaf = n - 1 + j
         adj[spine].append(leaf)
-        adj[leaf].append(spine)
-        leaf_vertex[leaf] = order[j]
-    return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=True,
-                      leaf_order=list(order))
+        adj[leaf] = [spine]
+        leaf_vertex[leaf] = v
+    return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=True)
 
 
 def uim(adjacent, vertices, x_side, threshold=None, budget: int = DEFAULT_BUDGET,
@@ -110,16 +85,14 @@ def cut_value_for_kind(adjacent, vertices, side_a, kind, budget: int = DEFAULT_B
     """Exact mim/sim/omim value of the bipartition (A, V - A)."""
     a_set = set(side_a)
     side_b = [v for v in vertices if v not in a_set]
-    if kind in _KIND_SIDES:
-        in_a, in_b = _KIND_SIDES[kind]
-        value, _ = max_induced_matching(adjacent, sorted(a_set), side_b,
-                                        in_a, in_b, budget=budget, stats=stats)
-        return value
     if kind == "omim":
         ua, _ = uim(adjacent, vertices, sorted(a_set), budget=budget, stats=stats)
         ub, _ = uim(adjacent, vertices, side_b, budget=budget, stats=stats)
         return min(ua, ub)
-    raise ValidationError(f"unknown width kind {kind!r}")
+    in_a, in_b = conflict_sides(kind)
+    value, _ = max_induced_matching(adjacent, sorted(a_set), side_b,
+                                    in_a, in_b, budget=budget, stats=stats)
+    return value
 
 
 def layout_value(adjacent, vertices, layout: TreeLayout, kind: str,
@@ -129,7 +102,7 @@ def layout_value(adjacent, vertices, layout: TreeLayout, kind: str,
     if set(layout.leaf_vertex.values()) != vertex_set:
         raise ValidationError("layout leaves do not match the vertex set")
     best = 0
-    for _, side_a in layout.cuts():
+    for _, side_a in layout.sides():
         value = cut_value_for_kind(adjacent, vertices, side_a, kind, budget=budget,
                                    stats=stats)
         if value > best:
@@ -162,25 +135,16 @@ def enumerate_leaf_trees(num_leaves: int):
         yield {0: [1], 1: [0]}, [0, 1]
         return
 
-    def insert(adj, edge, leaf, internal):
-        new = {k: list(v) for k, v in adj.items()}
-        x, y = edge
-        new[x].remove(y)
-        new[y].remove(x)
-        new[internal] = [x, y, leaf]
-        new[x].append(internal)
-        new[y].append(internal)
-        new[leaf] = [internal]
-        return new
-
     def rec(adj, next_leaf, next_internal):
         if next_leaf == num_leaves:
             yield adj
             return
-        edges = [(x, y) for x in sorted(adj) for y in adj[x] if x < y]
-        for edge in edges:
-            yield from rec(insert(adj, edge, next_leaf, next_internal),
-                           next_leaf + 1, next_internal + 1)
+        tree = Tree(adj, {})
+        for x, y in sorted(tree.edges(), key=itemgetter(0)):
+            new = tree.subdivide(x, y, next_internal)
+            new[next_internal].append(next_leaf)
+            new[next_leaf] = [next_internal]
+            yield from rec(new, next_leaf + 1, next_internal + 1)
 
     base = {0: [num_leaves], 1: [num_leaves], 2: [num_leaves], num_leaves: [0, 1, 2]}
     for adj in rec(base, 3, num_leaves + 1):
@@ -200,7 +164,7 @@ def _cut_table(adjacent, verts, kind, budget, stats=None):
         for mask in range(full + 1):
             table[mask] = min(uim_table[mask], uim_table[full ^ mask])
         return table
-    in_a, in_b = _KIND_SIDES[kind]
+    in_a, in_b = conflict_sides(kind)
     for mask in range(full + 1):
         comp = full ^ mask
         if comp < mask:
@@ -260,9 +224,6 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
         raise CapExceededError(f"|V| = {n} exceeds exact-width cap {cap}")
     if n == 0:
         raise ValidationError("empty vertex set")
-    if n == 1:
-        return 0, linear_layout_from_order(verts) if linear else TreeLayout(
-            tree_adj={0: []}, leaf_vertex={0: verts[0]})
     table = _cut_table(adjacent, verts, kind, budget, stats=stats)
 
     if linear:
@@ -271,7 +232,7 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
         return width, linear_layout_from_order(order)
 
     full = (1 << n) - 1
-    vbit = {v: i for i, v in enumerate(verts)}
+    bit = {v: 1 << i for i, v in enumerate(verts)}
     best = None
     best_key = None
     best_layout = None
@@ -280,10 +241,8 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
                             leaf_vertex={i: verts[i] for i in leaf_nodes})
         splits = []
         value = 0
-        for _, side in layout.cuts():
-            mask = 0
-            for v in side:
-                mask |= 1 << vbit[v]
+        for _, side in layout.sides():
+            mask = sum(map(bit.__getitem__, side))
             splits.append(min(mask, full ^ mask))
             if table[mask] > value:
                 value = table[mask]

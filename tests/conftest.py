@@ -70,6 +70,25 @@ def brute_uim(adjacent, vertices, x_side):
     return brute_max_matching(adjacent, sorted(x_set), rest, True, False)
 
 
+def brute_sides(tree_adj, placement):
+    """Reference for Tree.sides(): every edge (x, y) with x < y in adjacency
+    order, and the items placed on y's side, found by one DFS per edge."""
+    out = []
+    for x, nbrs in tree_adj.items():
+        for y in nbrs:
+            if x < y:
+                seen = {y}
+                stack = [y]
+                while stack:
+                    a = stack.pop()
+                    for b in tree_adj[a]:
+                        if b != x and b not in seen:
+                            seen.add(b)
+                            stack.append(b)
+                out.append(((x, y), {item for item, node in placement.items() if node in seen}))
+    return out
+
+
 def random_weighted_graph(rng: random.Random, n, p=0.5, max_w=5) -> WeightedGraph:
     g = WeightedGraph()
     for i in range(n):

@@ -199,3 +199,57 @@ def test_witness_path_mapping(cnf_file, tmp_path, capsys):
     assert run(["witness", "path-mapping", "-i", g_path, "--order", order_path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "tree_mapping" and doc["is_path"]
+
+
+@pytest.fixture
+def toy_gstar(tmp_path):
+    """G* document of the single-edge H of weight 3 (two 18-vertex gadgets)."""
+    h = WeightedGraph()
+    h.add_vertex("u")
+    h.add_vertex("v")
+    h.add_edge(0, 1, 3)
+    g_path = str(tmp_path / "g.json")
+    assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h, "h.json"),
+                "-o", g_path]) == 0
+    gstar_path = str(tmp_path / "gstar.json")
+    assert run(["reduce", "step3", "--profile", "small", "-i", g_path,
+                "-o", gstar_path]) == 0
+    return gstar_path
+
+
+GOOD_MAPPING = {"format_version": 1, "kind": "tree_mapping", "nodes": [0, 1],
+                "edges": [[0, 1]], "parts": [[0, 0], [1, 1]], "is_path": True}
+
+
+@pytest.mark.parametrize("change", [
+    {},
+    {"edges": [[0, 5]]},
+    {"parts": [[0, 0], [7, 1]]},
+    {"nodes": ["0", "1"]},
+    {"edges": [[0, 1, 2]]},
+    {"is_path": "yes"},
+    {"parts": None},
+    {"kind": "tree_layout"},
+], ids=["valid", "edge-to-unlisted-node", "part-on-unlisted-node", "string-node-ids",
+        "edge-triple", "non-boolean-flag", "missing-parts", "wrong-kind"])
+def test_malformed_tree_mapping_exits_3(toy_gstar, tmp_path, capsys, change):
+    doc = {k: v for k, v in dict(GOOD_MAPPING, **change).items() if v is not None}
+    mapping_path = tmp_path / "m.json"
+    mapping_path.write_text(json.dumps(doc))
+    code = run(["layout", "project", "-i", toy_gstar, "--mapping", str(mapping_path)])
+    if not change:
+        assert code == 0
+        return
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_cyclic_hybrid_tree_exits_3(toy_gstar, tmp_path, capsys):
+    doc = {"format_version": 1, "kind": "hybrid_tree", "nodes": [0, 1, 2],
+           "edges": [[0, 1], [1, 2], [0, 2]],
+           "placement": [[v, 0] for v in range(18)] + [[v, 1] for v in range(18, 36)]}
+    hybrid_path = tmp_path / "cyc.json"
+    hybrid_path.write_text(json.dumps(doc))
+    assert run(["layout", "to-mapping", "-i", toy_gstar, "--hybrid", str(hybrid_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "acyclic" in err["error"]

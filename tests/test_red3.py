@@ -203,7 +203,7 @@ def test_caterpillar_glue_cut_splits_whole_gadgets():
     layout = caterpillar_layout(star, [0, 1])
     first = set(star.part_vertices(0))
     rest = set(range(star.n)) - first
-    boundary = [side for _, side in layout.cuts() if set(side) in (first, rest)]
+    boundary = [side for _, side in layout.sides() if set(side) in (first, rest)]
     assert boundary  # the gadget-boundary spine edge induces exactly this split
 
 
@@ -283,7 +283,7 @@ def test_find_default_edge_two_gadget_caterpillar():
     gs, star, ht = grouping_fixture(single_edge_h(3))
     kind, (x, y) = find_default_edge(star, ht, 0)
     assert kind == "edge"
-    side_b = set(ht.side_vertices(x, y))
+    side_b = set(ht.side(x, y))
     gadget = star.gadgets[0]
     copies = [set(gadget.copy_vertices(i)) for i in range(gadget.copies)]
     assert any(cp <= side_b for cp in copies)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naewidth.errors import BudgetExceededError, ValidationError
+from naewidth.errors import BudgetExceededError, CapExceededError, ValidationError
 from naewidth.red1 import SMALL
 from naewidth.wgraph import (
     BalancingTree,
@@ -201,7 +201,7 @@ def test_tree_solver_cap():
     g = WeightedGraph()
     for i in range(9):
         g.add_vertex(str(i))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(CapExceededError):
         solve_balancing_tree(g, 1, cap=8)
 
 

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from naewidth.errors import CapExceededError
-from naewidth.red2 import mapping_value, path_mapping_from_order
+from naewidth.errors import CapExceededError, ValidationError
+from naewidth.red2 import cut_value, mapping_value, path_mapping_from_order
 from naewidth.widths import (
     TreeLayout,
     adjacency_of_graph,
+    cut_value_for_kind,
     double_factorial,
     enumerate_leaf_trees,
     exact_width,
@@ -63,7 +64,7 @@ def test_layout_value_p4_order_layout():
     # exhaustive check over the layout's cuts
 
     expected = max(brute_mim(fn, sorted(side), sorted(set(range(4)) - side))
-                   for _, side in layout.cuts())
+                   for _, side in layout.sides())
     assert expected == 1
     assert layout_value(fn, range(4), layout, "mim") == 1
 
@@ -106,7 +107,7 @@ def test_exact_width_c5_linear_mim_golden():
     def order_value(order):
         best = 0
         layout = linear_layout_from_order(list(order))
-        for _, side in layout.cuts():
+        for _, side in layout.sides():
             rest = sorted(set(range(5)) - side)
             best = max(best, brute_mim(fn, sorted(side), rest))
         return best
@@ -181,7 +182,7 @@ def test_tree_enumeration_produces_distinct_ternary_trees():
         layout = TreeLayout(tree_adj=adj, leaf_vertex={i: i for i in leaf_nodes})
         splits = frozenset(
             min(frozenset(side), frozenset(set(range(5)) - side), key=sorted)
-            for _, side in layout.cuts())
+            for _, side in layout.sides())
         assert splits not in seen
         seen.add(splits)
 
@@ -211,3 +212,18 @@ def test_adjacency_of_graph_roundtrip(rng):
         for v in verts:
             if u != v:
                 assert fn(u, v) == g.has_edge(u, v)
+
+
+def test_unknown_kind_is_a_validation_error():
+    adjacent = adj_fn(cycle(4))
+    calls = [
+        lambda: cut_value(adjacent, [0], [1], "xim"),
+        lambda: cut_value_for_kind(adjacent, range(4), [0], "xim"),
+        lambda: exact_width(adjacent, range(4), "xim"),
+        lambda: exact_width(adjacent, range(4), "xim", linear=True),
+        lambda: exact_width(adjacent, [0], "xim"),
+        lambda: layout_value(adjacent, range(4), linear_layout_from_order(range(4)), "xim"),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="unknown cut kind"):
+            call()
