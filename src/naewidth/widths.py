@@ -140,6 +140,7 @@ def enumerate_leaf_trees(num_leaves: int):
             yield adj
             return
         tree = Tree(adj, {})
+        # insertion slots by ascending lower end, in adjacency order within one end
         for x, y in sorted(tree.edges(), key=itemgetter(0)):
             new = tree.subdivide(x, y, next_internal)
             new[next_internal].append(next_leaf)
