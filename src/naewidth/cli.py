@@ -41,7 +41,10 @@ def _write(path, doc):
 
 def _load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_profile(spec: str) -> red1.Constants:
@@ -200,7 +203,10 @@ def _graph_adjacency_from_doc(doc):
 def _cmd_cutval(args):
     adjacent, vertices = _graph_adjacency_from_doc(_load(args.input))
     cut = _load(args.cut)
-    side_a, side_b = cut["A"], cut["B"]
+    sides = [cut.get(key) if isinstance(cut, dict) else None for key in ("A", "B")]
+    if not all(isinstance(side, list) and all(type(v) is int for v in side) for side in sides):
+        raise ValidationError('a cut document is an object with integer lists "A" and "B"')
+    side_a, side_b = sides
     unknown = (set(side_a) | set(side_b)) - set(vertices)
     if unknown:
         raise ValidationError(f"cut references unknown vertices {sorted(unknown)}")

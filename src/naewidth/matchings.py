@@ -11,9 +11,17 @@ A candidate set of cut edges is a valid matching iff it is a clique in the
 *compatibility graph* (pairwise disjoint endpoints, no conflicting
 adjacency), so the search is a Tomita-style maximum-clique branch and bound
 over bitsets, with optional threshold-mode early exit.
+
+Cost of one cut value: |A|·|B| oracle calls find the m candidate cut edges.
+The compatibility graph is then built bit-parallel from per-endpoint
+candidate masks (San Segundo et al., Comput. Oper. Res. 2011): O(m) big-int
+ORs over m-bit masks, no oracle calls for mim, and for sim one call per pair
+of distinct endpoints on the same side, at most C(k_A,2) + C(k_B,2).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -39,24 +47,32 @@ def cut_edges(adjacent, side_a, side_b):
 
 
 def compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b):
-    """Bitmask adjacency of the compatibility graph over candidate cut edges."""
-    m = len(candidates)
-    masks = [0] * m
-    for i in range(m):
-        a1, b1 = candidates[i]
-        for j in range(i + 1, m):
-            a2, b2 = candidates[j]
-            if a1 == a2 or b1 == b2:
-                continue
-            if adjacent(a1, b2) or adjacent(a2, b1):
-                continue
-            if conflict_in_a and adjacent(a1, a2):
-                continue
-            if conflict_in_b and adjacent(b1, b2):
-                continue
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return masks
+    """Bitmask adjacency of the compatibility graph over candidate cut edges.
+
+    `candidates` must be every adjacent (a, b) pair of the cut, as cut_edges
+    lists them: a cross-cut conflict (a_i, b_j) is then itself a candidate,
+    so it is read off the list with no oracle call.  Candidate i is blocked
+    by every candidate on its endpoints and on their cross-cut neighbours;
+    only a conflict side costs oracle calls, one per pair of distinct
+    endpoints on that side.
+    """
+    at_a, at_b = {}, {}  # endpoint -> mask of the candidates on it
+    for i, (a, b) in enumerate(candidates):
+        at_a[a] = at_a.get(a, 0) | 1 << i
+        at_b[b] = at_b.get(b, 0) | 1 << i
+    block_a, block_b = dict(at_a), dict(at_b)
+    for a, b in candidates:
+        block_a[a] |= at_b[b]
+        block_b[b] |= at_a[a]
+    for conflict, at, block in ((conflict_in_a, at_a, block_a),
+                                (conflict_in_b, at_b, block_b)):
+        if conflict:
+            for x, y in itertools.combinations(at, 2):
+                if adjacent(x, y):
+                    block[x] |= at[y]
+                    block[y] |= at[x]
+    full = (1 << len(candidates)) - 1
+    return [full & ~(block_a[a] | block_b[b]) for a, b in candidates]
 
 
 def max_clique(masks, threshold=None, budget: int = DEFAULT_BUDGET, stats=None):

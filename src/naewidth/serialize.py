@@ -87,16 +87,20 @@ def graph_from_doc(doc):
         raise ValidationError("expected a graph or weighted_graph document")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {doc.get('format_version')!r}")
-    n = len(doc["vertices"])
-    for i, rec in enumerate(doc["vertices"]):
-        if rec["id"] != i:
-            raise ValidationError("vertex ids must be dense from 0")
+    try:
+        ids = [rec["id"] for rec in doc["vertices"]]
+        edges = [(rec["u"], rec["v"], "weight" in rec) for rec in doc["edges"]]
+    except (KeyError, TypeError):
+        raise ValidationError(f"malformed {doc['kind']} document: expected vertex "
+                              "records with an id and edge records with u and v") from None
+    n = len(ids)
+    if any(type(i) is not int for i in ids) or ids != list(range(n)):
+        raise ValidationError("vertex ids must be dense from 0")
     adj = {v: set() for v in range(n)}
-    for rec in doc["edges"]:
-        u, v = rec["u"], rec["v"]
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+    for u, v, weighted in edges:
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValidationError(f"bad edge ({u}, {v})")
-        if doc["kind"] == "weighted_graph" and "weight" not in rec:
+        if doc["kind"] == "weighted_graph" and not weighted:
             raise ValidationError(f"weighted graph edge ({u}, {v}) lacks a weight")
         adj[u].add(v)
         adj[v].add(u)

@@ -5,6 +5,7 @@ are maximized by plain backtracking over edge subsets, orders by permutation
 scans, so they stay valid cross-checks for the branch-and-bound paths.
 """
 
+import itertools
 import random
 
 import pytest
@@ -54,6 +55,38 @@ def brute_max_matching(adjacent, side_a, side_b, conflict_in_a, conflict_in_b):
 
     rec(0, [])
     return best
+
+
+def brute_compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b):
+    """Reference for matchings.compatibility_masks: the pair-oracle build,
+    up to four adjacency calls per pair of candidates."""
+    m = len(candidates)
+    masks = [0] * m
+    for i in range(m):
+        a1, b1 = candidates[i]
+        for j in range(i + 1, m):
+            a2, b2 = candidates[j]
+            if a1 == a2 or b1 == b2:
+                continue
+            if adjacent(a1, b2) or adjacent(a2, b1):
+                continue
+            if conflict_in_a and adjacent(a1, a2):
+                continue
+            if conflict_in_b and adjacent(b1, b2):
+                continue
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+def brute_dummy_edges(h):
+    """Reference for PartitionedGraph.num_dummy_edges: the pairwise count,
+    4·w1·w2 for each unordered pair of vertex-disjoint H-edges."""
+    total = 0
+    for (a, b, w1), (x, y, w2) in itertools.combinations(list(h.edges()), 2):
+        if len({a, b, x, y}) == 4:
+            total += 4 * w1 * w2  # both orientations of both edges
+    return total
 
 
 def brute_mim(adjacent, side_a, side_b):

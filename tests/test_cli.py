@@ -139,6 +139,22 @@ def test_cutval_and_budget(tmp_path, capsys):
                 "--budget", "0"]) == 4
 
 
+@pytest.mark.parametrize("graph_text, cut_text", [
+    (None, json.dumps({"A": [0, 1]})),
+    (None, '{"A": [0, 1], "B": [2'),
+    (json.dumps({"format_version": 1, "kind": "graph", "vertices": [{"id": 0}, {"id": 1}],
+                 "edges": [[0, 1]]}), json.dumps({"A": [0], "B": [1]})),
+], ids=["cut-missing-B", "truncated-json", "edge-lists"])
+def test_malformed_cutval_input_exits_3(tmp_path, capsys, graph_text, cut_text):
+    graph = k4_file(tmp_path)
+    if graph_text is not None:
+        (tmp_path / "k4.json").write_text(graph_text)
+    cut = tmp_path / "cut.json"
+    cut.write_text(cut_text)
+    assert run(["cutval", "--kind", "mim", "-i", graph, "--cut", str(cut)]) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
 def test_balance_solve(tmp_path, capsys):
     g = WeightedGraph()
     for i in range(3):

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naewidth.errors import BudgetExceededError, ValidationError
-from naewidth.red1 import SMALL
+from naewidth.formula import parse_nae_dimacs
+from naewidth.red1 import SMALL, build_H
 from naewidth.red2 import (
+    PartitionedGraph,
     TreeMapping,
     balancing_tree_from_mapping,
     build_partitioned,
@@ -17,7 +19,7 @@ from naewidth.red2 import (
 )
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import adj_fn, adjacency_sets, brute_mim, brute_sim, path_graph, random_weighted_graph, star_graph
+from conftest import adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, path_graph, random_weighted_graph, star_graph
 
 
 def single_edge(w=3):
@@ -48,16 +50,24 @@ def test_build_single_edge():
     gs = build_partitioned(single_edge(3))
     assert gs.n == 6
     assert gs.num_matching_edges() == 3
-    assert gs.num_dummy_edges() == 0
+    assert gs.num_dummy_edges() == 0 == brute_dummy_edges(gs.H)
 
 
 def test_build_two_disjoint_edges():
     gs = build_partitioned(two_disjoint_edges(2))
     assert gs.n == 8
     assert gs.num_matching_edges() == 4
-    assert gs.num_dummy_edges() == 16
+    assert gs.num_dummy_edges() == 16 == brute_dummy_edges(gs.H)
     kinds = [kind for _, _, kind in gs.edge_iter()]
     assert kinds.count("matching") == 4 and kinds.count("dummy") == 16
+
+
+def test_dummy_edge_count_matches_pairwise(rng):
+    for _ in range(40):
+        h = random_weighted_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.6, 0.9)), max_w=6)
+        assert PartitionedGraph(h).num_dummy_edges() == brute_dummy_edges(h)
+    h = build_H(parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4), SMALL).graph
+    assert PartitionedGraph(h).num_dummy_edges() == brute_dummy_edges(h) == 1820711408
 
 
 def test_vertex_count_identity(rng):
