@@ -57,9 +57,11 @@ def main():
     decoded = decode_assignment(f, build, order)
     print(f"  decoded assignment: {''.join('T' if b else 'F' for b in decoded)}")
 
+    t0 = time.time()
     gs = build_partitioned(g)
     print(f"step 2: (G, S) has {gs.n} vertices, "
-          f"{gs.num_matching_edges()} matching edges, {gs.num_dummy_edges()} dummy edges")
+          f"{gs.num_matching_edges()} matching edges, {gs.num_dummy_edges()} dummy edges, "
+          f"built in {time.time() - t0:.2f}s")
 
     # the full G* is huge; demo the gadget machinery on a two-part toy
     toy = WeightedGraph()

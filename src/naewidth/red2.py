@@ -5,7 +5,8 @@ Every vertex u of H becomes an independent part S(u) split into blocks
 I(u, v) of size w(uv); matching edges pair I(u, v) with I(v, u) position by
 position, and dummy bicliques join blocks of disjoint H-edges.  G is kept
 implicit (block layout + O(1) adjacency oracle): real instances have far too
-many dummy edges to materialize.
+many dummy edges to materialize.  Validation is arithmetic over the blocks,
+O(|E(H)|), since |V(G)| = 2·W(H) reaches tens of millions at the paper profile.
 """
 
 from __future__ import annotations
@@ -124,26 +125,27 @@ class PartitionedGraph:
                             yield min(p, q), max(p, q), "dummy"
 
     def validate(self) -> None:
-        """Structural audit of the partitioned-graph invariants."""
-        if self.n != 2 * self.H.total_weight():
+        """Audit of the block layout in O(|E(H)|): one block per entry of H.adj,
+        contiguous from 0 in block_pairs order, each inside S(u) (|S(u)| = d_u)
+        with a twin (v, u) of equal positive weight.  So S(u) spans u's blocks,
+        and matching_partner is an involution that matches every G-vertex."""
+        h, pairs, parts = self.H, self.block_pairs, self.part_range
+        weight = {(u, v): w for u in h.vertex_ids() for v, w in h.adj[u]}
+        if self.n != 2 * h.total_weight():
             raise ValidationError("|V(G)| != 2 * total weight of H")
-        covered = 0
-        for u in self.parts():
-            start, end = self.part_range[u]
-            covered += end - start
-            blocks = [(v, w) for v, w in sorted(self.H.adj[u])]
-            if sum(w for _, w in blocks) != end - start:
-                raise ValidationError(f"S({u}) does not decompose into its blocks")
-            for v, w in blocks:
-                if len(self.block_range(u, v)) != w or len(self.block_range(v, u)) != w:
-                    raise ValidationError(f"|I({u},{v})| != w({u}{v}) or mismatched twin")
-        if covered != self.n:
-            raise ValidationError("parts do not partition V(G)")
-        for u in self.parts():
-            for p in self.part_vertices(u):
-                q = self.matching_partner(p)
-                if self.matching_partner(q) != p or self.adjacent(p, q) != "matching":
-                    raise ValidationError(f"matching pairing broken at {p}")
+        if not (len(pairs) == len(self.block_start) == len(self.block_index)
+                == len(weight) == sum(map(len, h.adj))):
+            raise ValidationError("blocks do not list each edge of H once per direction")
+        if {u: b - a for u, (a, b) in parts.items()} != {u: h.vertex_weight(u) for u in range(h.n)}:
+            raise ValidationError("part sizes differ from the weighted degrees of H")
+        nxt = 0
+        for k, ((u, v), start) in enumerate(zip(pairs, self.block_start)):
+            if start != nxt or self.block_index.get((u, v)) != k:
+                raise ValidationError(f"block I({u},{v}) is out of place in the layout")
+            w = weight.get((u, v), 0)
+            nxt += w
+            if u == v or weight.get((v, u)) != w or not parts[u][0] <= start < nxt <= parts[u][1]:
+                raise ValidationError(f"I({u},{v}) has no twin of its weight or lies outside S({u})")
 
     def sample_oracle_check(self, rng, samples: int = 2000) -> None:
         """Spot-check the adjacency oracle against first principles."""

@@ -9,6 +9,7 @@ only materialized below a small size limit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 from .errors import ValidationError
@@ -34,6 +35,18 @@ def _expect(doc, kind):
         raise ValidationError(f"unsupported format_version {doc.get('format_version')!r}")
 
 
+@contextlib.contextmanager
+def _malformed(kind):
+    """A document missing a key or holding a wrong type or shape fails with
+    ValidationError, not with the KeyError, TypeError or ValueError it raises."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} document: {exc!r}") from None
+
+
 # -- weighted graphs ---------------------------------------------------------
 
 def weighted_graph_doc(g: WeightedGraph, meta=None):
@@ -51,21 +64,22 @@ def weighted_graph_doc(g: WeightedGraph, meta=None):
 
 
 def weighted_graph_from_doc(doc) -> WeightedGraph:
-    _expect(doc, "weighted_graph")
-    g = WeightedGraph()
-    for i, rec in enumerate(doc["vertices"]):
-        if rec["id"] != i:
-            raise ValidationError("vertex ids must be dense from 0")
-        if rec["role"] not in ROLES:
-            raise ValidationError(f"unknown role {rec['role']!r}")
-        g.add_vertex(rec["label"], rec["role"])
-    for rec in doc["edges"]:
-        u, v, w = rec["u"], rec["v"], rec["weight"]
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValidationError(f"edge ({u}, {v}) references unknown vertex")
-        g.add_edge(u, v, w)
-    g.check_simple()
-    return g
+    with _malformed("weighted_graph"):
+        _expect(doc, "weighted_graph")
+        g = WeightedGraph()
+        for i, rec in enumerate(doc["vertices"]):
+            if rec["id"] != i:
+                raise ValidationError("vertex ids must be dense from 0")
+            if rec["role"] not in ROLES:
+                raise ValidationError(f"unknown role {rec['role']!r}")
+            g.add_vertex(rec["label"], rec["role"])
+        for rec in doc["edges"]:
+            u, v, w = rec["u"], rec["v"], rec["weight"]
+            if not (0 <= u < g.n and 0 <= v < g.n):
+                raise ValidationError(f"edge ({u}, {v}) references unknown vertex")
+            g.add_edge(u, v, w)
+        g.check_simple()
+        return g
 
 
 def graph_doc(adj_sets, labels=None):
@@ -114,10 +128,11 @@ def _constants_doc(c: Constants):
 
 
 def constants_from_doc(doc) -> Constants:
-    c = Constants(tau=doc["tau"], gamma=doc["gamma"], lam=doc["lambda"],
-                  a=doc["a"], b=doc["b"])
-    validate_constants(c)
-    return c
+    with _malformed("constants"):
+        c = Constants(tau=doc["tau"], gamma=doc["gamma"], lam=doc["lambda"],
+                      a=doc["a"], b=doc["b"])
+        validate_constants(c)
+        return c
 
 
 def _handle_doc(h: BottleneckHandle):
@@ -162,34 +177,35 @@ def hbuild_doc(build: HBuild):
 
 
 def hbuild_from_doc(doc) -> HBuild:
-    g = weighted_graph_from_doc(doc)
-    meta = doc.get("meta")
-    if not meta or meta.get("provenance") != "step1":
-        raise ValidationError("weighted-graph document has no step1 build metadata")
-    c = constants_from_doc(meta["constants"])
-    groups = meta["groups"]
-    seq_doc = meta["sequence"]
-    seq = SequenceHandles(
-        s=list(seq_doc["s"]),
-        b1p=_handle_from_doc(seq_doc["B1p"]), b2p=_handle_from_doc(seq_doc["B2p"]),
-        b2m=_handle_from_doc(seq_doc["B2m"]), b3m=_handle_from_doc(seq_doc["B3m"]),
-        terminal_sets=[list(s) for s in seq_doc["terminal_sets"]],
-    )
-    hprime_n = meta["hprime_n"]
-    return HBuild(
-        graph=g, constants=c,
-        num_vars=meta["num_vars"], num_clauses=meta["num_clauses"],
-        vx=list(groups["vx"]), vbar=list(groups["vbar"]),
-        tvert=list(groups["T"]), tbar=list(groups["T_bar"]),
-        fvert=list(groups["F"]), fbar=list(groups["F_bar"]),
-        cvert=list(groups["C"]), seq=seq,
-        hprime_n=hprime_n,
-        hprime_weights=[sum(w for u, w in g.adj[v] if u < hprime_n)
-                        for v in range(hprime_n)],
-        pad_assign={v: list(xs) for v, xs in meta["pad_assign"]},
-        x_ids=list(groups["X"]), y_ids=list(groups["Y"]),
-        bl=_handle_from_doc(meta["BL"]), br=_handle_from_doc(meta["BR"]),
-    )
+    with _malformed("step-1 weighted_graph"):
+        g = weighted_graph_from_doc(doc)
+        meta = doc.get("meta")
+        if not isinstance(meta, dict) or meta.get("provenance") != "step1":
+            raise ValidationError("weighted-graph document has no step1 build metadata")
+        c = constants_from_doc(meta["constants"])
+        groups = meta["groups"]
+        seq_doc = meta["sequence"]
+        seq = SequenceHandles(
+            s=list(seq_doc["s"]),
+            b1p=_handle_from_doc(seq_doc["B1p"]), b2p=_handle_from_doc(seq_doc["B2p"]),
+            b2m=_handle_from_doc(seq_doc["B2m"]), b3m=_handle_from_doc(seq_doc["B3m"]),
+            terminal_sets=[list(s) for s in seq_doc["terminal_sets"]],
+        )
+        hprime_n = meta["hprime_n"]
+        return HBuild(
+            graph=g, constants=c,
+            num_vars=meta["num_vars"], num_clauses=meta["num_clauses"],
+            vx=list(groups["vx"]), vbar=list(groups["vbar"]),
+            tvert=list(groups["T"]), tbar=list(groups["T_bar"]),
+            fvert=list(groups["F"]), fbar=list(groups["F_bar"]),
+            cvert=list(groups["C"]), seq=seq,
+            hprime_n=hprime_n,
+            hprime_weights=[sum(w for u, w in g.adj[v] if u < hprime_n)
+                            for v in range(hprime_n)],
+            pad_assign={v: list(xs) for v, xs in meta["pad_assign"]},
+            x_ids=list(groups["X"]), y_ids=list(groups["Y"]),
+            bl=_handle_from_doc(meta["BL"]), br=_handle_from_doc(meta["BR"]),
+        )
 
 
 # -- step-2 partitioned graphs ----------------------------------------------
@@ -215,17 +231,21 @@ def partitioned_doc(gs: PartitionedGraph, base_meta=None):
 
 
 def partitioned_from_doc(doc) -> PartitionedGraph:
-    _expect(doc, "partitioned_graph")
-    h = weighted_graph_from_doc(doc["base"])
-    gs = build_partitioned(h)
-    if gs.n != doc["num_vertices"]:
-        raise ValidationError("stored vertex count disagrees with the block layout")
-    stored = [(b["u"], b["v"], b["start"], b["size"]) for b in doc["blocks"]]
-    actual = [(u, v, gs.block_start[k], h.edge_weight(u, v))
-              for k, (u, v) in enumerate(gs.block_pairs)]
-    if stored != actual:
-        raise ValidationError("stored block layout disagrees with the rebuild")
-    return gs
+    with _malformed("partitioned_graph"):
+        _expect(doc, "partitioned_graph")
+        h = weighted_graph_from_doc(doc["base"])
+        gs = build_partitioned(h)
+        if gs.n != doc["num_vertices"]:
+            raise ValidationError("stored vertex count disagrees with the block layout")
+        stored = [(b["u"], b["v"], b["start"], b["size"]) for b in doc["blocks"]]
+        actual = [(u, v, gs.block_start[k], h.edge_weight(u, v))
+                  for k, (u, v) in enumerate(gs.block_pairs)]
+        if stored != actual:
+            raise ValidationError("stored block layout disagrees with the rebuild")
+        stored = [(p["owner"], p["start"], p["size"]) for p in doc["parts"]]
+        if stored != [(u, start, end - start) for u, (start, end) in sorted(gs.part_range.items())]:
+            raise ValidationError("stored parts disagree with the rebuild")
+        return gs
 
 
 # -- step-3 gadget graphs ----------------------------------------------------
@@ -256,19 +276,20 @@ def gstar_doc(star: Gstar, base_meta=None, weight_scale: int = 1):
 
 
 def gstar_from_doc(doc) -> Gstar:
-    _expect(doc, "gadget_graph")
-    gs = partitioned_from_doc(doc["base"])
-    c = constants_from_doc(doc["constants"])
-    star = build_Gstar(gs, c)
-    if star.n != doc["num_vertices"]:
-        raise ValidationError("stored G* vertex count disagrees with the rebuild")
-    for rec in doc["gadgets"]:
-        gadget = star.gadgets.get(rec["owner"])
-        if gadget is None or gadget.base != rec["base"] or gadget.copies != rec["copies"]:
-            raise ValidationError(f"gadget registry mismatch at owner {rec['owner']}")
-        if [{"tag": t, "gvid": gv} for t, gv in gadget.path] != rec["path"]:
-            raise ValidationError(f"gadget path mismatch at owner {rec['owner']}")
-    return star
+    with _malformed("gadget_graph"):
+        _expect(doc, "gadget_graph")
+        gs = partitioned_from_doc(doc["base"])
+        c = constants_from_doc(doc["constants"])
+        star = build_Gstar(gs, c)
+        if star.n != doc["num_vertices"]:
+            raise ValidationError("stored G* vertex count disagrees with the rebuild")
+        for rec in doc["gadgets"]:
+            gadget = star.gadgets.get(rec["owner"])
+            if gadget is None or gadget.base != rec["base"] or gadget.copies != rec["copies"]:
+                raise ValidationError(f"gadget registry mismatch at owner {rec['owner']}")
+            if [{"tag": t, "gvid": gv} for t, gv in gadget.path] != rec["path"]:
+                raise ValidationError(f"gadget path mismatch at owner {rec['owner']}")
+        return star
 
 
 # -- witnesses ----------------------------------------------------------------

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from naewidth.errors import ValidationError
 from naewidth.wgraph import WeightedGraph
 
 
@@ -87,6 +88,35 @@ def brute_dummy_edges(h):
         if len({a, b, x, y}) == 4:
             total += 4 * w1 * w2  # both orientations of both edges
     return total
+
+
+def brute_validate(gs):
+    """Reference for PartitionedGraph.validate: the per-vertex walk, two
+    binary searches per matching_partner call over all 2·W(H) G-vertices.
+    Each vertex must lie in its own part; a lookup that fails on a broken
+    layout counts as a failed audit."""
+    if gs.n != 2 * gs.H.total_weight():
+        raise ValidationError("|V(G)| != 2 * total weight of H")
+    try:
+        covered = 0
+        for u in gs.parts():
+            start, end = gs.part_range[u]
+            covered += end - start
+            blocks = sorted(gs.H.adj[u])
+            if sum(w for _, w in blocks) != end - start:
+                raise ValidationError(f"S({u}) does not decompose into its blocks")
+            for v, w in blocks:
+                if len(gs.block_range(u, v)) != w or len(gs.block_range(v, u)) != w:
+                    raise ValidationError(f"|I({u},{v})| != w({u}{v}) or mismatched twin")
+        if covered != gs.n:
+            raise ValidationError("parts do not partition V(G)")
+        for u in gs.parts():
+            for p in gs.part_vertices(u):
+                q = gs.matching_partner(p)
+                if gs.owner(p) != u or gs.matching_partner(q) != p or gs.adjacent(p, q) != "matching":
+                    raise ValidationError(f"matching pairing broken at {p}")
+    except (IndexError, KeyError) as exc:
+        raise ValidationError(f"block lookup failed: {exc!r}") from None
 
 
 def brute_mim(adjacent, side_a, side_b):

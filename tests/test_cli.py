@@ -269,3 +269,97 @@ def test_cyclic_hybrid_tree_exits_3(toy_gstar, tmp_path, capsys):
     assert run(["layout", "to-mapping", "-i", toy_gstar, "--hybrid", str(hybrid_path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "validation" and "acyclic" in err["error"]
+
+
+@pytest.fixture
+def step_docs(cnf_file, toy_gstar, tmp_path):
+    """Small step-1, step-2 and step-3 documents, and orders of the step-3
+    and step-2 H (two and three vertices)."""
+    h_path = str(tmp_path / "H.json")
+    assert run(["reduce", "step1", "--profile", "small", "-i", cnf_file, "-o", h_path]) == 0
+    h = WeightedGraph()
+    for i in range(3):
+        h.add_vertex(str(i))
+    h.add_edge(0, 1, 2)
+    h.add_edge(1, 2, 3)
+    g_path = str(tmp_path / "g2.json")
+    assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h, "h2.json"), "-o", g_path]) == 0
+    order_path = tmp_path / "order.json"
+    order_path.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    order3_path = tmp_path / "order3.json"
+    order3_path.write_text(serialize.canonical_json(serialize.order_doc([2, 1, 0])))
+    return {"step1": h_path, "step2": g_path, "step3": toy_gstar,
+            "order": str(order_path), "order3": str(order3_path)}
+
+
+def _drop_constants(doc):
+    del doc["meta"]["constants"]
+
+
+def _meta_not_an_object(doc):
+    doc["meta"] = ["step1"]
+
+
+def _vertex_not_a_record(doc):
+    doc["vertices"][0] = 0
+
+
+def _short_pad_pair(doc):
+    doc["meta"]["pad_assign"][0] = doc["meta"]["pad_assign"][0][:1]
+
+
+def _drop_blocks(doc):
+    del doc["blocks"]
+
+
+def _tamper_parts(doc):
+    doc["parts"][0]["size"] += 1
+    doc["parts"].append({"owner": 999, "start": 0, "size": 1})
+
+
+def _drop_gadget_path(doc):
+    del doc["gadgets"][0]["path"]
+
+
+@pytest.mark.parametrize("step, tamper, argv", [
+    ("step1", _drop_constants, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _meta_not_an_object, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _vertex_not_a_record, ["reduce", "step2", "-i", "{doc}"]),
+    ("step1", _short_pad_pair, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step2", _drop_blocks, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
+    ("step2", _tamper_parts, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
+    ("step3", _drop_gadget_path, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
+], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
+        "step1-short-pad-pair", "step2-without-blocks", "step2-parts-disagree",
+        "step3-gadget-without-path"])
+def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
+    paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"))
+    argv = [arg.format(**paths) for arg in argv]
+    doc = json.loads(open(step_docs[step]).read())
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    assert run(argv) == 0  # the untampered document is accepted
+    tamper(doc)
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_reduce_step2_paper_profile(cnf_file, tmp_path):
+    """Step 2 at the paper profile: 53.5 M G-vertices, audited per block."""
+    h_path, g_path = str(tmp_path / "H.json"), str(tmp_path / "G.json")
+    assert run(["reduce", "step1", "--profile", "paper", "-i", cnf_file, "-o", h_path]) == 0
+    assert run(["reduce", "step2", "--profile", "paper", "-i", h_path, "-o", g_path]) == 0
+    doc = json.loads(open(g_path).read())
+    edges = doc["base"]["edges"]
+    total = sum(e["weight"] for e in edges)
+    assert doc["num_vertices"] == 2 * total == sum(b["size"] for b in doc["blocks"]) == 53513200
+    degree = {}
+    for e in edges:
+        for x in (e["u"], e["v"]):
+            degree[x] = degree.get(x, 0) + e["weight"]
+    # I(u, v) meets the 2W - 2(d_u + d_v - w_uv) vertices of blocks off u and v;
+    # summing over blocks counts every dummy edge from both ends
+    dummy = sum(b["size"] * (total - degree[b["u"]] - degree[b["v"]] + b["size"])
+                for b in doc["blocks"])
+    assert serialize.partitioned_from_doc(doc).num_dummy_edges() == dummy == 1431702834898112

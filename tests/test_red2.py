@@ -19,7 +19,9 @@ from naewidth.red2 import (
 )
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, path_graph, random_weighted_graph, star_graph
+from conftest import adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, brute_validate, path_graph, random_weighted_graph, star_graph
+
+FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
 
 def single_edge(w=3):
@@ -66,8 +68,114 @@ def test_dummy_edge_count_matches_pairwise(rng):
     for _ in range(40):
         h = random_weighted_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.6, 0.9)), max_w=6)
         assert PartitionedGraph(h).num_dummy_edges() == brute_dummy_edges(h)
-    h = build_H(parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4), SMALL).graph
+    h = build_H(parse_nae_dimacs(FOUR_COPIES), SMALL).graph
     assert PartitionedGraph(h).num_dummy_edges() == brute_dummy_edges(h) == 1820711408
+
+
+def copy_of(h):
+    g = WeightedGraph()
+    g.adj = [list(lst) for lst in h.adj]
+    return g
+
+
+def twisted_twins(h, rng):
+    """I(v, u) gets another weight than I(u, v).  When H has an edge of weight
+    >= 2, a second twin is twisted the other way, so |V(G)| = 2·W(H) holds."""
+    g = copy_of(h)
+
+    def twist(u, v, d):  # v > u: W(H) reads the weight on u's side
+        g.adj[v] = [(x, w + d if x == u else w) for x, w in g.adj[v]]
+
+    edges = sorted(h.edges(), key=lambda e: e[2])
+    twist(*edges[0][:2], 1)
+    if len(edges) > 1 and edges[-1][2] > 1:
+        twist(*edges[-1][:2], -1)
+    return PartitionedGraph(g)
+
+
+def n_off_by_one(h, rng):
+    gs = PartitionedGraph(h)
+    gs.n += rng.choice((-1, 1))
+    return gs
+
+
+def shifted_block_start(h, rng):
+    gs = PartitionedGraph(h)
+    gs.block_start[rng.randrange(len(gs.block_start))] += rng.choice((-1, 1))
+    return gs
+
+
+def _part_moved(h, rng, d_lo, d_hi):
+    gs = PartitionedGraph(h)
+    u = rng.choice([u for u in h.vertex_ids() if h.adj[u]])
+    lo, hi = gs.part_range[u]
+    gs.part_range[u] = (lo + d_lo, hi + d_hi)
+    return gs
+
+
+def shifted_part(h, rng):
+    d = rng.choice((-1, 1))
+    return _part_moved(h, rng, d, d)
+
+
+def grown_part(h, rng):
+    return _part_moved(h, rng, 0, 1)
+
+
+def dropped_index_entry(h, rng):
+    gs = PartitionedGraph(h)
+    del gs.block_index[rng.choice(gs.block_pairs)]
+    return gs
+
+
+def swapped_index_entries(h, rng):
+    gs = PartitionedGraph(h)
+    a, b = rng.sample(gs.block_pairs, 2)
+    gs.block_index[a], gs.block_index[b] = gs.block_index[b], gs.block_index[a]
+    return gs
+
+
+def dropped_last_block(h, rng):
+    gs = PartitionedGraph(h)
+    del gs.block_index[gs.block_pairs.pop()]
+    gs.block_start.pop()
+    return gs
+
+
+def self_loop_block(h, rng):
+    """A block I(u, u), with |V(G)| set back to 2·W(H)."""
+    g = copy_of(h)
+    g.adj[0].append((0, 1))
+    gs = PartitionedGraph(g)
+    gs.n = 2 * g.total_weight()
+    return gs
+
+
+TAMPERS = [n_off_by_one, shifted_block_start, twisted_twins, shifted_part, dropped_index_entry,
+           grown_part, swapped_index_entries, dropped_last_block, self_loop_block]
+
+
+def test_validate_matches_per_vertex_walk(rng):
+    graphs = [h for h in (random_weighted_graph(rng, rng.randint(2, 9), p=rng.choice((0.3, 0.6, 0.9)),
+                                                max_w=6) for _ in range(100)) if h.num_edges() >= 2]
+    graphs.append(build_H(parse_nae_dimacs(FOUR_COPIES), SMALL).graph)
+    for h in graphs:
+        gs = build_partitioned(h)
+        brute_validate(gs)
+        for tamper in TAMPERS:
+            broken = tamper(h, rng)
+            for audit in (PartitionedGraph.validate, brute_validate):
+                with pytest.raises(ValidationError):
+                    audit(broken)
+                    pytest.fail(f"{audit.__name__} accepts {tamper.__name__}")
+
+
+def test_isolated_vertex_owns_an_empty_part():
+    h = path_graph([2, 3])
+    h.add_vertex("isolated")
+    gs = build_partitioned(h)
+    brute_validate(gs)
+    assert gs.part_range[3] == (gs.n, gs.n)
 
 
 def test_vertex_count_identity(rng):
