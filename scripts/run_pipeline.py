@@ -4,7 +4,7 @@
 Generates (or reads) a strict 4-occurrence NAE formula, builds the weighted
 graph H, certifies the balancing witness, then follows the instance through
 the partitioned graph and the gadget graph, reporting exact cut statistics
-for the tiny grouping demo along the way.
+for the tiny grouping demo (always at the small profile) along the way.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import time
 sys.path.insert(0, "src")
 
 from naewidth.formula import brute_force_nae, emit_nae_dimacs, parse_nae_dimacs, random_strict_formula
-from naewidth.red1 import PROFILES, build_H, decode_assignment, witness_order
+from naewidth.red1 import PROFILES, SMALL, build_H, decode_assignment, witness_order
 from naewidth.red2 import build_partitioned, mapping_value, path_mapping_from_order
 from naewidth.red3 import build_Gstar, caterpillar_layout, ensure_divisible, group_all, hybrid_from_layout, hybrid_sim_values, hybrid_to_tree_mapping, project_mapping_to_G
 from naewidth.wgraph import WeightedGraph, check_balancing_order
@@ -63,14 +63,22 @@ def main():
           f"{gs.num_matching_edges()} matching edges, {gs.num_dummy_edges()} dummy edges, "
           f"built in {time.time() - t0:.2f}s")
 
-    # the full G* is huge; demo the gadget machinery on a two-part toy
+    t0 = time.time()
+    gs3, scale = ensure_divisible(gs, c)
+    star = build_Gstar(gs3, c)
+    print(f"step 3: G* has {star.n} vertices (weights scaled by {scale}), "
+          f"built in {time.time() - t0:.2f}s")
+
+    # G* is far too large to lay out; demo the gadget machinery on a two-part
+    # toy, at the small profile whatever the chosen one
     toy = WeightedGraph()
     toy.add_vertex("u")
     toy.add_vertex("v")
-    toy.add_edge(0, 1, c.a)
-    toy_gs, scale = ensure_divisible(build_partitioned(toy), c)
-    star = build_Gstar(toy_gs, c)
-    print(f"step 3 (toy H = single edge of weight {c.a}): G* has {star.n} vertices")
+    toy.add_edge(0, 1, SMALL.a)
+    toy_gs = build_partitioned(toy)
+    star = build_Gstar(toy_gs, SMALL)
+    print(f"step 3 toy (small profile, H = single edge of weight {SMALL.a}): "
+          f"G* has {star.n} vertices")
     ht = hybrid_from_layout(caterpillar_layout(star, sorted(star.parts())))
     print(f"  caterpillar hybrid tree: max sim value "
           f"{max(hybrid_sim_values(ht, star).values())}")

@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import formula as fm
-from . import red1, red2, red3, serialize, wgraph, widths
+from . import matchings, red1, red2, red3, serialize, wgraph, widths
 from .errors import BudgetExceededError, ValidationError
 
 EXIT_OK = 0
@@ -197,7 +197,7 @@ def _cmd_balance(args):
 
 def _graph_adjacency_from_doc(doc):
     adj = serialize.graph_from_doc(doc)
-    return (lambda u, v: v in adj[u]), sorted(adj)
+    return matchings.adjacency_from_sets(adj), sorted(adj)
 
 
 def _cmd_cutval(args):

@@ -1,10 +1,14 @@
 """Step 3: from the partitioned graph (G, S) to the final width instance G*.
 
-Each part S(u) becomes a gadget: the blocks of S(u) are split into `a` equal
-chunks, laid out as a path, 1-subdivided with one trailing vertex appended
-(so |V(P_u)| = 2|S(u)|), and concatenated into b quasi-copies that are
-densely interconnected except around corresponding positions.  Inter-gadget
-edges are bicliques between the copy sets of G-adjacent originals.
+Each part S(u) becomes a gadget on the path P_u: every block I(u, v) is cut
+into `a` equal slices, chunk i lists slice i of each block in ascending
+neighbour order, and the sequence is 1-subdivided with one vertex appended
+(so |V(P_u)| = 2|S(u)|).  P_u is never stored: a gadget keeps one (first
+G-vertex, |I(u, v)|/a) pair per block and computes any position on demand,
+so building and validating G* costs O(|E(H)|), not O(|V(G*)|).  The gadget
+concatenates b quasi-copies of P_u that are densely interconnected except
+around corresponding positions.  Inter-gadget edges are bicliques between
+the copy sets of G-adjacent originals.
 
 The hybrid-tree machinery relocates whole gadgets onto subdivided layout
 edges and contracts the result down to a tree mapping of (G*, S*), which
@@ -14,6 +18,7 @@ projects back to a tree mapping of (G, S).
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -26,20 +31,39 @@ from .widths import TreeLayout, linear_layout_from_order
 
 @dataclass
 class Gadget:
-    """One part gadget: b copies of the subdivided block path P_u."""
+    """One part gadget: b copies of the subdivided block path P_u.
+
+    `blocks` holds one (first G-vertex of I(u, v), |I(u, v)|/a) pair per
+    block of S(u) in ascending neighbour order; P_u follows from it and `a`.
+    """
 
     owner: int
-    path: list        # [(tag, G-vertex id or None)] of length 2|S(u)|
     copies: int
+    a: int
+    blocks: list
     base: int = 0     # first G*-vertex id of this gadget
 
-    @property
-    def plen(self):
-        return len(self.path)
+    def __post_init__(self):
+        self._offsets = list(itertools.accumulate((w for _, w in self.blocks), initial=0))
+        self.plen = 2 * self.a * self._offsets[-1]
 
     @property
     def size(self):
-        return self.copies * len(self.path)
+        return self.copies * self.plen
+
+    def entry(self, pos):
+        """(tag, original G-vertex or None) at position pos of P_u.
+
+        Even positions hold the originals: original pos/2 is offset r of one
+        chunk, and one bisect over the chunk's prefix widths finds its block."""
+        if pos == self.plen - 1:
+            return "appended", None
+        if pos % 2:
+            return "subdivision", None
+        chunk, r = divmod(pos // 2, self._offsets[-1])
+        j = bisect.bisect_right(self._offsets, r) - 1
+        start, width = self.blocks[j]
+        return "original", start + chunk * width + r - self._offsets[j]
 
     def vid(self, copy, pos):
         return self.base + copy * self.plen + pos
@@ -47,9 +71,6 @@ class Gadget:
     def locate(self, vid):
         off = vid - self.base
         return divmod(off, self.plen)
-
-    def copies_of(self, pos):
-        return [self.vid(i, pos) for i in range(self.copies)]
 
     def copy_vertices(self, copy):
         start = self.base + copy * self.plen
@@ -89,41 +110,18 @@ class Gadget:
         return self.intercopy_edge(ci, p, cj, q)
 
 
-def build_Pu(gs: PartitionedGraph, u, c: Constants) -> list:
-    """The path P_u as a [(tag, G-vertex)] list.
-
-    Blocks I(u, v) are split into a chunks; chunk i concatenates the i-th
-    slice of every block in ascending neighbor order; the full original
-    sequence is 1-subdivided and one vertex is appended after the end.
-    """
+def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
+    """Gadget of u: b concatenated quasi-copies of P_u."""
     validate_constants(c)
     if u not in gs.part_range:
         raise ValidationError(f"{u} is not an H-vertex of the partition")
-    neighbors = sorted(v for v, _ in gs.H.adj[u])
-    for v in neighbors:
-        if len(gs.block_range(u, v)) % c.a != 0:
-            raise ValidationError(
-                f"|I({u},{v})| = {len(gs.block_range(u, v))} not divisible by a = {c.a}")
-    originals = []
-    for i in range(c.a):
-        for v in neighbors:
-            block = gs.block_range(u, v)
-            chunk = len(block) // c.a
-            originals.extend(block[i * chunk:(i + 1) * chunk])
-    path = []
-    for idx, gv in enumerate(originals):
-        path.append(("original", gv))
-        if idx < len(originals) - 1:
-            path.append(("subdivision", None))
-    path.append(("appended", None))
-    return path
-
-
-def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
-    """Gadget of u: b concatenated quasi-copies of P_u."""
-    if c.b < 1:
-        raise ValidationError("b must be at least 1")
-    return Gadget(owner=u, path=build_Pu(gs, u, c), copies=c.b)
+    blocks = []
+    for v, _ in sorted(gs.H.adj[u]):
+        block = gs.block_range(u, v)
+        if len(block) % c.a != 0:
+            raise ValidationError(f"|I({u},{v})| = {len(block)} not divisible by a = {c.a}")
+        blocks.append((block.start, len(block) // c.a))
+    return Gadget(owner=u, copies=c.b, a=c.a, blocks=blocks)
 
 
 class Gstar:
@@ -160,8 +158,7 @@ class Gstar:
         u = self.owner_of(vid)
         gadget = self.gadgets[u]
         copy, pos = gadget.locate(vid)
-        tag, gv = gadget.path[pos]
-        return u, copy, pos, tag, gv
+        return (u, copy, pos) + gadget.entry(pos)
 
     def part_vertices(self, u):
         gadget = self.gadgets[u]
@@ -185,24 +182,28 @@ class Gstar:
             if ci == cj or gadget.is_concatenation_edge(ci, p, cj, q):
                 return "path"
             return "cross"
-        _, _, _, tag_x, gx = self.locate(x)
-        _, _, _, tag_y, gy = self.locate(y)
+        gadget_x, gadget_y = self.gadgets[ux], self.gadgets[uy]
+        _, gx = gadget_x.entry(gadget_x.locate(x)[1])
+        _, gy = gadget_y.entry(gadget_y.locate(y)[1])
         if gx is None or gy is None:
             return None
         return self.GS.adjacent(gx, gy)
 
     def validate(self) -> None:
+        """Audit each gadget in O(deg u): its slices tile S(u) from its start,
+        block by block in ascending neighbour order, with a·width = |I(u, v)|.
+        With |V(P_u)| = 2|S(u)| this also leaves no block out."""
+        a = self.constants.a
         for u, gadget in self.gadgets.items():
-            if gadget.plen != 2 * len(self.GS.part_vertices(u)):
-                raise ValidationError(f"|V(P_{u})| != 2|S({u})|")
-            originals = [gv for tag, gv in gadget.path if tag == "original"]
-            if sorted(originals) != list(self.GS.part_vertices(u)):
-                raise ValidationError(f"P_{u} originals do not cover S({u})")
-            tags = [tag for tag, _ in gadget.path]
-            if tags[-1] != "appended" or any(
-                    t != ("original" if i % 2 == 0 else "subdivision")
-                    for i, t in enumerate(tags[:-1])):
-                raise ValidationError(f"P_{u} does not alternate original/subdivision")
+            start, end = self.GS.part_range[u]
+            nbrs = sorted(self.GS.H.adj[u])
+            if not gadget.plen == 2 * (end - start) > 0:
+                raise ValidationError(f"|V(P_{u})| != 2|S({u})| > 0")
+            nxt = start
+            for (first, width), (v, w) in zip(gadget.blocks, nbrs):
+                if first != nxt or a * width != w:
+                    raise ValidationError(f"P_{u} slices of I({u},{v}) are out of place")
+                nxt += w
 
 
 def build_Gstar(gs: PartitionedGraph, c: Constants) -> Gstar:

@@ -20,6 +20,7 @@ from .wgraph import ROLES, BalancingTree, WeightedGraph
 from .widths import TreeLayout
 
 FORMAT_VERSION = 1
+GADGET_FORMAT_VERSION = 2  # gadget paths are derived from the block layout, not listed
 EXPLICIT_EDGE_VERTEX_LIMIT = 150
 EXPLICIT_EDGE_LIMIT = 5000
 
@@ -28,10 +29,10 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _expect(doc, kind):
+def _expect(doc, kind, version=FORMAT_VERSION):
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValidationError(f"expected a {kind!r} document")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if doc.get("format_version") != version:
         raise ValidationError(f"unsupported format_version {doc.get('format_version')!r}")
 
 
@@ -252,19 +253,14 @@ def partitioned_from_doc(doc) -> PartitionedGraph:
 
 def gstar_doc(star: Gstar, base_meta=None, weight_scale: int = 1):
     doc = {
-        "format_version": FORMAT_VERSION,
+        "format_version": GADGET_FORMAT_VERSION,
         "kind": "gadget_graph",
         "base": partitioned_doc(star.GS, base_meta=base_meta),
         "constants": _constants_doc(star.constants),
         "weight_scale": weight_scale,
         "num_vertices": star.n,
-        "gadgets": [
-            {"owner": u,
-             "base": star.gadgets[u].base,
-             "copies": star.gadgets[u].copies,
-             "path": [{"tag": tag, "gvid": gv} for tag, gv in star.gadgets[u].path]}
-            for u in star.parts()
-        ],
+        "gadgets": [{"owner": u, "base": g.base, "copies": g.copies}
+                    for u, g in sorted(star.gadgets.items())],
     }
     if star.n <= EXPLICIT_EDGE_VERTEX_LIMIT:
         edges = [{"u": x, "v": y, "kind": star.adjacent(x, y)}
@@ -277,18 +273,15 @@ def gstar_doc(star: Gstar, base_meta=None, weight_scale: int = 1):
 
 def gstar_from_doc(doc) -> Gstar:
     with _malformed("gadget_graph"):
-        _expect(doc, "gadget_graph")
+        _expect(doc, "gadget_graph", GADGET_FORMAT_VERSION)
         gs = partitioned_from_doc(doc["base"])
         c = constants_from_doc(doc["constants"])
         star = build_Gstar(gs, c)
         if star.n != doc["num_vertices"]:
             raise ValidationError("stored G* vertex count disagrees with the rebuild")
-        for rec in doc["gadgets"]:
-            gadget = star.gadgets.get(rec["owner"])
-            if gadget is None or gadget.base != rec["base"] or gadget.copies != rec["copies"]:
-                raise ValidationError(f"gadget registry mismatch at owner {rec['owner']}")
-            if [{"tag": t, "gvid": gv} for t, gv in gadget.path] != rec["path"]:
-                raise ValidationError(f"gadget path mismatch at owner {rec['owner']}")
+        stored = [(rec["owner"], rec["base"], rec["copies"]) for rec in doc["gadgets"]]
+        if stored != [(u, g.base, g.copies) for u, g in sorted(star.gadgets.items())]:
+            raise ValidationError("stored gadget registry disagrees with the rebuild")
         return star
 
 

@@ -203,13 +203,6 @@ def check_balancing_order(g, order, t):
     return True, None
 
 
-def _solver_setup(g):
-    verts, nbrs = _adjacency(g)
-    verts = sorted(verts)
-    total = {v: sum(w for _, w in nbrs(v)) for v in verts}
-    return verts, nbrs, total
-
-
 _PROPAGATION_DEGREE_CAP = 12
 
 
@@ -361,9 +354,9 @@ def enumerate_balancing_orders(g, t, budget: int = DEFAULT_ORDER_BUDGET, limit=N
 
 def naive_balancing_orders(g, t):
     """Oracle: all t-balancing orders by plain permutation enumeration."""
-    verts, nbrs, _ = _solver_setup(g)
+    verts, _ = _adjacency(g)
     out = []
-    for perm in itertools.permutations(verts):
+    for perm in itertools.permutations(sorted(verts)):
         ok, _ = check_balancing_order(g, list(perm), t)
         if ok:
             out.append(list(perm))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
-from .matchings import DEFAULT_BUDGET, conflict_sides, max_induced_matching
+from .matchings import DEFAULT_BUDGET, adjacency_from_sets, conflict_sides, max_induced_matching
 from .tree import Tree, path
 
 GENERAL_CAP = 8
@@ -259,4 +259,4 @@ def adjacency_of_graph(g):
     for u, v, _ in g.edges():
         sets[u].add(v)
         sets[v].add(u)
-    return (lambda a, b: b in sets[a]), list(g.vertex_ids())
+    return adjacency_from_sets(sets), list(g.vertex_ids())

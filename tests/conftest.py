@@ -11,6 +11,7 @@ import random
 import pytest
 
 from naewidth.errors import ValidationError
+from naewidth.red1 import validate_constants
 from naewidth.wgraph import WeightedGraph
 
 
@@ -117,6 +118,52 @@ def brute_validate(gs):
                     raise ValidationError(f"matching pairing broken at {p}")
     except (IndexError, KeyError) as exc:
         raise ValidationError(f"block lookup failed: {exc!r}") from None
+
+
+def brute_Pu(gs, u, c):
+    """Reference for Gadget.entry: the path P_u of part u listed as
+    [(tag, G-vertex or None)].  Blocks I(u, v) are split into a chunks; chunk
+    i concatenates the i-th slice of every block in ascending neighbor order;
+    the full original sequence is 1-subdivided and one vertex is appended."""
+    validate_constants(c)
+    if u not in gs.part_range:
+        raise ValidationError(f"{u} is not an H-vertex of the partition")
+    neighbors = sorted(v for v, _ in gs.H.adj[u])
+    for v in neighbors:
+        if len(gs.block_range(u, v)) % c.a != 0:
+            raise ValidationError(
+                f"|I({u},{v})| = {len(gs.block_range(u, v))} not divisible by a = {c.a}")
+    originals = []
+    for i in range(c.a):
+        for v in neighbors:
+            block = gs.block_range(u, v)
+            chunk = len(block) // c.a
+            originals.extend(block[i * chunk:(i + 1) * chunk])
+    path = []
+    for idx, gv in enumerate(originals):
+        path.append(("original", gv))
+        if idx < len(originals) - 1:
+            path.append(("subdivision", None))
+    path.append(("appended", None))
+    return path
+
+
+def brute_validate_gstar(star):
+    """Reference for Gstar.validate: materialize every P_u through
+    Gadget.entry and check its length, that its originals cover S(u), and
+    that the tags alternate original/subdivision before the appended vertex."""
+    for u, gadget in star.gadgets.items():
+        if gadget.plen != 2 * len(star.GS.part_vertices(u)):
+            raise ValidationError(f"|V(P_{u})| != 2|S({u})|")
+        path = [gadget.entry(pos) for pos in range(gadget.plen)]
+        originals = [gv for tag, gv in path if tag == "original"]
+        if sorted(originals) != list(star.GS.part_vertices(u)):
+            raise ValidationError(f"P_{u} originals do not cover S({u})")
+        tags = [tag for tag, _ in path]
+        if tags[-1:] != ["appended"] or any(
+                t != ("original" if i % 2 == 0 else "subdivision")
+                for i, t in enumerate(tags[:-1])):
+            raise ValidationError(f"P_{u} does not alternate original/subdivision")
 
 
 def brute_mim(adjacent, side_a, side_b):

@@ -317,8 +317,12 @@ def _tamper_parts(doc):
     doc["parts"].append({"owner": 999, "start": 0, "size": 1})
 
 
-def _drop_gadget_path(doc):
-    del doc["gadgets"][0]["path"]
+def _drop_gadget_copies(doc):
+    del doc["gadgets"][0]["copies"]
+
+
+def _drop_gadget_record(doc):
+    del doc["gadgets"][1]
 
 
 @pytest.mark.parametrize("step, tamper, argv", [
@@ -328,10 +332,11 @@ def _drop_gadget_path(doc):
     ("step1", _short_pad_pair, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step2", _drop_blocks, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step2", _tamper_parts, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
-    ("step3", _drop_gadget_path, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
+    ("step3", _drop_gadget_copies, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
+    ("step3", _drop_gadget_record, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
         "step1-short-pad-pair", "step2-without-blocks", "step2-parts-disagree",
-        "step3-gadget-without-path"])
+        "step3-gadget-without-copies", "step3-gadget-record-missing"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
     paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"))
     argv = [arg.format(**paths) for arg in argv]
@@ -363,3 +368,34 @@ def test_reduce_step2_paper_profile(cnf_file, tmp_path):
     dummy = sum(b["size"] * (total - degree[b["u"]] - degree[b["v"]] + b["size"])
                 for b in doc["blocks"])
     assert serialize.partitioned_from_doc(doc).num_dummy_edges() == dummy == 1431702834898112
+
+
+def test_gadget_document_version_1_exits_3(toy_gstar, step_docs, tmp_path, capsys):
+    """Version-1 gadget documents listed every path entry; they are refused."""
+    doc = json.loads(open(toy_gstar).read())
+    star = serialize.gstar_from_doc(doc)
+    doc["format_version"] = 1
+    for rec in doc["gadgets"]:
+        gadget = star.gadgets[rec["owner"]]
+        rec["path"] = [{"tag": tag, "gvid": gv}
+                       for tag, gv in map(gadget.entry, range(gadget.plen))]
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["witness", "caterpillar", "-i", str(old), "--order", step_docs["order"]]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "unsupported format_version" in err["error"]
+
+
+def test_reduce_step3_paper_profile(cnf_file, tmp_path):
+    """Step 3 at the paper profile: |V(G*)| = 2·a·b·|V(G)| ≈ 3.8e16, built per block."""
+    h_path, g_path, star_path = (str(tmp_path / name) for name in ("H.json", "G.json", "S.json"))
+    assert run(["reduce", "step1", "--profile", "paper", "-i", cnf_file, "-o", h_path]) == 0
+    assert run(["reduce", "step2", "--profile", "paper", "-i", h_path, "-o", g_path]) == 0
+    assert run(["reduce", "step3", "--profile", "paper", "-i", g_path, "-o", star_path]) == 0
+    n_g = json.loads(open(g_path).read())["num_vertices"]
+    doc = json.loads(open(star_path).read())
+    c = doc["constants"]
+    assert n_g == 53513200
+    assert doc["format_version"] == 2 and doc["weight_scale"] == c["a"] == 45
+    assert doc["num_vertices"] == 2 * c["a"] * c["b"] * n_g == 37918816177788000

@@ -7,9 +7,9 @@ from naewidth.red1 import SMALL, Constants, validate_constants
 from naewidth.red2 import TreeMapping, build_partitioned, cut_value, mapping_value
 from naewidth.red3 import (
     DefaultEdgeNotFound,
+    Gadget,
     HybridTree,
     build_Gstar,
-    build_Pu,
     build_gadget,
     caterpillar_layout,
     find_default_edge,
@@ -20,9 +20,9 @@ from naewidth.red3 import (
     hybrid_to_tree_mapping,
     project_mapping_to_G,
 )
-from naewidth.wgraph import WeightedGraph
+from naewidth.wgraph import WeightedGraph, scale_weights
 
-from conftest import path_graph, star_graph
+from conftest import brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, star_graph
 
 A1 = Constants(36, 3, 6, 1, 3)  # a=1 keeps tiny blocks legal
 validate_constants(A1)
@@ -83,9 +83,14 @@ def literal_gadget_edges(gadget):
     return edges
 
 
+def gadget_path(gs, u, c):
+    gadget = build_gadget(gs, u, c)
+    return [gadget.entry(pos) for pos in range(gadget.plen)]
+
+
 def test_build_Pu_star9_layout():
     gs = build_partitioned(star9())
-    path = build_Pu(gs, 0, SMALL)
+    path = gadget_path(gs, 0, SMALL)
     assert len(path) == 18
     tags = [tag for tag, _ in path]
     assert tags[-1] == "appended"
@@ -100,7 +105,7 @@ def test_build_Pu_star9_layout():
 
 def test_build_Pu_a1_degenerate():
     gs = build_partitioned(single_edge_h(2))
-    path = build_Pu(gs, 0, A1)
+    path = gadget_path(gs, 0, A1)
     assert len(path) == 4
     assert [gv for tag, gv in path if tag == "original"] == list(gs.block_range(0, 1))
 
@@ -108,7 +113,64 @@ def test_build_Pu_a1_degenerate():
 def test_build_Pu_divisibility_error():
     gs = build_partitioned(single_edge_h(4))
     with pytest.raises(ValidationError, match="divisible"):
-        build_Pu(gs, 0, SMALL)
+        build_gadget(gs, 0, SMALL)
+
+
+def random_h_for(rng, c):
+    """Random H without isolated vertices whose weights are multiples of a."""
+    while True:
+        h = random_weighted_graph(rng, rng.randint(2, 7), p=0.5, max_w=4)
+        if all(h.adj[v] for v in h.vertex_ids()):
+            return scale_weights(h, c.a)
+
+
+def test_entry_matches_listed_path(rng):
+    cases = [(build_partitioned(star9()), SMALL), (build_partitioned(single_edge_h(1)), A1)]
+    cases += [(build_partitioned(random_h_for(rng, c)), c) for c in (A1, SMALL) * 50]
+    for gs, c in cases:
+        for u in gs.parts():
+            assert gadget_path(gs, u, c) == brute_Pu(gs, u, c)
+
+
+def _shift_start(blocks):
+    (first, width), *rest = blocks
+    return [(first + 1, width)] + rest
+
+
+def _widen(blocks):
+    return blocks[:-1] + [(blocks[-1][0], blocks[-1][1] + 1)]
+
+
+def _swap_widths(blocks):
+    """Keeps |V(P_u)| but misplaces the slices when the widths differ."""
+    (s0, w0), (s1, w1), *rest = blocks
+    return [(s0, w1), (s1, w0)] + rest
+
+
+@pytest.mark.parametrize("tamper", [_shift_start, _widen, lambda blocks: blocks[:-1],
+                                    _swap_widths],
+                         ids=["shifted-start", "wrong-width", "dropped-block", "swapped-widths"])
+def test_validate_rejects_tampered_gadgets(rng, tamper):
+    graphs = [star_graph([3, 6, 9])] + [random_h_for(rng, SMALL) for _ in range(30)]
+    for h in graphs:
+        star = build_Gstar(build_partitioned(h), SMALL)
+        brute_validate_gstar(star)
+        for u, gadget in list(star.gadgets.items()):
+            if tamper is _swap_widths and len({w for _, w in gadget.blocks[:2]}) < 2:
+                continue
+            star.gadgets[u] = Gadget(owner=u, copies=gadget.copies, a=gadget.a,
+                                     blocks=tamper(gadget.blocks), base=gadget.base)
+            for check in (star.validate, lambda: brute_validate_gstar(star)):
+                with pytest.raises(ValidationError):
+                    check()
+            star.gadgets[u] = gadget
+
+
+def test_isolated_vertex_has_no_gadget():
+    h = single_edge_h(3)
+    h.add_vertex("w")
+    with pytest.raises(ValidationError, match=r"2\|S"):
+        build_Gstar(build_partitioned(h), SMALL)
 
 
 def test_gadget_b1_is_plain_path():
