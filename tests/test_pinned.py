@@ -80,7 +80,8 @@ def cli_outputs(tmp_path, capsys):
     g7 = tmp_path / "g7.json"
     g7.write_text(serialize.canonical_json(serialize.graph_doc(adjacency_sets(7, G7_EDGES))))
     out = {}
-    for name, extra in (("mim", []), ("sim", []), ("mim-linear", ["--linear"])):
+    for name, extra in (("mim", []), ("sim", []), ("omim", []), ("mim-linear", ["--linear"]),
+                        ("omim-linear", ["--linear"])):
         assert run(["width", "exact", "--kind", name.split("-")[0], "-i", str(g7)] + extra) == 0
         out[f"width/{name}"] = capsys.readouterr().out
 
@@ -105,8 +106,12 @@ CLI_SHA = {
         "266cd45b12e9f99a1dba0807be8c1978e961a9b01d7aebb9f92e282afbdf9d3c",
     "width/sim":
         "6144223d416d8e85c3b525e981614ae12881c52173bacf3e85bc2b36aa50de65",
+    "width/omim":
+        "865e1eb57525a0773e10d0e156f6b6759c7f9684452fb5bfadf8601c75a1eafc",
     "width/mim-linear":
         "403b290a9c39b3bc315c4a519ad9d0de8ccb37c1acea4f657000fea992cf5964",
+    "width/omim-linear":
+        "0d334e5f6902f003f796b82ea9db03137f4ae50e5bd3431b579d882e80136246",
     "witness/caterpillar":
         "eec1c3c8124fcd792b64cd60845dce4065758711fe32342d8dafc5135002166a",
     "layout/group":
