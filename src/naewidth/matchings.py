@@ -1,11 +1,12 @@
 """Single audited kernel for maximum (semi-)induced matchings across a cut.
 
-Every matching variant used by the pipeline is the same search with a
-different conflict oracle:
+Every cut kind is the same search with a different conflict oracle, and
+cut_value is its one entry point:
 
   mim       -- conflicts via cut edges only (bipartite cut graph),
   sim       -- conflicts via every graph edge, both sides included,
-  uim(X)    -- conflicts via cut edges plus edges inside X.
+  omim      -- the lesser uim of the two sides, where uim(X) has conflicts
+               via cut edges plus edges inside X.
 
 A candidate set of cut edges is a valid matching iff it is a clique in the
 *compatibility graph* (pairwise disjoint endpoints, no conflicting
@@ -27,18 +28,14 @@ from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_BUDGET = 10 ** 7
 
-_CUT_KINDS = {"mim": (False, False), "sim": (True, True)}
+# kind -> its kernel calls, in order: (swap the sides, conflicts inside the
+# first side, conflicts inside the second side); the cut value is the least
+_KERNEL_CALLS = {"mim": ((False, False, False),), "sim": ((False, True, True),),
+                 "omim": ((False, True, False), (True, True, False))}
 
 
 class _ThresholdHit(Exception):
     pass
-
-
-def conflict_sides(kind):
-    """The (conflict_in_a, conflict_in_b) flags of a mim or sim cut."""
-    if kind not in _CUT_KINDS:
-        raise ValidationError(f"unknown cut kind {kind!r}")
-    return _CUT_KINDS[kind]
 
 
 def cut_edges(adjacent, side_a, side_b):
@@ -135,18 +132,25 @@ def max_clique(masks, threshold=None, budget: int = DEFAULT_BUDGET, stats=None):
     return best, True
 
 
-def max_induced_matching(adjacent, side_a, side_b, conflict_in_a, conflict_in_b,
-                         threshold=None, budget: int = DEFAULT_BUDGET, stats=None):
-    """Size of a maximum compatible set of cut edges between A and B.
-
-    Returns (value, exact); exact is False only when a threshold stopped the
-    search early, in which case value == threshold is a lower bound.
-    """
-    candidates = cut_edges(adjacent, side_a, side_b)
+def cut_value(adjacent, side_a, side_b, kind: str, threshold=None,
+              budget: int = DEFAULT_BUDGET, stats=None):
+    """Exact mim/sim/omim value of the cut (A, B).  Returns (value, exact);
+    exact is False only when a threshold stopped a search early, and the
+    value is then a lower bound."""
+    if kind not in _KERNEL_CALLS:
+        raise ValidationError(f"unknown cut kind {kind!r}")
+    set_a, set_b = set(side_a), set(side_b)
+    if set_a & set_b:
+        raise ValidationError("cut sides overlap")
+    sides = sorted(set_a), sorted(set_b)
     if threshold is not None and threshold <= 0:
-        return 0, len(candidates) == 0
-    masks = compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b)
-    return max_clique(masks, threshold=threshold, budget=budget, stats=stats)
+        return 0, not cut_edges(adjacent, *sides)
+    results = []
+    for swap, in_x, in_y in _KERNEL_CALLS[kind]:
+        x, y = sides[::-1] if swap else sides
+        masks = compatibility_masks(adjacent, cut_edges(adjacent, x, y), in_x, in_y)
+        results.append(max_clique(masks, threshold=threshold, budget=budget, stats=stats))
+    return min(results)
 
 
 def adjacency_from_sets(adj_sets):

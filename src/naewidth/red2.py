@@ -15,7 +15,7 @@ import bisect
 import itertools
 
 from .errors import ValidationError
-from .matchings import DEFAULT_BUDGET, conflict_sides, max_induced_matching
+from .matchings import DEFAULT_BUDGET, cut_value
 from .tree import Tree, path
 from .wgraph import BalancingTree, WeightedGraph
 
@@ -177,18 +177,6 @@ def build_partitioned(h: WeightedGraph) -> PartitionedGraph:
     gs = PartitionedGraph(h)
     gs.validate()
     return gs
-
-
-def cut_value(adjacent, side_a, side_b, kind: str, threshold=None,
-              budget: int = DEFAULT_BUDGET):
-    """Exact mim/sim value of the cut (A, B), or a lower-bound stop at the
-    threshold.  Returns (value, exact)."""
-    in_a, in_b = conflict_sides(kind)
-    set_a, set_b = set(side_a), set(side_b)
-    if set_a & set_b:
-        raise ValidationError("cut sides overlap")
-    return max_induced_matching(adjacent, sorted(set_a), sorted(set_b),
-                                in_a, in_b, threshold=threshold, budget=budget)
 
 
 class TreeMapping(Tree):

@@ -21,12 +21,17 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET
 from .red1 import Constants, validate_constants
-from .red2 import PartitionedGraph, TreeMapping, cut_value
+from .red2 import PartitionedGraph, TreeMapping
 from .tree import Tree
-from .widths import TreeLayout, linear_layout_from_order
+from .widths import TreeLayout, linear_layout_from_order, tree_cut_values
+
+# caterpillar_layout lists every G*-vertex: this admits the seeded n=6 formula
+# at the small profile (1,992,096 vertices) and refuses a paper-profile G*
+# before the list exhausts memory
+LAYOUT_CAP = 1 << 21
 
 
 @dataclass
@@ -232,6 +237,8 @@ def ensure_divisible(gs: PartitionedGraph, c: Constants):
 def caterpillar_layout(star: Gstar, h_order) -> TreeLayout:
     """Linear layout of G* with leaves in Q_{u_1}..Q_{u_n} order along the
     given order of the gadget owners."""
+    if star.n > LAYOUT_CAP:
+        raise CapExceededError(f"|V(G*)| = {star.n} exceeds the layout cap {LAYOUT_CAP}")
     if sorted(h_order) != star.parts():
         raise ValidationError("order does not cover the gadget owners")
     leaves = []
@@ -269,21 +276,15 @@ def hybrid_from_layout(layout: TreeLayout) -> HybridTree:
                       node_of=dict(layout.placement))
 
 
-def _star_cut(star: Gstar, side_b):
-    return [v for v in range(star.n) if v not in side_b], sorted(side_b)
-
-
 def hybrid_cut_sides(ht: HybridTree, star: Gstar, edge):
-    return _star_cut(star, ht.side(*edge))
+    """The cut (A, B) of G* at a tree edge, B the vertices on its far side."""
+    far = ht.side(*edge)
+    return [v for v in range(star.n) if v not in far], sorted(far)
 
 
 def hybrid_sim_values(ht: HybridTree, star: Gstar, budget: int = DEFAULT_BUDGET):
     """Exact sim value per tree edge, keyed by the edge."""
-    out = {}
-    for edge, far in ht.sides():
-        side_a, side_b = _star_cut(star, far)
-        out[edge], _ = cut_value(star.adjacent, side_a, side_b, "sim", budget=budget)
-    return out
+    return tree_cut_values(star.adjacent, range(star.n), ht, "sim", budget=budget)
 
 
 class DefaultEdgeNotFound(ValidationError):

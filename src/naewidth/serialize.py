@@ -294,7 +294,10 @@ def order_doc(order):
 
 def order_from_doc(doc):
     _expect(doc, "order")
-    return list(doc["sequence"])
+    sequence = doc.get("sequence")
+    if not isinstance(sequence, list) or not all(type(v) is int for v in sequence):
+        raise ValidationError('an order document holds an integer list "sequence"')
+    return list(sequence)
 
 
 def assignment_doc(assignment):

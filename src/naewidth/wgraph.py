@@ -68,9 +68,6 @@ class WeightedGraph:
         self.adj[u].append((v, w))
         self.adj[v].append((u, w))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(x == v for x, _ in self.adj[u])
-
     def edge_weight(self, u: int, v: int):
         for x, w in self.adj[u]:
             if x == v:

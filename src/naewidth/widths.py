@@ -1,6 +1,5 @@
 """Branch-decomposition width machinery: mim/sim/omim values of tree
-layouts, the upper-induced matching number, and exhaustive exact-width
-oracles for tiny graphs.
+layouts and exhaustive exact-width oracles for tiny graphs.
 
 General layouts are unrooted ternary trees with graph vertices on the
 leaves; linear layouts are rooted full binary caterpillars, equivalently a
@@ -13,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
-from .matchings import DEFAULT_BUDGET, adjacency_from_sets, conflict_sides, max_induced_matching
+from .matchings import DEFAULT_BUDGET, cut_value
 from .tree import Tree, path
 
 GENERAL_CAP = 8
@@ -69,45 +68,24 @@ def linear_layout_from_order(order) -> TreeLayout:
     return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=True)
 
 
-def uim(adjacent, vertices, x_side, threshold=None, budget: int = DEFAULT_BUDGET,
-        stats=None):
-    """Upper-induced matching number of X: maximum induced matching between X
-    and its complement after deleting the complement's internal edges."""
-    x_set = set(x_side)
-    rest = [v for v in vertices if v not in x_set]
-    value, exact = max_induced_matching(adjacent, sorted(x_set), rest, True, False,
-                                        threshold=threshold, budget=budget, stats=stats)
-    return value, exact
-
-
-def cut_value_for_kind(adjacent, vertices, side_a, kind, budget: int = DEFAULT_BUDGET,
-                       stats=None):
-    """Exact mim/sim/omim value of the bipartition (A, V - A)."""
-    a_set = set(side_a)
-    side_b = [v for v in vertices if v not in a_set]
-    if kind == "omim":
-        ua, _ = uim(adjacent, vertices, sorted(a_set), budget=budget, stats=stats)
-        ub, _ = uim(adjacent, vertices, side_b, budget=budget, stats=stats)
-        return min(ua, ub)
-    in_a, in_b = conflict_sides(kind)
-    value, _ = max_induced_matching(adjacent, sorted(a_set), side_b,
-                                    in_a, in_b, budget=budget, stats=stats)
-    return value
+def tree_cut_values(adjacent, vertices, tree: Tree, kind: str,
+                    budget: int = DEFAULT_BUDGET, stats=None):
+    """Cut value of every tree edge, keyed by the edge: the vertices placed
+    off the edge's far side against those placed on it."""
+    out = {}
+    for edge, far in tree.sides():
+        rest = [v for v in vertices if v not in far]
+        out[edge], _ = cut_value(adjacent, rest, far, kind, budget=budget, stats=stats)
+    return out
 
 
 def layout_value(adjacent, vertices, layout: TreeLayout, kind: str,
                  budget: int = DEFAULT_BUDGET, stats=None):
     """Max cut value over all tree edges of the layout."""
-    vertex_set = set(vertices)
-    if set(layout.leaf_vertex.values()) != vertex_set:
+    if set(layout.leaf_vertex.values()) != set(vertices):
         raise ValidationError("layout leaves do not match the vertex set")
-    best = 0
-    for _, side_a in layout.sides():
-        value = cut_value_for_kind(adjacent, vertices, side_a, kind, budget=budget,
-                                   stats=stats)
-        if value > best:
-            best = value
-    return best
+    return max(tree_cut_values(adjacent, vertices, layout, kind, budget=budget,
+                               stats=stats).values(), default=0)
 
 
 def double_factorial(k: int) -> int:
@@ -157,15 +135,6 @@ def _cut_table(adjacent, verts, kind, budget, stats=None):
     n = len(verts)
     full = (1 << n) - 1
     table = [0] * (full + 1)
-    if kind == "omim":
-        uim_table = [0] * (full + 1)
-        for mask in range(full + 1):
-            side = [verts[i] for i in range(n) if mask >> i & 1]
-            uim_table[mask], _ = uim(adjacent, verts, side, budget=budget, stats=stats)
-        for mask in range(full + 1):
-            table[mask] = min(uim_table[mask], uim_table[full ^ mask])
-        return table
-    in_a, in_b = conflict_sides(kind)
     for mask in range(full + 1):
         comp = full ^ mask
         if comp < mask:
@@ -173,8 +142,8 @@ def _cut_table(adjacent, verts, kind, budget, stats=None):
             continue
         side_a = [verts[i] for i in range(n) if mask >> i & 1]
         side_b = [verts[i] for i in range(n) if comp >> i & 1]
-        table[mask], _ = max_induced_matching(adjacent, side_a, side_b,
-                                              in_a, in_b, budget=budget, stats=stats)
+        table[mask], _ = cut_value(adjacent, side_a, side_b, kind, budget=budget,
+                                   stats=stats)
     return table
 
 
@@ -252,11 +221,3 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
             best, best_key, best_layout = value, key, layout
     return best, best_layout
 
-
-def adjacency_of_graph(g):
-    """Pair-adjacency callable and vertex list for a WeightedGraph."""
-    sets = [set() for _ in g.vertex_ids()]
-    for u, v, _ in g.edges():
-        sets[u].add(v)
-        sets[v].add(u)
-    return adjacency_from_sets(sets), list(g.vertex_ids())

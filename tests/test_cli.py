@@ -1,7 +1,13 @@
+import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import naewidth
 from naewidth import serialize
 from naewidth.cli import run
 from naewidth.formula import parse_nae_dimacs
@@ -348,6 +354,59 @@ def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, 
     capsys.readouterr()
     assert run(argv) == 3
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+ORDER_COMMANDS = {
+    "balance-check": ("step1", ["balance", "check", "-i", "{doc}", "--order", "{order}",
+                                "--threshold", "36"]),
+    "witness-decode": ("step1", ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}",
+                                 "--order", "{order}"]),
+    "witness-path-mapping": ("step2", ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}"]),
+    "witness-caterpillar": ("step3", ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
+}
+BAD_SEQUENCES = {"without-sequence": {}, "sequence-not-a-list": {"sequence": 5},
+                 "sequence-of-lists": {"sequence": [[1], [2]]}}
+
+
+# a sequence of lists covers no part, so path-mapping and caterpillar refuse it at the
+# coverage check whatever the order reader does; only the other two tell the cases apart
+@pytest.mark.parametrize("command, bad", [
+    *itertools.product(ORDER_COMMANDS, ["without-sequence", "sequence-not-a-list"]),
+    ("balance-check", "sequence-of-lists"), ("witness-decode", "sequence-of-lists")])
+def test_malformed_order_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, command, bad):
+    order = tmp_path / "bad-order.json"
+    order.write_text(json.dumps({"format_version": serialize.FORMAT_VERSION, "kind": "order",
+                                 **BAD_SEQUENCES[bad]}))
+    step, argv = ORDER_COMMANDS[command]
+    capsys.readouterr()
+    assert run([arg.format(doc=step_docs[step], cnf=cnf_file, order=order) for arg in argv]) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_witness_caterpillar_refuses_paper_gstar(tmp_path):
+    """path([45]) at the paper profile has a 1,417,176,180-vertex G*: over the
+    layout cap, so `witness caterpillar` exits 3 before listing a vertex.  The
+    command runs in a child process held to 1 GiB of address space, so code
+    without the cap fails here with a MemoryError instead of filling the host."""
+    h = WeightedGraph()
+    h.add_vertex("u")
+    h.add_vertex("v")
+    h.add_edge(0, 1, 45)
+    g_path, star_path = str(tmp_path / "g.json"), str(tmp_path / "gstar.json")
+    assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h), "-o", g_path]) == 0
+    assert run(["reduce", "step3", "--profile", "paper", "-i", g_path, "-o", star_path]) == 0
+    assert json.loads(open(star_path).read())["num_vertices"] == 1417176180
+    order = tmp_path / "order.json"
+    order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "naewidth.cli", "witness", "caterpillar", "-i", star_path,
+         "--order", str(order)],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["type"] == "validation" and "layout cap" in err["error"]
 
 
 def test_reduce_step2_paper_profile(cnf_file, tmp_path):

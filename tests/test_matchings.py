@@ -2,7 +2,7 @@
 
 import itertools
 
-from naewidth.matchings import compatibility_masks, conflict_sides, cut_edges
+from naewidth.matchings import compatibility_masks, cut_edges
 from naewidth.red1 import SMALL
 from naewidth.red2 import build_partitioned, mapping_cut, path_mapping_from_order
 from naewidth.red3 import build_Gstar, build_gadget, caterpillar_layout, hybrid_cut_sides, hybrid_from_layout
@@ -37,7 +37,7 @@ def test_masks_match_reference_on_gadget_caterpillar_cuts():
     verts = list(range(gadget.size))
     for split in range(1, gadget.size):
         assert_same_masks(gadget.adjacent, verts[:split], verts[split:],
-                          [conflict_sides("mim")])
+                          [(False, False)])
 
 
 def test_masks_match_reference_on_hybrid_sim_cuts():
@@ -76,8 +76,8 @@ def test_compatibility_oracle_calls(rng):
         k_a = len({a for a, _ in candidates})
         k_b = len({b for _, b in candidates})
         oracle, calls = counted(adjacent)
-        compatibility_masks(oracle, candidates, *conflict_sides("mim"))
+        compatibility_masks(oracle, candidates, False, False)  # mim
         assert calls == []
         oracle, calls = counted(adjacent)
-        compatibility_masks(oracle, candidates, *conflict_sides("sim"))
+        compatibility_masks(oracle, candidates, True, True)  # sim
         assert len(calls) <= k_a * (k_a - 1) // 2 + k_b * (k_b - 1) // 2

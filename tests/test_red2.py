@@ -261,6 +261,11 @@ def test_cut_value_threshold_mode(rng):
     assert value == 2 and not exact
     value, exact = cut_value(fn, [0, 1, 2, 3], [4, 5, 6, 7], "mim")
     assert value == 4 and exact
+    # a threshold of 0 is met at once: exact only when no edge crosses the cut
+    for kind in ("mim", "sim", "omim"):
+        assert cut_value(fn, [0, 1], [4, 5], kind, threshold=0) == (0, False)
+        assert cut_value(fn, [0, 1], [6, 7], kind, threshold=0) == (0, True)
+        assert cut_value(fn, [0, 1, 2, 3], [4, 5, 6, 7], kind, threshold=3) == (3, False)
 
 
 def test_cut_value_budget():

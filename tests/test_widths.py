@@ -6,14 +6,11 @@ from naewidth.errors import CapExceededError, ValidationError
 from naewidth.red2 import cut_value, mapping_value, path_mapping_from_order
 from naewidth.widths import (
     TreeLayout,
-    adjacency_of_graph,
-    cut_value_for_kind,
     double_factorial,
     enumerate_leaf_trees,
     exact_width,
     layout_value,
     linear_layout_from_order,
-    uim,
 )
 
 from conftest import adj_fn, adjacency_sets, brute_mim, brute_uim, random_graph_adj
@@ -72,8 +69,8 @@ def test_layout_value_p4_order_layout():
 def test_uim_examples():
     adj = adjacency_sets(2, [(0, 1)])
     fn = adj_fn(adj)
-    assert uim(fn, [0, 1], [0, 1]) == (0, True)
-    assert uim(fn, [0, 1], [0]) == (1, True)
+    assert cut_value(fn, [0, 1], [], "omim") == (0, True)
+    assert cut_value(fn, [0], [1], "omim") == (1, True)
 
 
 def test_uim_matches_brute_force(rng):
@@ -81,9 +78,11 @@ def test_uim_matches_brute_force(rng):
         n = rng.randint(4, 10)
         adj = random_graph_adj(rng, n, p=0.4)
         fn = adj_fn(adj)
-        x_side = [v for v in range(n) if rng.random() < 0.5]
-        got, exact = uim(fn, range(n), x_side)
-        assert exact and got == brute_uim(fn, range(n), x_side)
+        side_a = [v for v in range(n) if rng.random() < 0.5]
+        side_b = [v for v in range(n) if v not in side_a]
+        got, exact = cut_value(fn, side_a, side_b, "omim")
+        assert exact and got == min(brute_uim(fn, range(n), side_a),
+                                    brute_uim(fn, range(n), side_b))
 
 
 def test_exact_width_k4_mim():
@@ -203,22 +202,10 @@ def test_linear_layout_value_equals_singleton_path_mapping(rng):
             assert exact and lv == mv
 
 
-def test_adjacency_of_graph_roundtrip(rng):
-    from conftest import random_weighted_graph
-
-    g = random_weighted_graph(rng, 6, p=0.5)
-    fn, verts = adjacency_of_graph(g)
-    for u in verts:
-        for v in verts:
-            if u != v:
-                assert fn(u, v) == g.has_edge(u, v)
-
-
 def test_unknown_kind_is_a_validation_error():
     adjacent = adj_fn(cycle(4))
     calls = [
         lambda: cut_value(adjacent, [0], [1], "xim"),
-        lambda: cut_value_for_kind(adjacent, range(4), [0], "xim"),
         lambda: exact_width(adjacent, range(4), "xim"),
         lambda: exact_width(adjacent, range(4), "xim", linear=True),
         lambda: exact_width(adjacent, [0], "xim"),
