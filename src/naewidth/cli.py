@@ -157,6 +157,10 @@ def _cmd_witness(args):
                 _diag("formula is not NAE-satisfiable; no witness order exists")
                 return EXIT_NO
         order = red1.witness_order(f, build, assignment)
+        ok, violator = wgraph.check_balancing_order(build.graph, order, build.constants.tau)
+        if not ok:
+            raise ValidationError(f"witness order is not {build.constants.tau}-balancing at "
+                                  f"vertex {violator}: step-1 metadata disagrees with the graph")
         _write(args.output, serialize.order_doc(order))
         return EXIT_OK
     if args.action == "decode":
@@ -210,8 +214,8 @@ def _cmd_cutval(args):
     unknown = (set(side_a) | set(side_b)) - set(vertices)
     if unknown:
         raise ValidationError(f"cut references unknown vertices {sorted(unknown)}")
-    value, exact = red2.cut_value(adjacent, side_a, side_b, args.kind,
-                                  threshold=args.threshold, budget=args.budget)
+    value, exact = matchings.cut_value(adjacent, side_a, side_b, args.kind,
+                                       threshold=args.threshold, budget=args.budget)
     print(json.dumps({"kind": args.kind, "value": value, "exact": exact},
                      sort_keys=True))
     return EXIT_OK
@@ -230,18 +234,22 @@ def _cmd_width(args):
     return EXIT_OK
 
 
-def _load_hybrid(path):
-    """Hybrid trees start out as tree layouts, so accept either document."""
+def _load_hybrid(path, star):
+    """Hybrid trees start out as tree layouts, so accept either document;
+    refuse one that does not fit the shape rules on G*."""
     doc = _load(path)
     if isinstance(doc, dict) and doc.get("kind") == "tree_layout":
-        return red3.hybrid_from_layout(serialize.tree_layout_from_doc(doc))
-    return serialize.hybrid_tree_from_doc(doc)
+        ht = red3.hybrid_from_layout(serialize.tree_layout_from_doc(doc))
+    else:
+        ht = serialize.hybrid_tree_from_doc(doc)
+    ht.gadget_nodes(star)
+    return ht
 
 
 def _cmd_layout(args):
     star = serialize.gstar_from_doc(_load(args.input))
     if args.action == "group":
-        ht = _load_hybrid(args.hybrid)
+        ht = _load_hybrid(args.hybrid, star)
         if args.owner is not None:
             ht = red3.group_gadget(star, ht, args.owner)
         else:
@@ -249,7 +257,7 @@ def _cmd_layout(args):
         _write(args.output, serialize.hybrid_tree_doc(ht))
         return EXIT_OK
     if args.action == "to-mapping":
-        ht = _load_hybrid(args.hybrid)
+        ht = _load_hybrid(args.hybrid, star)
         mapping = red3.hybrid_to_tree_mapping(star, ht)
         _write(args.output, serialize.tree_mapping_doc(mapping))
         return EXIT_OK
@@ -309,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     cutval.add_argument("-i", "--input", required=True)
     cutval.add_argument("--cut", required=True)
     cutval.add_argument("--threshold", type=int)
-    cutval.add_argument("--budget", type=int, default=10 ** 7)
+    cutval.add_argument("--budget", type=int, default=matchings.DEFAULT_BUDGET)
 
     width = sub.add_parser("width", help="exact widths of tiny graphs")
     width.add_argument("action", choices=["exact"])
     width.add_argument("--kind", choices=["mim", "sim", "omim"], required=True)
     width.add_argument("--linear", action="store_true")
     width.add_argument("--cap", type=int)
-    width.add_argument("--budget", type=int, default=10 ** 7)
+    width.add_argument("--budget", type=int, default=matchings.DEFAULT_BUDGET)
     width.add_argument("-i", "--input", required=True)
 
     layout = sub.add_parser("layout", help="hybrid-tree grouping and projection")

@@ -81,38 +81,29 @@ class Gadget:
         start = self.base + copy * self.plen
         return range(start, start + self.plen)
 
-    def intercopy_edge(self, copy_i, p, copy_j, q):
-        """Edge rule between positions of two distinct copies: everything is
-        joined except corresponding positions, their path neighbors, and the
-        copy-boundary successors/predecessors (symmetrized closed
-        neighborhood of the copy set in the concatenated path)."""
-        if copy_i == copy_j:
-            raise ValidationError("intercopy rule queried within one copy")
-        if abs(p - q) <= 1:
-            return False
-        last = self.plen - 1
-        if p == 0 and q == last:
-            return copy_i == 0 and copy_j == self.copies - 1
-        if p == last and q == 0:
-            return copy_j == 0 and copy_i == self.copies - 1
-        return True
-
-    def is_concatenation_edge(self, ci, p, cj, q):
-        """The Q_u path edge joining consecutive copies."""
-        last = self.plen - 1
-        return (ci + 1 == cj and p == last and q == 0) or \
-               (cj + 1 == ci and q == last and p == 0)
-
     def adjacent(self, x, y):
+        """Edge kind between two vertices of this gadget: "path" for an edge
+        of Q_u, "cross" for an edge between distinct copies, or None.
+
+        Distinct copies are joined everywhere except at corresponding
+        positions, their path neighbors, and the copy-boundary successors and
+        predecessors (the symmetrized closed neighborhood of the copy set in
+        Q_u); the concatenation edges of Q_u stay."""
         ci, p = self.locate(x)
         cj, q = self.locate(y)
         if ci == cj:
-            return abs(p - q) == 1
-        if self.is_concatenation_edge(ci, p, cj, q):
-            return True
-        if p == q:
-            return False
-        return self.intercopy_edge(ci, p, cj, q)
+            return "path" if abs(p - q) == 1 else None
+        if ci > cj:
+            ci, cj = cj, ci
+            p, q = q, p
+        last = self.plen - 1
+        if p == last and q == 0:
+            return "path" if ci + 1 == cj else None
+        # position 0 of copy ci and the last position of copy cj are Q_u
+        # neighbors of each other's copies unless ci and cj are the outer copies
+        if abs(p - q) <= 1 or (p == 0 and q == last and not (ci == 0 and cj == self.copies - 1)):
+            return None
+        return "cross"
 
 
 def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
@@ -179,14 +170,7 @@ class Gstar:
             return None
         ux, uy = self.owner_of(x), self.owner_of(y)
         if ux == uy:
-            gadget = self.gadgets[ux]
-            if not gadget.adjacent(x, y):
-                return None
-            ci, p = gadget.locate(x)
-            cj, q = gadget.locate(y)
-            if ci == cj or gadget.is_concatenation_edge(ci, p, cj, q):
-                return "path"
-            return "cross"
+            return self.gadgets[ux].adjacent(x, y)
         gadget_x, gadget_y = self.gadgets[ux], self.gadgets[uy]
         _, gx = gadget_x.entry(gadget_x.locate(x)[1])
         _, gy = gadget_y.entry(gadget_y.locate(y)[1])
@@ -257,17 +241,26 @@ class HybridTree(Tree):
         for v, node in node_of.items():
             self.preimages[node].add(v)
 
-    def check_shape(self, star: Gstar) -> None:
+    def gadget_nodes(self, star: Gstar) -> dict:
+        """{node: owner} of the nodes holding a whole gadget.
+
+        Raises ValidationError unless the placement covers exactly V(G*),
+        every node has degree at most 3, and every node holding two or more
+        vertices holds one whole gadget."""
+        if self.node_of.keys() != set(range(star.n)):
+            raise ValidationError("hybrid tree placement does not cover the G*-vertices")
         for x, nbrs in self.tree_adj.items():
             if len(nbrs) > 3:
                 raise ValidationError(f"node {x} has degree {len(nbrs)} > 3")
-        parts = {u: set(star.part_vertices(u)) for u in star.parts()}
+        owners = {}
         for node, pre in self.preimages.items():
             if len(pre) <= 1:
                 continue
             u = star.owner_of(next(iter(pre)))
-            if pre != parts[u]:
+            if pre != set(star.part_vertices(u)):
                 raise ValidationError(f"node {node} holds a strict partial gadget")
+            owners[node] = u
+        return owners
 
 
 def hybrid_from_layout(layout: TreeLayout) -> HybridTree:
@@ -346,17 +339,10 @@ def group_all(star: Gstar, ht: HybridTree) -> HybridTree:
 
 def hybrid_to_tree_mapping(star: Gstar, ht: HybridTree) -> TreeMapping:
     """Contract part-next-to-empty edges until every node holds one part."""
-    part_sets = {u: set(star.part_vertices(u)) for u in star.parts()}
-    owner_at = {}
-    for node, pre in ht.preimages.items():
-        if not pre:
-            owner_at[node] = None
-            continue
-        u = star.owner_of(next(iter(pre)))
-        if pre != part_sets[u]:
-            raise ValidationError(
-                f"node {node} holds a strict partial preimage; grouping incomplete")
-        owner_at[node] = u
+    owners = ht.gadget_nodes(star)
+    if len(owners) != len(star.gadgets):
+        raise ValidationError("a node holds a strict partial preimage; grouping incomplete")
+    owner_at = {node: owners.get(node) for node in ht.tree_adj}
 
     # each run of empty nodes merges into the least part node next to it
     adj = {k: set(v) for k, v in ht.tree_adj.items()}

@@ -177,6 +177,12 @@ def hbuild_doc(build: HBuild):
     return weighted_graph_doc(build.graph, meta=meta)
 
 
+# step-1 vertex group -> the role its vertices carry; a group lists them in id order
+_GROUP_ROLES = {"vx": "variable", "vbar": "variable_bar", "T": "t", "T_bar": "t_bar",
+                "F": "f", "F_bar": "f_bar", "C": "clause", "s": "s_terminal",
+                "X": "pad_x", "Y": "pad_y"}
+
+
 def hbuild_from_doc(doc) -> HBuild:
     with _malformed("step-1 weighted_graph"):
         g = weighted_graph_from_doc(doc)
@@ -185,6 +191,13 @@ def hbuild_from_doc(doc) -> HBuild:
             raise ValidationError("weighted-graph document has no step1 build metadata")
         c = constants_from_doc(meta["constants"])
         groups = meta["groups"]
+        by_role = {role: [] for role in _GROUP_ROLES.values()}
+        for v, role in enumerate(g.roles):
+            if role in by_role:
+                by_role[role].append(v)
+        for name, role in _GROUP_ROLES.items():
+            if groups[name] != by_role[role]:
+                raise ValidationError(f"meta.groups.{name} is not the {role} vertices in id order")
         seq_doc = meta["sequence"]
         seq = SequenceHandles(
             s=list(seq_doc["s"]),
@@ -298,16 +311,6 @@ def order_from_doc(doc):
     if not isinstance(sequence, list) or not all(type(v) is int for v in sequence):
         raise ValidationError('an order document holds an integer list "sequence"')
     return list(sequence)
-
-
-def assignment_doc(assignment):
-    return {"format_version": FORMAT_VERSION, "kind": "assignment",
-            "values": ["T" if b else "F" for b in assignment]}
-
-
-def assignment_from_doc(doc):
-    _expect(doc, "assignment")
-    return tuple(v == "T" for v in doc["values"])
 
 
 def _tree_doc(kind, tree, key, pairs, **flags):

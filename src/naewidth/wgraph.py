@@ -109,42 +109,6 @@ class WeightedGraph:
                     raise ValidationError(f"asymmetric edge ({u}, {v})")
                 seen.add(v)
 
-    def induced(self, keep) -> "SubGraph":
-        return SubGraph(self, frozenset(keep))
-
-
-class SubGraph:
-    """Induced subgraph view keeping the parent's vertex ids."""
-
-    __slots__ = ("parent", "keep")
-
-    def __init__(self, parent, keep):
-        for v in keep:
-            if not 0 <= v < parent.n:
-                raise ValidationError(f"unknown vertex id {v}")
-        self.parent = parent
-        self.keep = keep
-
-    @property
-    def n(self):
-        return len(self.keep)
-
-    def vertex_ids(self):
-        return sorted(self.keep)
-
-    def neighbors_w(self, v):
-        return [(u, w) for u, w in self.parent.adj[v] if u in self.keep]
-
-    def vertex_weight(self, v):
-        return sum(w for _, w in self.neighbors_w(v))
-
-
-def _adjacency(g):
-    """Uniform (vertex -> [(neighbor, weight)]) access for graphs and views."""
-    if isinstance(g, SubGraph):
-        return g.vertex_ids(), g.neighbors_w
-    return list(g.vertex_ids()), lambda v: g.adj[v]
-
 
 def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
     """Copy of g with every edge weight multiplied by factor.
@@ -164,15 +128,14 @@ def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
 
 def side_weights(g, order, v):
     """Left and right weighted degree of v under the order."""
-    verts, nbrs = _adjacency(g)
     pos = {u: i for i, u in enumerate(order)}
     if v not in pos:
         raise ValidationError(f"vertex {v} not in order")
-    if set(pos) != set(verts):
+    if set(pos) != set(g.vertex_ids()):
         raise ValidationError("order does not cover the vertex set")
     pv = pos[v]
-    left = sum(w for u, w in nbrs(v) if pos[u] < pv)
-    right = sum(w for u, w in nbrs(v) if pos[u] > pv)
+    left = sum(w for u, w in g.adj[v] if pos[u] < pv)
+    right = sum(w for u, w in g.adj[v] if pos[u] > pv)
     return left, right
 
 
@@ -182,15 +145,14 @@ def check_balancing_order(g, order, t):
     The violator is the earliest vertex in the order whose left or right
     weight exceeds t.
     """
-    verts, nbrs = _adjacency(g)
     pos = {u: i for i, u in enumerate(order)}
-    if len(pos) != len(order) or set(pos) != set(verts):
+    if len(pos) != len(order) or set(pos) != set(g.vertex_ids()):
         raise ValidationError("order is not a permutation of the vertex set")
     for v in order:
         pv = pos[v]
         left = 0
         right = 0
-        for u, w in nbrs(v):
+        for u, w in g.adj[v]:
             if pos[u] < pv:
                 left += w
             else:
@@ -216,12 +178,9 @@ def _extensions(g, t, budget, limit):
     arcs that are propagated to a fixpoint and checked for cycles.  Yields
     each solution and stops after `limit` solutions if given.
     """
-    verts, nbrs = _adjacency(g)
-    verts = sorted(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    nbr_idx = [[(index[u], w) for u, w in nbrs(v)] for v in verts]
-    n = len(verts)
-    total = [sum(w for _, w in lst) for lst in nbr_idx]
+    adj = g.adj
+    n = len(adj)
+    total = [sum(w for _, w in lst) for lst in adj]
     if any(tw > 2 * t for tw in total):
         return
     committed = [0] * n
@@ -240,7 +199,7 @@ def _extensions(g, t, budget, limit):
             lbase = committed[u]
             rbase = 0
             free = []
-            for x, w in nbr_idx[u]:
+            for x, w in adj[u]:
                 if placed_mask >> x & 1:
                     continue
                 if before[u] >> x & 1:
@@ -317,18 +276,18 @@ def _extensions(g, t, budget, limit):
             if left > t or total[vi] - left > t:
                 continue
             dead = False
-            for u, w in nbr_idx[vi]:
+            for u, w in adj[vi]:
                 if not state["mask"] >> u & 1:
                     committed[u] += w
                     if committed[u] > t:
                         dead = True
             state["mask"] |= 1 << vi
             if not dead and alive():
-                placed.append(verts[vi])
+                placed.append(vi)
                 yield from rec()
                 placed.pop()
             state["mask"] ^= 1 << vi
-            for u, w in nbr_idx[vi]:
+            for u, w in adj[vi]:
                 if not state["mask"] >> u & 1:
                     committed[u] -= w
             if limit is not None and state["found"] >= limit:
@@ -351,9 +310,8 @@ def enumerate_balancing_orders(g, t, budget: int = DEFAULT_ORDER_BUDGET, limit=N
 
 def naive_balancing_orders(g, t):
     """Oracle: all t-balancing orders by plain permutation enumeration."""
-    verts, _ = _adjacency(g)
     out = []
-    for perm in itertools.permutations(sorted(verts)):
+    for perm in itertools.permutations(g.vertex_ids()):
         ok, _ = check_balancing_order(g, list(perm), t)
         if ok:
             out.append(list(perm))
@@ -378,16 +336,15 @@ def path_tree_from_order(order) -> BalancingTree:
 def check_balancing_tree(g, bt: BalancingTree, t):
     """Return (True, None) or (False, (vertex, tree_edge)) for the first
     vertex whose weight across the cut of an incident tree edge exceeds t."""
-    verts, nbrs = _adjacency(g)
-    if set(bt.placement) != set(verts):
+    if set(bt.placement) != set(g.vertex_ids()):
         raise ValidationError("placement does not cover the vertex set")
     vertex_at = {node: v for v, node in bt.placement.items()}
     for (x, y), far in bt.sides():
         vx, vy = vertex_at[x], vertex_at[y]
-        wx = sum(w for u, w in nbrs(vx) if u in far)
+        wx = sum(w for u, w in g.adj[vx] if u in far)
         if wx > t:
             return False, (vx, (x, y))
-        wy = sum(w for u, w in nbrs(vy) if u not in far and u != vy)
+        wy = sum(w for u, w in g.adj[vy] if u not in far and u != vy)
         if wy > t:
             return False, (vy, (x, y))
     return True, None
@@ -433,8 +390,7 @@ def solve_balancing_tree(g, t, cap: int = DEFAULT_TREE_CAP):
     tree on the vertex set itself, so placements are taken as the identity
     and only the n^(n-2) Prüfer-coded trees are scanned.
     """
-    verts, _ = _adjacency(g)
-    verts = sorted(verts)
+    verts = g.vertex_ids()
     if len(verts) > cap:
         raise CapExceededError(f"|V| = {len(verts)} exceeds tree-enumeration cap {cap}")
     for adj in enumerate_labeled_trees(verts):

@@ -277,10 +277,33 @@ def test_cyclic_hybrid_tree_exits_3(toy_gstar, tmp_path, capsys):
     assert err["type"] == "validation" and "acyclic" in err["error"]
 
 
+@pytest.mark.parametrize("case", ["first-leaf-renamed", "gadget-split"])
+def test_misshapen_hybrid_tree_exits_3(toy_gstar, tmp_path, capsys, case):
+    """`layout group` refuses a tree that does not place exactly V(G*) or
+    splits a gadget across nodes, instead of grouping it."""
+    order = tmp_path / "order.json"
+    order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    hybrid_path = tmp_path / "hybrid.json"
+    argv = ["layout", "group", "-i", toy_gstar, "--hybrid", str(hybrid_path)]
+    assert run(["witness", "caterpillar", "-i", toy_gstar, "--order", str(order),
+                "-o", str(hybrid_path)]) == 0
+    assert run(argv) == 0  # the caterpillar itself is accepted
+    doc = json.loads(hybrid_path.read_text())
+    if case == "first-leaf-renamed":
+        doc["leaves"][0][1] = 9999
+    else:  # gadget 0 on nodes 0 and 1, gadget 1 on node 2
+        doc = {"format_version": 1, "kind": "hybrid_tree", "nodes": [0, 1, 2],
+               "edges": [[0, 1], [1, 2]], "placement": [[v, min(v // 9, 2)] for v in range(36)]}
+    hybrid_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
 @pytest.fixture
 def step_docs(cnf_file, toy_gstar, tmp_path):
-    """Small step-1, step-2 and step-3 documents, and orders of the step-3
-    and step-2 H (two and three vertices)."""
+    """Small step-1, step-2 and step-3 documents, orders of the step-3 and
+    step-2 H (two and three vertices), and the witness order of the step-1 H."""
     h_path = str(tmp_path / "H.json")
     assert run(["reduce", "step1", "--profile", "small", "-i", cnf_file, "-o", h_path]) == 0
     h = WeightedGraph()
@@ -294,8 +317,10 @@ def step_docs(cnf_file, toy_gstar, tmp_path):
     order_path.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
     order3_path = tmp_path / "order3.json"
     order3_path.write_text(serialize.canonical_json(serialize.order_doc([2, 1, 0])))
+    order1_path = str(tmp_path / "order1.json")
+    assert run(["witness", "order", "-i", h_path, "--cnf", cnf_file, "-o", order1_path]) == 0
     return {"step1": h_path, "step2": g_path, "step3": toy_gstar,
-            "order": str(order_path), "order3": str(order3_path)}
+            "order": str(order_path), "order3": str(order3_path), "order1": order1_path}
 
 
 def _drop_constants(doc):
@@ -312,6 +337,22 @@ def _vertex_not_a_record(doc):
 
 def _short_pad_pair(doc):
     doc["meta"]["pad_assign"][0] = doc["meta"]["pad_assign"][0][:1]
+
+
+def _clause_group_unknown(doc):
+    doc["meta"]["groups"]["C"] = [99999]
+
+
+def _vx_group_is_vbar(doc):
+    doc["meta"]["groups"]["vx"] = doc["meta"]["groups"]["vbar"]
+
+
+def _pad_assign_key_moved(doc):
+    doc["meta"]["pad_assign"][0][0] += 1
+
+
+def _bl_spine_a_at_vertex_0(doc):
+    doc["meta"]["BL"]["spine_a"] = [0]
 
 
 def _drop_blocks(doc):
@@ -331,18 +372,26 @@ def _drop_gadget_record(doc):
     del doc["gadgets"][1]
 
 
+DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", "{order1}"]
+
+
 @pytest.mark.parametrize("step, tamper, argv", [
     ("step1", _drop_constants, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step1", _meta_not_an_object, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step1", _vertex_not_a_record, ["reduce", "step2", "-i", "{doc}"]),
     ("step1", _short_pad_pair, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _clause_group_unknown, DECODE_ARGV),
+    ("step1", _vx_group_is_vbar, DECODE_ARGV),
+    ("step1", _pad_assign_key_moved, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _bl_spine_a_at_vertex_0, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step2", _drop_blocks, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step2", _tamper_parts, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step3", _drop_gadget_copies, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
     ("step3", _drop_gadget_record, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
-        "step1-short-pad-pair", "step2-without-blocks", "step2-parts-disagree",
-        "step3-gadget-without-copies", "step3-gadget-record-missing"])
+        "step1-short-pad-pair", "step1-clause-group-unknown", "step1-vx-group-is-vbar",
+        "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step2-without-blocks",
+        "step2-parts-disagree", "step3-gadget-without-copies", "step3-gadget-record-missing"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
     paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"))
     argv = [arg.format(**paths) for arg in argv]

@@ -43,7 +43,9 @@ def single_edge_h(w=3):
 
 def literal_gadget_edges(gadget):
     """Oracle: build Q_u explicitly and apply the copy-exclusion rule by
-    materializing Copies(x) and its closed neighborhood as plain sets."""
+    materializing Copies(x) and its closed neighborhood as plain sets.
+    Returns {(x, y): kind} over local ids x < y: "path" for an edge of Q_u,
+    "cross" for an edge between distinct copies."""
     b, plen = gadget.copies, gadget.plen
     total = b * plen
 
@@ -67,19 +69,16 @@ def literal_gadget_edges(gadget):
             out |= qadj[y]
         return out
 
-    edges = set()
+    # the edges of Q_u, concatenation edges between copies among them, always
+    # remain, although the copy-exclusion rule would drop the latter
+    edges = {}
     for x in range(total):
         for y in range(x + 1, total):
-            if x // plen == y // plen:
-                if y in qadj[x]:
-                    edges.add((x, y))
-                continue
-            if y in closed_copy_neighborhood(x) or x in closed_copy_neighborhood(y):
-                continue
-            edges.add((x, y))
-    # the concatenation edges of Q_u join distinct copies and always remain
-    for copy in range(b - 1):
-        edges.add((node(copy, plen - 1), node(copy + 1, 0)))
+            if y in qadj[x]:
+                edges[(x, y)] = "path"
+            elif x // plen != y // plen and not (
+                    y in closed_copy_neighborhood(x) or x in closed_copy_neighborhood(y)):
+                edges[(x, y)] = "cross"
     return edges
 
 
@@ -178,16 +177,20 @@ def test_gadget_b1_is_plain_path():
     gadget = build_gadget(gs, 0, Constants(36, 3, 6, 3, 1))
     assert gadget.size == gadget.plen == 6
     for p, q in itertools.combinations(range(6), 2):
-        assert gadget.adjacent(p, q) == (q - p == 1)
+        assert gadget.adjacent(p, q) == ("path" if q - p == 1 else None)
 
 
 def test_gadget_adjacency_matches_literal_rule():
-    gs = build_partitioned(star9())
-    gadget = build_gadget(gs, 0, SMALL)  # 54 vertices, b=3
-    expected = literal_gadget_edges(gadget)
-    got = {(x, y) for x in range(gadget.size) for y in range(x + 1, gadget.size)
-           if gadget.adjacent(x, y)}
-    assert got == expected
+    # every ordered pair of each gadget, through the gadget and the G* oracle
+    for h in (star9(), single_edge_h(3)):
+        for b in range(1, 5):
+            star = build_Gstar(build_partitioned(h), Constants(36, 3, 6, 3, b))
+            for gadget in star.gadgets.values():
+                expected = literal_gadget_edges(gadget)
+                for x, y in itertools.permutations(range(gadget.size), 2):
+                    kind = expected.get((min(x, y), max(x, y)))
+                    vx, vy = gadget.base + x, gadget.base + y
+                    assert gadget.adjacent(vx, vy) == star.adjacent(vx, vy) == kind
 
 
 def test_gadget_copies_stay_induced_paths():
@@ -197,7 +200,7 @@ def test_gadget_copies_stay_induced_paths():
         verts = list(gadget.copy_vertices(copy))
         for i, x in enumerate(verts):
             for j in range(i + 1, len(verts)):
-                assert gadget.adjacent(x, verts[j]) == (j == i + 1)
+                assert gadget.adjacent(x, verts[j]) == ("path" if j == i + 1 else None)
 
 
 def test_gadget_appended_vertex_exclusions():
@@ -364,7 +367,7 @@ def test_find_default_edge_fails_at_b1():
 def test_group_gadget_structure_and_identity():
     gs, star, ht = grouping_fixture(single_edge_h(3))
     ht1 = group_gadget(star, ht, 0)
-    ht1.check_shape(star)
+    assert ht1.gadget_nodes(star) == {max(ht1.tree_adj): 0}
     whole = set(star.part_vertices(0))
     assert any(pre == whole for pre in ht1.preimages.values())
     assert all(len(pre) <= 1 for pre in ht1.preimages.values() if pre != whole)
