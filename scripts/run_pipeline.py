@@ -11,8 +11,9 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from naewidth.formula import brute_force_nae, emit_nae_dimacs, parse_nae_dimacs, random_strict_formula
 from naewidth.red1 import PROFILES, SMALL, build_H, decode_assignment, witness_order

@@ -181,6 +181,7 @@ def hbuild_doc(build: HBuild):
 _GROUP_ROLES = {"vx": "variable", "vbar": "variable_bar", "T": "t", "T_bar": "t_bar",
                 "F": "f", "F_bar": "f_bar", "C": "clause", "s": "s_terminal",
                 "X": "pad_x", "Y": "pad_y"}
+_VARIABLE_GROUPS = ("vx", "vbar", "T", "T_bar", "F", "F_bar")  # one vertex per variable each
 
 
 def hbuild_from_doc(doc) -> HBuild:
@@ -206,6 +207,16 @@ def hbuild_from_doc(doc) -> HBuild:
             terminal_sets=[list(s) for s in seq_doc["terminal_sets"]],
         )
         hprime_n = meta["hprime_n"]
+        sizes = {"num_vars": {len(groups[name]) for name in _VARIABLE_GROUPS},
+                 "num_clauses": {len(groups["C"])}}
+        for name, size in sizes.items():
+            if type(meta[name]) is not int or size != {meta[name]}:
+                raise ValidationError(f"meta.{name} = {meta[name]!r} does not match "
+                                      f"its groups' sizes {sorted(size)}")
+        hprime = seq.vertices().union(groups["C"], *(groups[name] for name in _VARIABLE_GROUPS))
+        if type(hprime_n) is not int or hprime != set(range(hprime_n)):
+            raise ValidationError(f"meta.hprime_n = {hprime_n!r} does not match H': its groups "
+                                  "and bottleneck sequence must be vertices 0..hprime_n-1")
         return HBuild(
             graph=g, constants=c,
             num_vars=meta["num_vars"], num_clauses=meta["num_clauses"],

@@ -1,10 +1,13 @@
 """Branch-decomposition width machinery: mim/sim/omim values of tree
-layouts and exhaustive exact-width oracles for tiny graphs.
+layouts and exact-width oracles for graphs of at most EXACT_CAP vertices.
 
 General layouts are unrooted ternary trees with graph vertices on the
 leaves; linear layouts are rooted full binary caterpillars, equivalently a
-vertex order.  Exact widths enumerate all layouts: vertex orders via a
-subset DP, ternary trees via leaf insertion (their count is (2L-5)!!).
+vertex order.  Exact widths run a subset DP over a table of every cut's
+value: over prefixes for vertex orders, over the clusters of a tree rooted
+at the last vertex for ternary trees.  enumerate_leaf_trees lists all
+(2L-5)!! ternary trees by leaf insertion; the DP's witness keeps its node
+numbering.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET, cut_value
 from .tree import Tree, path
 
-GENERAL_CAP = 8
-LINEAR_CAP = 10
+EXACT_CAP = 12
 
 
 class TreeLayout(Tree):
@@ -178,18 +180,78 @@ def _linear_exact(table, n):
     return width, order_idx
 
 
+def _halves(x):
+    """Every split of the mask x into (y, z), y holding x's lowest bit."""
+    low = x & -x
+    rest = x ^ low
+    z = rest
+    while z:
+        yield x ^ z, z
+        z = (z - 1) & rest
+
+
+def _general_exact(table, n):
+    """Min over ternary trees of the max cut value, plus the optimal tree
+    whose sorted split tuple is least, via a subset DP over the clusters of
+    the tree rooted at leaf n-1.
+
+    Every non-trivial split is then a cluster X of R = {0..n-2}, stored as
+    its own mask.  g(X) is the least max cut value over binary trees on X
+    (X's own cut included).  Among equal-size split sets, the least sorted
+    tuple is the one holding the least element of their symmetric
+    difference; that order survives disjoint unions, so a second pass keeps
+    the least split set per feasible cluster.  Returns (width, tree_adj)
+    with the node ids and adjacency order of enumerate_leaf_trees.
+    """
+    if n < 3:
+        return table[1], ({0: []} if n == 1 else {0: [1], 1: [0]})
+    root = (1 << (n - 1)) - 1
+    g = table[:root + 1]
+    for x in range(1, root + 1):
+        if x & (x - 1):
+            g[x] = max(g[x], min(max(g[y], g[z]) for y, z in _halves(x)))
+    width = max(g[root], max(table[1 << i] for i in range(n)))
+
+    lex = {}  # feasible cluster -> least sorted tuple of the clusters of size >= 2 below it
+    for x in range(1, root + 1):
+        if g[x] > width:
+            continue
+        lex[x] = min((tuple(sorted(lex[y] + lex[z] + tuple(c for c in (y, z) if c & (c - 1))))
+                      for y, z in _halves(x) if y in lex and z in lex), default=())
+    # Replay leaf insertion: on leaves 0..k, leaf k subdivides the one edge
+    # whose far side P has both P and P + {k} among the target's splits.
+    clusters = lex[root] + (root,) + tuple(1 << i for i in range(n))
+    adj = {0: [n], 1: [n], 2: [n], n: [0, 1, 2]}
+    for k in range(3, n):
+        seen = (1 << (k + 1)) - 1
+        target = {min(c & seen, seen ^ (c & seen)) for c in clusters}
+        tree = Tree(adj, {i: i for i in range(k)})
+        for (x, y), far in tree.sides():
+            p = sum(1 << i for i in far)
+            q = p | 1 << k
+            if min(p, seen ^ p) in target and min(q, seen ^ q) in target:
+                break
+        new = n + k - 2
+        adj = tree.subdivide(x, y, new)
+        adj[new].append(k)
+        adj[k] = [new]
+    return width, adj
+
+
 def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
                 budget: int = DEFAULT_BUDGET, stats=None):
-    """Exact width by exhaustive layout enumeration.
+    """Exact width by a subset DP over the cut table of all vertex subsets.
 
     Returns (value, witness TreeLayout).  The witness is deterministic: the
-    lexicographically least optimal order for linear layouts, and the
-    optimal ternary tree with the least sorted-split serialization otherwise.
+    lexicographically least optimal order for linear layouts, and otherwise
+    the optimal ternary tree whose sorted tuple of splits (each the smaller
+    of its two vertex-index bitmasks) is least, with the node ids of
+    enumerate_leaf_trees.
     """
     verts = sorted(set(vertices))
     n = len(verts)
     if cap is None:
-        cap = LINEAR_CAP if linear else GENERAL_CAP
+        cap = EXACT_CAP
     if n > cap:
         raise CapExceededError(f"|V| = {n} exceeds exact-width cap {cap}")
     if n == 0:
@@ -201,23 +263,5 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
         order = [verts[i] for i in order_idx]
         return width, linear_layout_from_order(order)
 
-    full = (1 << n) - 1
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    best = None
-    best_key = None
-    best_layout = None
-    for adj, leaf_nodes in enumerate_leaf_trees(n):
-        layout = TreeLayout(tree_adj=adj,
-                            leaf_vertex={i: verts[i] for i in leaf_nodes})
-        splits = []
-        value = 0
-        for _, side in layout.sides():
-            mask = sum(map(bit.__getitem__, side))
-            splits.append(min(mask, full ^ mask))
-            if table[mask] > value:
-                value = table[mask]
-        key = tuple(sorted(splits))
-        if best is None or value < best or (value == best and key < best_key):
-            best, best_key, best_layout = value, key, layout
-    return best, best_layout
-
+    width, adj = _general_exact(table, n)
+    return width, TreeLayout(tree_adj=adj, leaf_vertex={i: verts[i] for i in range(n)})

@@ -5,14 +5,18 @@ are maximized by plain backtracking over edge subsets, orders by permutation
 scans, so they stay valid cross-checks for the branch-and-bound paths.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from naewidth.errors import ValidationError
+from naewidth.matchings import DEFAULT_BUDGET
 from naewidth.red1 import validate_constants
+from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph
+from naewidth.widths import TreeLayout, _cut_table, enumerate_leaf_trees
 
 
 def adjacency_sets(n, edges):
@@ -164,6 +168,36 @@ def brute_validate_gstar(star):
                 t != ("original" if i % 2 == 0 else "subdivision")
                 for i, t in enumerate(tags[:-1])):
             raise ValidationError(f"P_{u} does not alternate original/subdivision")
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_tree_sides(n):
+    """Per tree of enumerate_leaf_trees(n), in its order: the bitmask of the
+    leaves on the far side of every tree edge."""
+    out = []
+    for adj, leaves in enumerate_leaf_trees(n):
+        sides = Tree(adj, {i: i for i in leaves}).sides()
+        out.append(tuple(sum(1 << i for i in side) for _, side in sides))
+    return tuple(out)
+
+
+def brute_exact_width(adjacent, vertices, kind):
+    """Reference for exact_width on general layouts: scan all (2L-5)!!
+    ternary trees of enumerate_leaf_trees and keep the first optimal one
+    whose sorted split tuple is least (each split as the smaller of its two
+    vertex-index bitmasks)."""
+    verts = sorted(set(vertices))
+    n = len(verts)
+    table = _cut_table(adjacent, verts, kind, DEFAULT_BUDGET)
+    full = (1 << n) - 1
+    best = None
+    for idx, masks in enumerate(_leaf_tree_sides(n)):
+        key = (max((table[m] for m in masks), default=0),
+               tuple(sorted(min(m, full ^ m) for m in masks)))
+        if best is None or key < best[0]:
+            best = key, idx
+    adj, leaves = next(itertools.islice(enumerate_leaf_trees(n), best[1], None))
+    return best[0][0], TreeLayout(tree_adj=adj, leaf_vertex={i: verts[i] for i in leaves})
 
 
 def brute_mim(adjacent, side_a, side_b):

@@ -134,6 +134,19 @@ def test_width_exact_and_cap_guard(tmp_path, capsys):
     assert run(["width", "exact", "--kind", "mim", "--cap", "3", "-i", k4]) == 3
 
 
+def test_width_exact_default_cap_is_12(tmp_path, capsys):
+    for n, code in ((12, 0), (13, 3)):
+        path = tmp_path / f"c{n}.json"
+        path.write_text(serialize.canonical_json(
+            serialize.graph_doc({v: {(v - 1) % n, (v + 1) % n} for v in range(n)})))
+        capsys.readouterr()
+        assert run(["width", "exact", "--kind", "mim", "-i", str(path)]) == code
+        if code == 0:
+            assert json.loads(capsys.readouterr().out)["value"] == 2
+        else:
+            assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
 def test_cutval_and_budget(tmp_path, capsys):
     k4 = k4_file(tmp_path)
     cut = tmp_path / "cut.json"
@@ -355,6 +368,18 @@ def _bl_spine_a_at_vertex_0(doc):
     doc["meta"]["BL"]["spine_a"] = [0]
 
 
+def _num_vars_5(doc):
+    doc["meta"]["num_vars"] = 5
+
+
+def _num_clauses_99(doc):
+    doc["meta"]["num_clauses"] = 99
+
+
+def _hprime_n_plus_5(doc):
+    doc["meta"]["hprime_n"] += 5
+
+
 def _drop_blocks(doc):
     del doc["blocks"]
 
@@ -384,13 +409,18 @@ DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", 
     ("step1", _vx_group_is_vbar, DECODE_ARGV),
     ("step1", _pad_assign_key_moved, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step1", _bl_spine_a_at_vertex_0, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _num_vars_5, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _num_vars_5, DECODE_ARGV),
+    ("step1", _num_clauses_99, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _hprime_n_plus_5, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step2", _drop_blocks, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step2", _tamper_parts, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step3", _drop_gadget_copies, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
     ("step3", _drop_gadget_record, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
         "step1-short-pad-pair", "step1-clause-group-unknown", "step1-vx-group-is-vbar",
-        "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step2-without-blocks",
+        "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step1-num-vars-order",
+        "step1-num-vars-decode", "step1-num-clauses", "step1-hprime-n", "step2-without-blocks",
         "step2-parts-disagree", "step3-gadget-without-copies", "step3-gadget-record-missing"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
     paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"))
@@ -456,6 +486,16 @@ def test_witness_caterpillar_refuses_paper_gstar(tmp_path):
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert err["type"] == "validation" and "layout cap" in err["error"]
+
+
+def test_width_survey_script_runs_from_any_directory(tmp_path):
+    """The script finds the package beside itself, not under the working directory."""
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "width_survey.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, script, "-n", "4"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "chain violations: 0" in proc.stdout
 
 
 def test_reduce_step2_paper_profile(cnf_file, tmp_path):

@@ -1,10 +1,12 @@
 import itertools
 
+import networkx as nx
 import pytest
 
 from naewidth.errors import CapExceededError, ValidationError
 from naewidth.red2 import cut_value, mapping_value, path_mapping_from_order
 from naewidth.widths import (
+    EXACT_CAP,
     TreeLayout,
     double_factorial,
     enumerate_leaf_trees,
@@ -13,7 +15,8 @@ from naewidth.widths import (
     linear_layout_from_order,
 )
 
-from conftest import adj_fn, adjacency_sets, brute_mim, brute_uim, random_graph_adj
+from conftest import (adj_fn, adjacency_sets, brute_exact_width, brute_mim, brute_uim,
+                      random_graph_adj)
 
 
 def complete_graph(n):
@@ -150,14 +153,43 @@ def test_witness_layout_achieves_value(rng):
                 assert layout_value(fn, range(n), layout, kind) == value
 
 
-def test_exact_width_general_witness_deterministic(rng):
-    adj = random_graph_adj(rng, 5, p=0.5)
-    fn = adj_fn(adj)
-    v1, layout1 = exact_width(fn, range(5), "mim")
-    v2, layout2 = exact_width(fn, range(5), "mim")
-    assert v1 == v2
-    assert layout1.tree_adj == layout2.tree_adj
-    assert layout1.leaf_vertex == layout2.leaf_vertex
+def assert_same_as_enumeration(fn, n):
+    """exact_width equals the tree scan: value, tree_adj keys and neighbour
+    lists in order, and the leaf map."""
+    for kind in ("mim", "sim", "omim"):
+        value, layout = exact_width(fn, range(n), kind)
+        ref_value, ref = brute_exact_width(fn, range(n), kind)
+        assert value == ref_value
+        assert list(layout.tree_adj.items()) == list(ref.tree_adj.items())
+        assert list(layout.leaf_vertex.items()) == list(ref.leaf_vertex.items())
+
+
+def test_exact_width_general_matches_enumeration(rng):
+    for n in range(1, 9):
+        for _ in range(1 if n == 8 else 3):
+            assert_same_as_enumeration(adj_fn(random_graph_adj(rng, n, p=rng.random())), n)
+
+
+def test_exact_width_general_matches_enumeration_on_atlas():
+    for graph in nx.graph_atlas_g()[1:209]:
+        n = graph.number_of_nodes()
+        assert_same_as_enumeration(adj_fn({v: set(graph.neighbors(v)) for v in range(n)}), n)
+
+
+def test_exact_width_general_witness_above_enumeration_sizes(rng):
+    for n in range(9, EXACT_CAP + 1):
+        fn = adj_fn(random_graph_adj(rng, n, p=0.5))
+        value, layout = exact_width(fn, range(n), "mim")
+        assert not layout.linear and sorted(layout.leaf_vertex.values()) == list(range(n))
+        assert all(len(nbrs) in (1, 3) for nbrs in layout.tree_adj.values())
+        assert layout_value(fn, range(n), layout, "mim") == value
+
+
+def test_width_chain_above_enumeration_sizes(rng):
+    for n in (9, 10):
+        fn = adj_fn(random_graph_adj(rng, n, p=0.5))
+        sim, omim, mim = (exact_width(fn, range(n), kind)[0] for kind in ("sim", "omim", "mim"))
+        assert sim <= omim <= mim <= exact_width(fn, range(n), "mim", linear=True)[0]
 
 
 def test_exact_width_reports_nodes_explored():
