@@ -40,7 +40,7 @@ def _write(path, doc):
 
 
 def _load(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -65,7 +65,7 @@ def _parse_profile(spec: str) -> red1.Constants:
 
 
 def _read_formula(path, strict=True):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fm.parse_nae_dimacs(fh.read(), strict=strict)
 
 
@@ -145,10 +145,20 @@ def _cmd_reduce(args):
     return EXIT_OK
 
 
+def _step1_and_formula(args):
+    """The step-1 build of -i and the --cnf formula, which must be the one
+    the build encodes: the same variable count and clauses, in file order."""
+    build = serialize.hbuild_from_doc(_load(args.input))
+    f = _read_formula(args.cnf)
+    if (f.num_vars != build.formula.num_vars or [tuple(sorted(c)) for c in f.clauses]
+            != [tuple(sorted(c)) for c in build.formula.clauses]):
+        raise ValidationError(f"{args.cnf} is not the formula the step-1 document encodes")
+    return build, f
+
+
 def _cmd_witness(args):
     if args.action == "order":
-        build = serialize.hbuild_from_doc(_load(args.input))
-        f = _read_formula(args.cnf)
+        build, f = _step1_and_formula(args)
         if args.assignment:
             assignment = _assignment_from_string(args.assignment)
         else:
@@ -160,12 +170,11 @@ def _cmd_witness(args):
         ok, violator = wgraph.check_balancing_order(build.graph, order, build.constants.tau)
         if not ok:
             raise ValidationError(f"witness order is not {build.constants.tau}-balancing at "
-                                  f"vertex {violator}: step-1 metadata disagrees with the graph")
+                                  f"vertex {violator}")
         _write(args.output, serialize.order_doc(order))
         return EXIT_OK
     if args.action == "decode":
-        build = serialize.hbuild_from_doc(_load(args.input))
-        f = _read_formula(args.cnf)
+        build, f = _step1_and_formula(args)
         order = serialize.order_from_doc(_load(args.order))
         assignment = red1.decode_assignment(f, build, order)
         print(json.dumps({"assignment": _fmt_assignment(assignment),
@@ -269,6 +278,20 @@ def _cmd_layout(args):
 
 # -- parser -------------------------------------------------------------------
 
+_REQUIRED = {"required": True}
+
+
+def _add_actions(parser, actions):
+    """One sub-parser per action, declaring -i and only the options its
+    handler reads: each option is its flags and add_argument keywords."""
+    sub = parser.add_subparsers(dest="action", required=True)
+    for action, options in actions.items():
+        p = sub.add_parser(action)
+        p.add_argument("-i", "--input", required=True)
+        for flags, kwargs in options:
+            p.add_argument(*flags.split(), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="naewidth",
@@ -296,21 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("-i", "--input", required=True)
     reduce_p.add_argument("-o", "--output")
 
-    witness = sub.add_parser("witness", help="build and convert witnesses")
-    witness.add_argument("action", choices=["order", "decode", "path-mapping", "caterpillar"])
-    witness.add_argument("-i", "--input", required=True)
-    witness.add_argument("--cnf")
-    witness.add_argument("--order")
-    witness.add_argument("--assignment")
-    witness.add_argument("-o", "--output")
-
-    balance = sub.add_parser("balance", help="degree-balancing orders")
-    balance.add_argument("action", choices=["solve", "check"])
-    balance.add_argument("-i", "--input", required=True)
-    balance.add_argument("--threshold", type=int, required=True)
-    balance.add_argument("--order")
-    balance.add_argument("--budget", type=int, default=wgraph.DEFAULT_ORDER_BUDGET)
-    balance.add_argument("-o", "--output")
+    output = ("-o --output", {})
+    _add_actions(sub.add_parser("witness", help="build and convert witnesses"), {
+        "order": [("--cnf", _REQUIRED), ("--assignment", {}), output],
+        "decode": [("--cnf", _REQUIRED), ("--order", _REQUIRED)],
+        "path-mapping": [("--order", _REQUIRED), output],
+        "caterpillar": [("--order", _REQUIRED), output],
+    })
+    threshold = ("--threshold", {"type": int, "required": True})
+    _add_actions(sub.add_parser("balance", help="degree-balancing orders"), {
+        "solve": [threshold, ("--budget", {"type": int, "default": wgraph.DEFAULT_ORDER_BUDGET}),
+                  output],
+        "check": [threshold, ("--order", _REQUIRED)],
+    })
 
     cutval = sub.add_parser("cutval", help="exact mim/sim value of one cut")
     cutval.add_argument("--kind", choices=["mim", "sim"], required=True)
@@ -327,13 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     width.add_argument("--budget", type=int, default=matchings.DEFAULT_BUDGET)
     width.add_argument("-i", "--input", required=True)
 
-    layout = sub.add_parser("layout", help="hybrid-tree grouping and projection")
-    layout.add_argument("action", choices=["group", "to-mapping", "project"])
-    layout.add_argument("-i", "--input", required=True)
-    layout.add_argument("--hybrid")
-    layout.add_argument("--mapping")
-    layout.add_argument("--owner", type=int)
-    layout.add_argument("-o", "--output")
+    _add_actions(sub.add_parser("layout", help="hybrid-tree grouping and projection"), {
+        "group": [("--hybrid", _REQUIRED), ("--owner", {"type": int}), output],
+        "to-mapping": [("--hybrid", _REQUIRED), output],
+        "project": [("--mapping", _REQUIRED), output],
+    })
 
     return parser
 
@@ -363,7 +382,7 @@ def run(argv) -> int:
     except BudgetExceededError as exc:
         _diag(str(exc), type="budget")
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _diag(str(exc), type="io")
         return EXIT_VALIDATION
 

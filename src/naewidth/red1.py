@@ -207,6 +207,7 @@ class HBuild:
 
     graph: WeightedGraph
     constants: Constants
+    formula: NaeFormula
     num_vars: int
     num_clauses: int
     vx: list        # variable vertex per variable index (0-based)
@@ -230,13 +231,15 @@ class HBuild:
         return [self.bl.root, self.br.root]
 
 
-def build_H(f: NaeFormula, c: Constants) -> HBuild:
+def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
     """Build the edge-weighted graph encoding a strict NAE instance.
 
     Layout: per-variable vertices v_x, v̄_x, t_i, t̄_i, f_i, f̄_i; clause
     vertices; a bottleneck sequence on (T, C, F); then weight padding with
     terminal sets X and Y so that only the two padding roots stay below
-    weight tau + gamma + 1.
+    weight tau + gamma + 1.  With `max_vertices`, a build that would have
+    more vertices is refused before the padding is added: the padding grows
+    with tau, so a document's constants alone could ask for any size.
     """
     validate_constants(c)
     validate_formula(f, strict=True)
@@ -277,6 +280,9 @@ def build_H(f: NaeFormula, c: Constants) -> HBuild:
     target = tau + gamma + 1
     missing = [max(0, target - w) for w in hprime_weights]
     p = sum(missing)
+    if max_vertices is not None and hprime_n + 6 * p > max_vertices:  # X, Y, two spines
+        raise ValidationError(f"H would have {hprime_n + 6 * p} vertices, "
+                              f"more than the {max_vertices} allowed")
 
     x_ids = list(g.add_vertices((f"x{j}" for j in range(p)), "pad_x"))
     y_ids = list(g.add_vertices((f"y{j}" for j in range(p)), "pad_y"))
@@ -297,7 +303,7 @@ def build_H(f: NaeFormula, c: Constants) -> HBuild:
                 g.add_edge(v, xj, 1)
 
     return HBuild(
-        graph=g, constants=c, num_vars=n, num_clauses=m,
+        graph=g, constants=c, formula=f, num_vars=n, num_clauses=m,
         vx=vx, vbar=vbar, tvert=tvert, tbar=tbar, fvert=fvert, fbar=fbar,
         cvert=cvert, seq=seq, hprime_n=hprime_n, hprime_weights=hprime_weights,
         pad_assign=pad_assign, x_ids=x_ids, y_ids=y_ids, bl=bl, br=br,

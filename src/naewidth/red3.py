@@ -320,6 +320,8 @@ def group_gadget(star: Gstar, ht: HybridTree, u) -> HybridTree:
     a subcubic hybrid tree and (by exact recomputation in tests) its per-edge
     sim values never increase.
     """
+    if u not in star.gadgets:
+        raise ValidationError(f"G* has no gadget of owner {u}")
     kind, where = find_default_edge(star, ht, u)
     if kind == "node":
         return ht

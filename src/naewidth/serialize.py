@@ -4,7 +4,8 @@ All emitters produce canonical JSON (sorted keys, compact separators, one
 trailing newline) so that reruns are byte-identical.  Step-2 and step-3
 graphs are stored structurally (block layout, gadget registry): their edge
 sets are bicliques that blow up quadratically, so explicit edge arrays are
-only materialized below a small size limit.
+only materialized below a small size limit.  A step-1 document is accepted
+only if it is exactly the build of the formula its clause vertices encode.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import contextlib
 import json
 
 from .errors import ValidationError
-from .red1 import Constants, HBuild, BottleneckHandle, SequenceHandles, validate_constants
+from .formula import NaeFormula
+from .red1 import BottleneckHandle, Constants, HBuild, build_H, validate_constants
 from .red2 import PartitionedGraph, TreeMapping, build_partitioned
 from .red3 import Gstar, HybridTree, build_Gstar
 from .wgraph import ROLES, BalancingTree, WeightedGraph
@@ -50,14 +52,21 @@ def _malformed(kind):
 
 # -- weighted graphs ---------------------------------------------------------
 
+def _vertex_records(g: WeightedGraph):
+    return ({"id": v, "label": g.labels[v], "role": g.roles[v]} for v in g.vertex_ids())
+
+
+def _edge_records(g: WeightedGraph):
+    return ({"u": u, "v": v, "weight": w} for u, v, w in sorted(g.edges()))
+
+
 def weighted_graph_doc(g: WeightedGraph, meta=None):
     g.check_simple()
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "weighted_graph",
-        "vertices": [{"id": v, "label": g.labels[v], "role": g.roles[v]}
-                     for v in g.vertex_ids()],
-        "edges": [{"u": u, "v": v, "weight": w} for u, v, w in sorted(g.edges())],
+        "vertices": list(_vertex_records(g)),
+        "edges": list(_edge_records(g)),
     }
     if meta is not None:
         doc["meta"] = meta
@@ -141,15 +150,9 @@ def _handle_doc(h: BottleneckHandle):
             "terminals": h.terminals, "attach_weights": h.attach_weights}
 
 
-def _handle_from_doc(doc) -> BottleneckHandle:
-    return BottleneckHandle(spine_a=list(doc["spine_a"]), spine_b=list(doc["spine_b"]),
-                            terminals=list(doc["terminals"]),
-                            attach_weights=list(doc["attach_weights"]))
-
-
-def hbuild_doc(build: HBuild):
+def _hbuild_meta(build: HBuild):
     seq = build.seq
-    meta = {
+    return {
         "constants": _constants_doc(build.constants),
         "num_vars": build.num_vars,
         "num_clauses": build.num_clauses,
@@ -174,63 +177,38 @@ def hbuild_doc(build: HBuild):
         "BR": _handle_doc(build.br),
         "provenance": "step1",
     }
-    return weighted_graph_doc(build.graph, meta=meta)
 
 
-# step-1 vertex group -> the role its vertices carry; a group lists them in id order
-_GROUP_ROLES = {"vx": "variable", "vbar": "variable_bar", "T": "t", "T_bar": "t_bar",
-                "F": "f", "F_bar": "f_bar", "C": "clause", "s": "s_terminal",
-                "X": "pad_x", "Y": "pad_y"}
-_VARIABLE_GROUPS = ("vx", "vbar", "T", "T_bar", "F", "F_bar")  # one vertex per variable each
+def hbuild_doc(build: HBuild):
+    return weighted_graph_doc(build.graph, meta=_hbuild_meta(build))
 
 
 def hbuild_from_doc(doc) -> HBuild:
+    """The build, at the document's constants, of the formula the document
+    encodes, if the document is exactly that build's.  Variable i+1 is the
+    i-th variable vertex; clause j lists the variables of the (variable,
+    clause) edge records at the j-th clause vertex.  Records are compared
+    one at a time, so no second copy of the document is made."""
     with _malformed("step-1 weighted_graph"):
-        g = weighted_graph_from_doc(doc)
-        meta = doc.get("meta")
-        if not isinstance(meta, dict) or meta.get("provenance") != "step1":
-            raise ValidationError("weighted-graph document has no step1 build metadata")
-        c = constants_from_doc(meta["constants"])
-        groups = meta["groups"]
-        by_role = {role: [] for role in _GROUP_ROLES.values()}
-        for v, role in enumerate(g.roles):
-            if role in by_role:
-                by_role[role].append(v)
-        for name, role in _GROUP_ROLES.items():
-            if groups[name] != by_role[role]:
-                raise ValidationError(f"meta.groups.{name} is not the {role} vertices in id order")
-        seq_doc = meta["sequence"]
-        seq = SequenceHandles(
-            s=list(seq_doc["s"]),
-            b1p=_handle_from_doc(seq_doc["B1p"]), b2p=_handle_from_doc(seq_doc["B2p"]),
-            b2m=_handle_from_doc(seq_doc["B2m"]), b3m=_handle_from_doc(seq_doc["B3m"]),
-            terminal_sets=[list(s) for s in seq_doc["terminal_sets"]],
-        )
-        hprime_n = meta["hprime_n"]
-        sizes = {"num_vars": {len(groups[name]) for name in _VARIABLE_GROUPS},
-                 "num_clauses": {len(groups["C"])}}
-        for name, size in sizes.items():
-            if type(meta[name]) is not int or size != {meta[name]}:
-                raise ValidationError(f"meta.{name} = {meta[name]!r} does not match "
-                                      f"its groups' sizes {sorted(size)}")
-        hprime = seq.vertices().union(groups["C"], *(groups[name] for name in _VARIABLE_GROUPS))
-        if type(hprime_n) is not int or hprime != set(range(hprime_n)):
-            raise ValidationError(f"meta.hprime_n = {hprime_n!r} does not match H': its groups "
-                                  "and bottleneck sequence must be vertices 0..hprime_n-1")
-        return HBuild(
-            graph=g, constants=c,
-            num_vars=meta["num_vars"], num_clauses=meta["num_clauses"],
-            vx=list(groups["vx"]), vbar=list(groups["vbar"]),
-            tvert=list(groups["T"]), tbar=list(groups["T_bar"]),
-            fvert=list(groups["F"]), fbar=list(groups["F_bar"]),
-            cvert=list(groups["C"]), seq=seq,
-            hprime_n=hprime_n,
-            hprime_weights=[sum(w for u, w in g.adj[v] if u < hprime_n)
-                            for v in range(hprime_n)],
-            pad_assign={v: list(xs) for v, xs in meta["pad_assign"]},
-            x_ids=list(groups["X"]), y_ids=list(groups["Y"]),
-            bl=_handle_from_doc(meta["BL"]), br=_handle_from_doc(meta["BR"]),
-        )
+        _expect(doc, "weighted_graph")
+        meta, vertices, edges = doc["meta"], doc["vertices"], doc["edges"]
+        variables = [v for v, rec in enumerate(vertices) if rec["role"] == "variable"]
+        var_of = {v: i for i, v in enumerate(variables, start=1)}
+        clauses = {v: [] for v, rec in enumerate(vertices) if rec["role"] == "clause"}
+        for rec in edges:
+            if rec["u"] in var_of and rec["v"] in clauses:
+                clauses[rec["v"]].append(var_of[rec["u"]])
+        f = NaeFormula(len(variables), tuple(tuple(sorted(vs)) for vs in clauses.values()))
+        build = build_H(f, constants_from_doc(meta["constants"]), max_vertices=len(vertices))
+        g = build.graph
+        if not (doc.keys() == {"format_version", "kind", "vertices", "edges", "meta"}
+                and meta == _hbuild_meta(build)
+                and len(vertices) == g.n and len(edges) == g.num_edges()
+                and all(a == b for a, b in zip(vertices, _vertex_records(g)))
+                and all(a == b for a, b in zip(edges, _edge_records(g)))):
+            raise ValidationError("step-1 document is not the build of the formula its "
+                                  "clause vertices encode")
+        return build
 
 
 # -- step-2 partitioned graphs ----------------------------------------------

@@ -1,11 +1,17 @@
+import contextlib
+import functools
+import io
 import itertools
 import json
+import operator
 import os
 import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naewidth
 from naewidth import serialize
@@ -380,6 +386,34 @@ def _hprime_n_plus_5(doc):
     doc["meta"]["hprime_n"] += 5
 
 
+def _bl_attach_weight_changed(doc):
+    doc["meta"]["BL"]["attach_weights"][0] = 999
+
+
+def _terminal_sets_reversed(doc):
+    doc["meta"]["sequence"]["terminal_sets"].reverse()
+
+
+def _b1p_terminals_reversed(doc):
+    doc["meta"]["sequence"]["B1p"]["terminals"].reverse()
+
+
+def _roots_changed(doc):
+    doc["meta"]["groups"]["roots"][0] += 1
+
+
+def _vertex_label_changed(doc):
+    doc["vertices"][0]["label"] = "v_x9"
+
+
+def _extra_top_level_key(doc):
+    doc["note"] = "extra"
+
+
+def _edge_weight_plus_1(doc):
+    doc["edges"][-1]["weight"] += 1
+
+
 def _drop_blocks(doc):
     del doc["blocks"]
 
@@ -413,6 +447,13 @@ DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", 
     ("step1", _num_vars_5, DECODE_ARGV),
     ("step1", _num_clauses_99, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
     ("step1", _hprime_n_plus_5, ["witness", "order", "-i", "{doc}", "--cnf", "{cnf}"]),
+    ("step1", _bl_attach_weight_changed, DECODE_ARGV),
+    ("step1", _terminal_sets_reversed, DECODE_ARGV),
+    ("step1", _b1p_terminals_reversed, DECODE_ARGV),
+    ("step1", _roots_changed, DECODE_ARGV),
+    ("step1", _vertex_label_changed, DECODE_ARGV),
+    ("step1", _extra_top_level_key, DECODE_ARGV),
+    ("step1", _edge_weight_plus_1, DECODE_ARGV),
     ("step2", _drop_blocks, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step2", _tamper_parts, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step3", _drop_gadget_copies, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
@@ -420,7 +461,10 @@ DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", 
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
         "step1-short-pad-pair", "step1-clause-group-unknown", "step1-vx-group-is-vbar",
         "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step1-num-vars-order",
-        "step1-num-vars-decode", "step1-num-clauses", "step1-hprime-n", "step2-without-blocks",
+        "step1-num-vars-decode", "step1-num-clauses", "step1-hprime-n",
+        "step1-bl-attach-weight", "step1-terminal-sets-reversed", "step1-b1p-terminals-reversed",
+        "step1-roots-changed", "step1-vertex-label", "step1-extra-top-level-key",
+        "step1-edge-weight-plus-1", "step2-without-blocks",
         "step2-parts-disagree", "step3-gadget-without-copies", "step3-gadget-record-missing"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
     paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"))
@@ -433,6 +477,168 @@ def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, 
     capsys.readouterr()
     assert run(argv) == 3
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_step1_constants_asking_for_a_huge_build_exit_3(step_docs, cnf_file, tmp_path):
+    """tau = 36·10^6 keeps the constants valid but asks for about 10^9 padding
+    vertices; the loader refuses before adding them.  The command runs in a
+    child process held to 1 GiB of address space, so code without the bound
+    fails here with a MemoryError instead of filling the host."""
+    doc = json.loads(open(step_docs["step1"]).read())
+    doc["meta"]["constants"]["tau"] = 36 * 10 ** 6
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "naewidth.cli", "witness", "decode", "-i", str(path),
+         "--cnf", cnf_file, "--order", step_docs["order1"]],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr)["type"] == "validation"
+
+
+def _paths(node, path=()):
+    """The key path of node and of every value inside it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def step1_fuzz(tmp_path_factory):
+    """Files for `witness decode` on the four-copies step-1 document at `small`."""
+    root = tmp_path_factory.mktemp("step1-fuzz")
+    paths = {name: str(root / name) for name in ("f.cnf", "H.json", "order.json", "mutated.json")}
+    open(paths["f.cnf"], "w").write(FOUR_COPIES)
+    assert run(["reduce", "step1", "-i", paths["f.cnf"], "-o", paths["H.json"]]) == 0
+    assert run(["witness", "order", "-i", paths["H.json"], "--cnf", paths["f.cnf"],
+                "-o", paths["order.json"]]) == 0
+    return paths
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
+    """One mutated value (a meta entry, vertex field or edge field: ±1 on an
+    int, another type, or deleted) makes `witness decode` exit 3 with a JSON
+    diagnostic unless the document still equals the original."""
+    text = open(step1_fuzz["H.json"]).read()
+    original, mutated = json.loads(text), json.loads(text)
+    sites = {"meta": [("meta",) + p for p in _paths(original["meta"]) if p],
+             **{part: [(part, i, key) for i, rec in enumerate(original[part]) for key in rec]
+                for part in ("vertices", "edges")}}
+    *head, last = data.draw(st.sampled_from(sites[data.draw(st.sampled_from(sorted(sites)))]))
+    holder = functools.reduce(operator.getitem, head, mutated)
+    value = holder[last]
+    how = data.draw(st.sampled_from(["+1", "-1", "type", "delete"] if type(value) is int
+                                    else ["type", "delete"]))
+    if how == "delete":
+        del holder[last]
+    elif how == "type":
+        holder[last] = [value] if isinstance(value, str) else str(value)
+    else:
+        holder[last] = value + int(how)
+    open(step1_fuzz["mutated.json"], "w").write(json.dumps(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["witness", "decode", "-i", step1_fuzz["mutated.json"],
+                    "--cnf", step1_fuzz["f.cnf"], "--order", step1_fuzz["order.json"]])
+    if mutated == original:
+        assert code == 0
+    else:
+        assert code == 3
+        assert json.loads(err.getvalue())["type"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["order", "decode"])
+def test_witness_cnf_must_be_the_encoded_formula(tmp_path, capsys, command):
+    """--cnf must have the document's variable count and its clauses in file
+    order; the order of the variables inside a clause is free."""
+    def write_cnf(name, lines):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    assert run(["nae", "gen", "-n", "6", "--seed", "0", "--sat-only"]) == 0
+    header, *clauses = capsys.readouterr().out.splitlines()
+    phi = write_cnf("phi.cnf", [header] + clauses)
+    h_path, order_path = str(tmp_path / "H.json"), str(tmp_path / "order.json")
+    assert run(["reduce", "step1", "-i", phi, "-o", h_path]) == 0
+    assert run(["witness", "order", "-i", h_path, "--cnf", phi, "-o", order_path]) == 0
+    assert run(["nae", "gen", "-n", "6", "--seed", "1"]) == 0
+    variants = {
+        "clauses-written-backwards": ([header] + [" ".join(c.split()[-2::-1]) + " 0"
+                                                  for c in clauses], 0),
+        "clauses-in-reverse-order": ([header] + clauses[::-1], 3),
+        "another-formula": (capsys.readouterr().out.splitlines(), 3),
+        "three-variables": (FOUR_COPIES.splitlines(), 3),
+    }
+    for name, (lines, expected) in variants.items():
+        psi = write_cnf(name + ".cnf", lines)
+        last = ["-o", psi + ".order.json"] if command == "order" else ["--order", order_path]
+        capsys.readouterr()
+        assert run(["witness", command, "-i", h_path, "--cnf", psi] + last) == expected, name
+        if expected:
+            err = json.loads(capsys.readouterr().err)
+            assert err["type"] == "validation" and "not the formula" in err["error"]
+
+
+MISSING_OPTIONS = {
+    "witness-order-cnf": (["witness", "order", "-i", "H.json"], "--cnf"),
+    "witness-decode-cnf": (["witness", "decode", "-i", "H.json", "--order", "o.json"], "--cnf"),
+    "witness-decode-order": (["witness", "decode", "-i", "H.json", "--cnf", "f.cnf"], "--order"),
+    "witness-path-mapping-order": (["witness", "path-mapping", "-i", "G.json"], "--order"),
+    "witness-caterpillar-order": (["witness", "caterpillar", "-i", "S.json"], "--order"),
+    "balance-check-order": (["balance", "check", "-i", "H.json", "--threshold", "36"], "--order"),
+    "layout-group-hybrid": (["layout", "group", "-i", "S.json"], "--hybrid"),
+    "layout-to-mapping-hybrid": (["layout", "to-mapping", "-i", "S.json"], "--hybrid"),
+    "layout-project-mapping": (["layout", "project", "-i", "S.json"], "--mapping"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_OPTIONS)
+def test_missing_option_exits_2(capsys, case):
+    argv, option = MISSING_OPTIONS[case]
+    assert run(argv) == 2
+    assert option in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "decode", "-i", "H.json", "--cnf", "f.cnf", "--order", "o.json", "-o", "x"],
+    ["balance", "check", "-i", "H.json", "--threshold", "36", "--order", "o.json",
+     "--budget", "9"],
+    ["layout", "project", "-i", "S.json", "--mapping", "m.json", "--owner", "0"],
+], ids=["witness-decode-output", "balance-check-budget", "layout-project-owner"])
+def test_option_the_action_does_not_read_exits_2(capsys, argv):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_layout_group_unknown_owner_exits_3(toy_gstar, tmp_path, capsys):
+    order, layout = tmp_path / "order.json", str(tmp_path / "layout.json")
+    order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    assert run(["witness", "caterpillar", "-i", toy_gstar, "--order", str(order),
+                "-o", layout]) == 0
+    argv = ["layout", "group", "-i", toy_gstar, "--hybrid", layout, "--owner"]
+    assert run(argv + ["1"]) == 0
+    capsys.readouterr()
+    assert run(argv + ["7"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "owner 7" in err["error"]
+
+
+def test_input_directory_exits_3(cnf_file, tmp_path, capsys):
+    assert run(["witness", "order", "-i", str(tmp_path), "--cnf", cnf_file]) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "io"
+
+
+def test_non_utf8_cnf_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c caf\xe9\n" + FOUR_COPIES.encode())
+    assert run(["nae", "check", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "io"
 
 
 ORDER_COMMANDS = {

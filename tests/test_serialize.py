@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from naewidth import serialize
 from naewidth.errors import ValidationError
-from naewidth.formula import parse_nae_dimacs
-from naewidth.red1 import SMALL, build_H
+from naewidth.formula import parse_nae_dimacs, random_strict_formula
+from naewidth.red1 import PROFILES, SMALL, build_H
 from naewidth.red2 import build_partitioned, path_mapping_from_order
 from naewidth.red3 import build_Gstar, caterpillar_layout, group_all, hybrid_from_layout
 from naewidth.wgraph import WeightedGraph, path_tree_from_order
@@ -50,6 +50,18 @@ def test_hbuild_round_trip():
     assert back.vx == build.vx and back.cvert == build.cvert
     assert back.pad_assign == build.pad_assign
     assert back.hprime_weights == build.hprime_weights
+    assert serialize.hbuild_doc(back) == doc
+
+
+@pytest.mark.parametrize("n, profile", [(3, "small"), (6, "small"), (9, "small"),
+                                        (12, "small"), (6, "paper")])
+def test_hbuild_reload_is_the_build(n, profile):
+    """Reloading a step-1 document of a seeded strict formula rebuilds that
+    formula: the reloaded build writes the same document."""
+    f = random_strict_formula(n, random.Random(n))
+    doc = serialize.hbuild_doc(build_H(f, PROFILES[profile]))
+    back = serialize.hbuild_from_doc(json.loads(serialize.canonical_json(doc)))
+    assert back.formula.clauses == tuple(tuple(sorted(c)) for c in f.clauses)
     assert serialize.hbuild_doc(back) == doc
 
 
