@@ -18,6 +18,8 @@ from naewidth.widths import exact_width, linear_layout_from_order
 
 from conftest import adj_fn, adjacency_sets, path_graph, star_graph
 
+FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
+
 G7_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (1, 5), (2, 6)]
 
 
@@ -98,6 +100,18 @@ def cli_outputs(tmp_path, capsys):
     out["witness/caterpillar"] = layout.read_text()
     assert run(["layout", "group", "-i", gstar, "--hybrid", str(layout)]) == 0
     out["layout/group"] = capsys.readouterr().out
+
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(FOUR_COPIES)
+    prefix = str(tmp_path / "all")
+    assert run(["reduce", "all", "--profile", "small", "-i", str(cnf), "-o", prefix]) == 0
+    source = str(cnf)
+    for step in ("step1", "step2", "step3"):
+        out[f"reduce/{step}"] = open(f"{prefix}.{step}.json").read()
+        path = str(tmp_path / f"{step}.json")
+        assert run(["reduce", step, "--profile", "small", "-i", source, "-o", path]) == 0
+        assert open(path).read() == out[f"reduce/{step}"]  # one step at a time, same bytes
+        source = path
     return out
 
 
@@ -116,6 +130,12 @@ CLI_SHA = {
         "eec1c3c8124fcd792b64cd60845dce4065758711fe32342d8dafc5135002166a",
     "layout/group":
         "83c6d1f5b081fc2d7db7e2f49fd74f3ef5c92a5e7031791e6b224e4dcfa3fe0b",
+    "reduce/step1":
+        "f4702eb4ced70c230d559b55cb7d2408d4fa329a0905f2e08c08f50280158409",
+    "reduce/step2":
+        "b7f4acab02bf93b51f9193692c8e41563bca5bc8eac832f492559057055038ad",
+    "reduce/step3":
+        "f03b843368468b0eb5d0f8514a5d653bd18433fb757d7eabb29ef63a73038a62",
 }
 
 
