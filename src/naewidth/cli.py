@@ -112,36 +112,31 @@ def _cmd_nae(args):
 
 
 def _cmd_reduce(args):
+    """One step on its input; `reduce all` runs each on the one before's output."""
     c = _parse_profile(args.profile)
-    if args.step == "step1":
+    docs = {}
+    if args.step in ("step1", "all"):
         build = red1.build_H(_read_formula(args.input), c)
-        _write(args.output, serialize.hbuild_doc(build))
-        return EXIT_OK
-    if args.step == "step2":
+        docs["step1"] = serialize.hbuild_doc(build)
+        h, meta = build.graph, docs["step1"]["meta"]
+    elif args.step == "step2":
         doc = _load(args.input)
-        h = serialize.weighted_graph_from_doc(doc)
+        h, meta = serialize.weighted_graph_from_doc(doc), doc.get("meta")
+    if args.step in ("step2", "all"):
         gs = red2.build_partitioned(h)
-        _write(args.output, serialize.partitioned_doc(gs, base_meta=doc.get("meta")))
-        return EXIT_OK
-    if args.step == "step3":
+        docs["step2"] = serialize.partitioned_doc(gs, base_meta=meta)
+    elif args.step == "step3":
         doc = _load(args.input)
-        gs = serialize.partitioned_from_doc(doc)
+        gs, meta = serialize.partitioned_from_doc(doc), doc["base"].get("meta")
+    if args.step in ("step3", "all"):
         gs, scale = red3.ensure_divisible(gs, c)
-        star = red3.build_Gstar(gs, c)
-        _write(args.output, serialize.gstar_doc(star, base_meta=doc["base"].get("meta"),
-                                                weight_scale=scale))
+        docs["step3"] = serialize.gstar_doc(red3.build_Gstar(gs, c), base_meta=meta,
+                                            weight_scale=scale)
+    if args.step != "all":
+        _write(args.output, docs[args.step])
         return EXIT_OK
-    # step == all: emit <prefix>.step{1,2,3}.json
-    build = red1.build_H(_read_formula(args.input), c)
-    h_doc = serialize.hbuild_doc(build)
-    gs = red2.build_partitioned(build.graph)
-    gs_doc = serialize.partitioned_doc(gs, base_meta=h_doc.get("meta"))
-    gs3, scale = red3.ensure_divisible(gs, c)
-    star = red3.build_Gstar(gs3, c)
-    star_doc = serialize.gstar_doc(star, base_meta=h_doc.get("meta"), weight_scale=scale)
-    prefix = args.output or "reduction"
-    for suffix, doc in (("step1", h_doc), ("step2", gs_doc), ("step3", star_doc)):
-        _write(f"{prefix}.{suffix}.json", doc)
+    for step, doc in docs.items():
+        _write(f"{args.output or 'reduction'}.{step}.json", doc)
     return EXIT_OK
 
 
@@ -344,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     width.add_argument("action", choices=["exact"])
     width.add_argument("--kind", choices=["mim", "sim", "omim"], required=True)
     width.add_argument("--linear", action="store_true")
-    width.add_argument("--cap", type=int)
+    width.add_argument("--cap", type=int, default=widths.EXACT_CAP)
     width.add_argument("--budget", type=int, default=matchings.DEFAULT_BUDGET)
     width.add_argument("-i", "--input", required=True)
 

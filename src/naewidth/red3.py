@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET
 from .red1 import Constants, validate_constants
-from .red2 import PartitionedGraph, TreeMapping
+from .red2 import PartitionedGraph, TreeMapping, build_partitioned
 from .tree import Tree
+from .wgraph import WeightedGraph, scale_weights
 from .widths import TreeLayout, linear_layout_from_order, tree_cut_values
 
 # caterpillar_layout lists every G*-vertex: this admits the seeded n=6 formula
@@ -202,20 +203,20 @@ def build_Gstar(gs: PartitionedGraph, c: Constants) -> Gstar:
     return star
 
 
+def scale_factor(h: WeightedGraph, c: Constants) -> int:
+    """The factor step 3 scales H's weights by to make every block size a
+    multiple of a: 1 if every weight is one already, else a.  The step-1
+    graphs carry unit-grain weights (gamma+1 links, weight-1 padding edges);
+    balancing thresholds scale along exactly."""
+    return 1 if all(w % c.a == 0 for _, _, w in h.edges()) else c.a
+
+
 def ensure_divisible(gs: PartitionedGraph, c: Constants):
-    """Make every block size a multiple of a by globally scaling H's weights.
-
-    The step-1 graphs carry unit-grain weights (gamma+1 links, weight-1
-    padding edges), so the gadget stage scales all edge weights by a first;
-    balancing thresholds scale along exactly.  Returns (partitioned graph,
-    applied factor), with factor 1 when no scaling was needed.
-    """
-    from .red2 import build_partitioned
-    from .wgraph import scale_weights
-
-    if all(w % c.a == 0 for _, _, w in gs.H.edges()):
+    """(G, S) over H with its weights scaled by scale_factor, and the factor."""
+    factor = scale_factor(gs.H, c)
+    if factor == 1:
         return gs, 1
-    return build_partitioned(scale_weights(gs.H, c.a)), c.a
+    return build_partitioned(scale_weights(gs.H, factor)), factor
 
 
 def caterpillar_layout(star: Gstar, h_order) -> TreeLayout:

@@ -5,7 +5,8 @@ trailing newline) so that reruns are byte-identical.  Step-2 and step-3
 graphs are stored structurally (block layout, gadget registry): their edge
 sets are bicliques that blow up quadratically, so explicit edge arrays are
 only materialized below a small size limit.  A step-1 document is accepted
-only if it is exactly the build of the formula its clause vertices encode.
+only if it is exactly the build of the formula its clause vertices encode,
+and a step-2 or step-3 document only if it is exactly the rebuild of its base.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .errors import ValidationError
 from .formula import NaeFormula
 from .red1 import BottleneckHandle, Constants, HBuild, build_H, validate_constants
 from .red2 import PartitionedGraph, TreeMapping, build_partitioned
-from .red3 import Gstar, HybridTree, build_Gstar
-from .wgraph import ROLES, BalancingTree, WeightedGraph
+from .red3 import Gstar, HybridTree, build_Gstar, scale_factor
+from .wgraph import ROLES, BalancingTree, WeightedGraph, scale_weights
 from .widths import TreeLayout
 
 FORMAT_VERSION = 1
@@ -56,8 +57,8 @@ def _vertex_records(g: WeightedGraph):
     return ({"id": v, "label": g.labels[v], "role": g.roles[v]} for v in g.vertex_ids())
 
 
-def _edge_records(g: WeightedGraph):
-    return ({"u": u, "v": v, "weight": w} for u, v, w in sorted(g.edges()))
+def _edge_records(g: WeightedGraph, scale=1):
+    return ({"u": u, "v": v, "weight": w * scale} for u, v, w in sorted(g.edges()))
 
 
 def weighted_graph_doc(g: WeightedGraph, meta=None):
@@ -73,21 +74,27 @@ def weighted_graph_doc(g: WeightedGraph, meta=None):
     return doc
 
 
-def weighted_graph_from_doc(doc) -> WeightedGraph:
+def weighted_graph_from_doc(doc, scale=1) -> WeightedGraph:
+    """The listed graph, in any edge order, with its weights divided by scale.
+    A document with meta is a step-1 document, read through its rebuild."""
+    if isinstance(doc, dict) and "meta" in doc:
+        return hbuild_from_doc(doc, scale).graph
     with _malformed("weighted_graph"):
         _expect(doc, "weighted_graph")
         g = WeightedGraph()
         for i, rec in enumerate(doc["vertices"]):
-            if rec["id"] != i:
+            if type(rec["id"]) is not int or rec["id"] != i:
                 raise ValidationError("vertex ids must be dense from 0")
-            if rec["role"] not in ROLES:
-                raise ValidationError(f"unknown role {rec['role']!r}")
+            if type(rec["label"]) is not str or rec["role"] not in ROLES:
+                raise ValidationError(f"vertex {i} needs a string label and a known role")
             g.add_vertex(rec["label"], rec["role"])
         for rec in doc["edges"]:
             u, v, w = rec["u"], rec["v"], rec["weight"]
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                raise ValidationError(f"edge ({u}, {v}) references unknown vertex")
-            g.add_edge(u, v, w)
+            if not (type(u) is type(v) is type(w) is int and 0 <= u < g.n and 0 <= v < g.n):
+                raise ValidationError(f"edge ({u!r}, {v!r}, {w!r}) is not integers on known ids")
+            if w % scale:
+                raise ValidationError(f"edge weight {w} is not a multiple of the scale {scale}")
+            g.add_edge(u, v, w // scale)
         g.check_simple()
         return g
 
@@ -106,26 +113,22 @@ def graph_doc(adj_sets, labels=None):
 
 
 def graph_from_doc(doc):
-    """Adjacency sets of an unweighted (or weighted, weights ignored) graph."""
-    if not isinstance(doc, dict) or doc.get("kind") not in ("graph", "weighted_graph"):
-        raise ValidationError("expected a graph or weighted_graph document")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format_version {doc.get('format_version')!r}")
-    try:
+    """Adjacency sets of an unweighted graph, or of a weighted graph with its
+    weights dropped."""
+    if isinstance(doc, dict) and doc.get("kind") == "weighted_graph":
+        g = weighted_graph_from_doc(doc)
+        return {u: {v for v, _ in g.adj[u]} for u in g.vertex_ids()}
+    with _malformed("graph"):
+        _expect(doc, "graph")
         ids = [rec["id"] for rec in doc["vertices"]]
-        edges = [(rec["u"], rec["v"], "weight" in rec) for rec in doc["edges"]]
-    except (KeyError, TypeError):
-        raise ValidationError(f"malformed {doc['kind']} document: expected vertex "
-                              "records with an id and edge records with u and v") from None
+        edges = [(rec["u"], rec["v"]) for rec in doc["edges"]]
     n = len(ids)
     if any(type(i) is not int for i in ids) or ids != list(range(n)):
         raise ValidationError("vertex ids must be dense from 0")
     adj = {v: set() for v in range(n)}
-    for u, v, weighted in edges:
+    for u, v in edges:
         if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValidationError(f"bad edge ({u}, {v})")
-        if doc["kind"] == "weighted_graph" and not weighted:
-            raise ValidationError(f"weighted graph edge ({u}, {v}) lacks a weight")
         adj[u].add(v)
         adj[v].add(u)
     return adj
@@ -183,12 +186,11 @@ def hbuild_doc(build: HBuild):
     return weighted_graph_doc(build.graph, meta=_hbuild_meta(build))
 
 
-def hbuild_from_doc(doc) -> HBuild:
+def hbuild_from_doc(doc, scale=1) -> HBuild:
     """The build, at the document's constants, of the formula the document
-    encodes, if the document is exactly that build's.  Variable i+1 is the
-    i-th variable vertex; clause j lists the variables of the (variable,
-    clause) edge records at the j-th clause vertex.  Records are compared
-    one at a time, so no second copy of the document is made."""
+    encodes, if the document is exactly that build's, weights times scale.
+    Variable i+1 is the i-th variable vertex; clause j lists the variables
+    of the (variable, clause) edge records at the j-th clause vertex."""
     with _malformed("step-1 weighted_graph"):
         _expect(doc, "weighted_graph")
         meta, vertices, edges = doc["meta"], doc["vertices"], doc["edges"]
@@ -205,7 +207,7 @@ def hbuild_from_doc(doc) -> HBuild:
                 and meta == _hbuild_meta(build)
                 and len(vertices) == g.n and len(edges) == g.num_edges()
                 and all(a == b for a, b in zip(vertices, _vertex_records(g)))
-                and all(a == b for a, b in zip(edges, _edge_records(g)))):
+                and all(a == b for a, b in zip(edges, _edge_records(g, scale)))):
             raise ValidationError("step-1 document is not the build of the formula its "
                                   "clause vertices encode")
         return build
@@ -214,10 +216,14 @@ def hbuild_from_doc(doc) -> HBuild:
 # -- step-2 partitioned graphs ----------------------------------------------
 
 def partitioned_doc(gs: PartitionedGraph, base_meta=None):
+    return _partitioned_doc(gs, weighted_graph_doc(gs.H, meta=base_meta))
+
+
+def _partitioned_doc(gs: PartitionedGraph, base):
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "partitioned_graph",
-        "base": weighted_graph_doc(gs.H, meta=base_meta),
+        "base": base,
         "num_vertices": gs.n,
         "parts": [{"owner": u, "start": gs.part_range[u][0],
                    "size": gs.part_range[u][1] - gs.part_range[u][0]}
@@ -233,33 +239,36 @@ def partitioned_doc(gs: PartitionedGraph, base_meta=None):
     return doc
 
 
-def partitioned_from_doc(doc) -> PartitionedGraph:
+def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
+    """The (G, S) of the base graph H, weights times scale, if the document
+    is exactly its; given constants c, scale must be step 3's factor for H."""
     with _malformed("partitioned_graph"):
         _expect(doc, "partitioned_graph")
-        h = weighted_graph_from_doc(doc["base"])
-        gs = build_partitioned(h)
-        if gs.n != doc["num_vertices"]:
-            raise ValidationError("stored vertex count disagrees with the block layout")
-        stored = [(b["u"], b["v"], b["start"], b["size"]) for b in doc["blocks"]]
-        actual = [(u, v, gs.block_start[k], h.edge_weight(u, v))
-                  for k, (u, v) in enumerate(gs.block_pairs)]
-        if stored != actual:
-            raise ValidationError("stored block layout disagrees with the rebuild")
-        stored = [(p["owner"], p["start"], p["size"]) for p in doc["parts"]]
-        if stored != [(u, start, end - start) for u, (start, end) in sorted(gs.part_range.items())]:
-            raise ValidationError("stored parts disagree with the rebuild")
+        base = doc["base"]
+        h = weighted_graph_from_doc(base, scale)
+        if c is not None and scale != scale_factor(h, c):
+            raise ValidationError(f"weight_scale {scale} is not the factor step 3 picks for H")
+        gs = build_partitioned(scale_weights(h, scale))
+        if "meta" not in base:  # a step-1 base was compared record by record when read
+            base = weighted_graph_doc(gs.H)
+        if doc != _partitioned_doc(gs, base):
+            raise ValidationError("step-2 document is not the rebuild of its base graph")
         return gs
 
 
 # -- step-3 gadget graphs ----------------------------------------------------
 
 def gstar_doc(star: Gstar, base_meta=None, weight_scale: int = 1):
+    return _gstar_doc(star, partitioned_doc(star.GS, base_meta=base_meta), weight_scale)
+
+
+def _gstar_doc(star: Gstar, base, scale):
     doc = {
         "format_version": GADGET_FORMAT_VERSION,
         "kind": "gadget_graph",
-        "base": partitioned_doc(star.GS, base_meta=base_meta),
+        "base": base,
         "constants": _constants_doc(star.constants),
-        "weight_scale": weight_scale,
+        "weight_scale": scale,
         "num_vertices": star.n,
         "gadgets": [{"owner": u, "base": g.base, "copies": g.copies}
                     for u, g in sorted(star.gadgets.items())],
@@ -276,14 +285,12 @@ def gstar_doc(star: Gstar, base_meta=None, weight_scale: int = 1):
 def gstar_from_doc(doc) -> Gstar:
     with _malformed("gadget_graph"):
         _expect(doc, "gadget_graph", GADGET_FORMAT_VERSION)
-        gs = partitioned_from_doc(doc["base"])
-        c = constants_from_doc(doc["constants"])
-        star = build_Gstar(gs, c)
-        if star.n != doc["num_vertices"]:
-            raise ValidationError("stored G* vertex count disagrees with the rebuild")
-        stored = [(rec["owner"], rec["base"], rec["copies"]) for rec in doc["gadgets"]]
-        if stored != [(u, g.base, g.copies) for u, g in sorted(star.gadgets.items())]:
-            raise ValidationError("stored gadget registry disagrees with the rebuild")
+        c, scale = constants_from_doc(doc["constants"]), doc["weight_scale"]
+        if type(scale) is not int or scale < 1:
+            raise ValidationError(f"weight_scale {scale!r} is not a positive integer")
+        star = build_Gstar(partitioned_from_doc(doc["base"], scale, c), c)
+        if doc != _gstar_doc(star, doc["base"], scale):
+            raise ValidationError("step-3 document is not the rebuild of its base graph")
         return star
 
 

@@ -86,9 +86,6 @@ class WeightedGraph:
     def total_weight(self):
         return sum(w for _, _, w in self.edges())
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def vertex_weight(self, v: int) -> int:
         """Sum of the weights of the edges incident to v."""
         if not 0 <= v < len(self.adj):

@@ -238,7 +238,7 @@ def _general_exact(table, n):
     return width, adj
 
 
-def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
+def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int = EXACT_CAP,
                 budget: int = DEFAULT_BUDGET, stats=None):
     """Exact width by a subset DP over the cut table of all vertex subsets.
 
@@ -250,8 +250,7 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap=None,
     """
     verts = sorted(set(vertices))
     n = len(verts)
-    if cap is None:
-        cap = EXACT_CAP
+    cap = min(cap, EXACT_CAP)  # a cap can lower the bound, never raise it
     if n > cap:
         raise CapExceededError(f"|V| = {n} exceeds exact-width cap {cap}")
     if n == 0:

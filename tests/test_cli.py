@@ -153,6 +153,25 @@ def test_width_exact_default_cap_is_12(tmp_path, capsys):
             assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
+def test_width_cap_cannot_raise_the_bound(tmp_path):
+    """--cap 30 on a 30-cycle would ask for a 2^30-entry cut table; the cap
+    only lowers the bound of 12, so the command exits 3 at once.  It runs in
+    a child process held to 1 GiB of address space, so code that honours the
+    raised cap fails here with a MemoryError instead of filling the host."""
+    path = tmp_path / "c30.json"
+    path.write_text(serialize.canonical_json(
+        serialize.graph_doc({v: {(v - 1) % 30, (v + 1) % 30} for v in range(30)})))
+    proc = subprocess.run(
+        [sys.executable, "-m", "naewidth.cli", "width", "exact", "--kind", "mim",
+         "--cap", "30", "-i", str(path)],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["type"] == "validation" and "cap 12" in err["error"]
+
+
 def test_cutval_and_budget(tmp_path, capsys):
     k4 = k4_file(tmp_path)
     cut = tmp_path / "cut.json"
@@ -178,6 +197,31 @@ def test_malformed_cutval_input_exits_3(tmp_path, capsys, graph_text, cut_text):
     cut.write_text(cut_text)
     assert run(["cutval", "--kind", "mim", "-i", graph, "--cut", str(cut)]) == 3
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight", 2.5), ("weight", True), ("id", True), ("label", 5)])
+def test_weighted_graph_fields_of_the_wrong_type_exit_3(tmp_path, capsys, field, value):
+    """Vertex ids, edge endpoints and weights are integers (not floats or
+    booleans) and labels are strings; reduce step2 and balance check refuse
+    anything else instead of failing inside the build or answering NO."""
+    h = WeightedGraph()
+    h.add_vertex("u")
+    h.add_vertex("v")
+    h.add_edge(0, 1, 1)
+    doc = serialize.weighted_graph_doc(h)
+    holder = {"weight": doc["edges"][0], "id": doc["vertices"][1], "label": doc["vertices"][0]}
+    holder[field][field] = value
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    order = tmp_path / "order.json"
+    order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    for argv in (["reduce", "step2", "-i", str(path), "-o", str(tmp_path / "g.json")],
+                 ["balance", "check", "-i", str(path), "--order", str(order),
+                  "--threshold", "2"]):
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
 def test_balance_solve(tmp_path, capsys):
@@ -242,17 +286,19 @@ def test_witness_path_mapping(cnf_file, tmp_path, capsys):
     assert doc["kind"] == "tree_mapping" and doc["is_path"]
 
 
-@pytest.fixture
-def toy_gstar(tmp_path):
-    """G* document of the single-edge H of weight 3 (two 18-vertex gadgets)."""
+@pytest.fixture(scope="module")
+def toy_gstar(tmp_path_factory):
+    """G* document of the single-edge H of weight 3 (two 18-vertex gadgets);
+    its step-2 document is g.json beside it."""
+    root = tmp_path_factory.mktemp("toy")
     h = WeightedGraph()
     h.add_vertex("u")
     h.add_vertex("v")
     h.add_edge(0, 1, 3)
-    g_path = str(tmp_path / "g.json")
-    assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h, "h.json"),
+    g_path = str(root / "g.json")
+    assert run(["reduce", "step2", "-i", write_graph_doc(root, h, "h.json"),
                 "-o", g_path]) == 0
-    gstar_path = str(tmp_path / "gstar.json")
+    gstar_path = str(root / "gstar.json")
     assert run(["reduce", "step3", "--profile", "small", "-i", g_path,
                 "-o", gstar_path]) == 0
     return gstar_path
@@ -319,27 +365,43 @@ def test_misshapen_hybrid_tree_exits_3(toy_gstar, tmp_path, capsys, case):
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
-@pytest.fixture
-def step_docs(cnf_file, toy_gstar, tmp_path):
+TINY = "custom:12,1,2,1,1"  # the least valid constants: a four-copies G* of 16,816 vertices
+
+
+@pytest.fixture(scope="module")
+def step_docs(toy_gstar, tmp_path_factory):
     """Small step-1, step-2 and step-3 documents, orders of the step-3 and
-    step-2 H (two and three vertices), and the witness order of the step-1 H."""
-    h_path = str(tmp_path / "H.json")
-    assert run(["reduce", "step1", "--profile", "small", "-i", cnf_file, "-o", h_path]) == 0
+    step-2 H (two and three vertices), and the witness order of the step-1 H.
+    "step2toy" is the step-2 document under the step-3 toy; "step2m" and
+    "step3m" are the four-copies step-2 and step-3 documents at TINY, whose
+    bases carry the step-1 meta, and "orderm" is the witness order of their H."""
+    root = tmp_path_factory.mktemp("step-docs")
+    cnf = str(root / "f.cnf")
+    open(cnf, "w").write(FOUR_COPIES)
+    h_path = str(root / "H.json")
+    assert run(["reduce", "step1", "--profile", "small", "-i", cnf, "-o", h_path]) == 0
     h = WeightedGraph()
     for i in range(3):
         h.add_vertex(str(i))
     h.add_edge(0, 1, 2)
     h.add_edge(1, 2, 3)
-    g_path = str(tmp_path / "g2.json")
-    assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h, "h2.json"), "-o", g_path]) == 0
-    order_path = tmp_path / "order.json"
+    g_path = str(root / "g2.json")
+    assert run(["reduce", "step2", "-i", write_graph_doc(root, h, "h2.json"), "-o", g_path]) == 0
+    order_path = root / "order.json"
     order_path.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
-    order3_path = tmp_path / "order3.json"
+    order3_path = root / "order3.json"
     order3_path.write_text(serialize.canonical_json(serialize.order_doc([2, 1, 0])))
-    order1_path = str(tmp_path / "order1.json")
-    assert run(["witness", "order", "-i", h_path, "--cnf", cnf_file, "-o", order1_path]) == 0
+    order1_path = str(root / "order1.json")
+    assert run(["witness", "order", "-i", h_path, "--cnf", cnf, "-o", order1_path]) == 0
+    tiny, orderm_path = str(root / "tiny"), str(root / "orderm.json")
+    assert run(["reduce", "all", "--profile", TINY, "-i", cnf, "-o", tiny]) == 0
+    assert run(["witness", "order", "-i", tiny + ".step1.json", "--cnf", cnf,
+                "-o", orderm_path]) == 0
     return {"step1": h_path, "step2": g_path, "step3": toy_gstar,
-            "order": str(order_path), "order3": str(order3_path), "order1": order1_path}
+            "step2toy": os.path.join(os.path.dirname(toy_gstar), "g.json"),
+            "step2m": tiny + ".step2.json", "step3m": tiny + ".step3.json",
+            "order": str(order_path), "order3": str(order3_path), "order1": order1_path,
+            "orderm": orderm_path, "mutated": str(root / "mutated.json")}
 
 
 def _drop_constants(doc):
@@ -414,6 +476,36 @@ def _edge_weight_plus_1(doc):
     doc["edges"][-1]["weight"] += 1
 
 
+def _in_base(tamper):
+    """The tamper applied to the document's base."""
+    return lambda doc: tamper(doc["base"])
+
+
+def _vertex_0_plain(doc):
+    doc["vertices"][0]["role"] = "plain"
+
+
+def _edge_rule_changed(doc):
+    doc["edge_rule"] = "blocks-v0"
+
+
+def _weight_scale_7(doc):
+    doc["weight_scale"] = 7
+
+
+def _drop_edge_record(doc):
+    del doc["edges"][0]
+
+
+def _edge_kind_dummy(doc):
+    next(rec for rec in doc["edges"] if rec["kind"] != "dummy")["kind"] = "dummy"
+
+
+def _edge_written_backwards(doc):
+    rec = doc["edges"][0]
+    rec["u"], rec["v"] = rec["v"], rec["u"]
+
+
 def _drop_blocks(doc):
     del doc["blocks"]
 
@@ -432,6 +524,8 @@ def _drop_gadget_record(doc):
 
 
 DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", "{order1}"]
+PATH_MAPPING_ARGV = ["witness", "path-mapping", "-i", "{doc}", "--order", "{orderm}", "-o", "{out}"]
+CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]
 
 
 @pytest.mark.parametrize("step, tamper, argv", [
@@ -458,6 +552,24 @@ DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", 
     ("step2", _tamper_parts, ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
     ("step3", _drop_gadget_copies, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
     ("step3", _drop_gadget_record, ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
+    ("step2m", _edge_rule_changed, PATH_MAPPING_ARGV),
+    ("step2m", _extra_top_level_key, PATH_MAPPING_ARGV),
+    ("step2m", _in_base(_bl_attach_weight_changed), PATH_MAPPING_ARGV),
+    ("step2m", _in_base(_vertex_label_changed), PATH_MAPPING_ARGV),
+    ("step2m", _in_base(_vertex_0_plain), PATH_MAPPING_ARGV),
+    ("step3", _weight_scale_7, CATERPILLAR_ARGV),
+    ("step3", _extra_top_level_key, CATERPILLAR_ARGV),
+    ("step3m", _in_base(_in_base(_bl_attach_weight_changed)),
+     ["witness", "caterpillar", "-i", "{doc}", "--order", "{orderm}", "-o", "{out}"]),
+    ("step3", _in_base(_edge_rule_changed), CATERPILLAR_ARGV),
+    ("step2toy", _drop_edge_record,
+     ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
+    ("step3", _drop_edge_record, CATERPILLAR_ARGV),
+    ("step3", _edge_kind_dummy, CATERPILLAR_ARGV),
+    ("step2toy", _in_base(_edge_written_backwards),
+     ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
+    ("step1", _bl_attach_weight_changed, ["reduce", "step2", "-i", "{doc}", "-o", "{out}"]),
+    ("step2m", _in_base(_bl_attach_weight_changed), ["reduce", "step3", "-i", "{doc}", "-o", "{out}"]),
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
         "step1-short-pad-pair", "step1-clause-group-unknown", "step1-vx-group-is-vbar",
         "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step1-num-vars-order",
@@ -465,9 +577,16 @@ DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", 
         "step1-bl-attach-weight", "step1-terminal-sets-reversed", "step1-b1p-terminals-reversed",
         "step1-roots-changed", "step1-vertex-label", "step1-extra-top-level-key",
         "step1-edge-weight-plus-1", "step2-without-blocks",
-        "step2-parts-disagree", "step3-gadget-without-copies", "step3-gadget-record-missing"])
+        "step2-parts-disagree", "step3-gadget-without-copies", "step3-gadget-record-missing",
+        "step2-edge-rule", "step2-extra-top-level-key", "step2-base-bl-attach-weight",
+        "step2-base-vertex-label", "step2-base-vertex-role-plain", "step3-weight-scale-7",
+        "step3-extra-top-level-key", "step3-base-step1-meta", "step3-base-edge-rule",
+        "step2-toy-edge-record-dropped", "step3-toy-edge-record-dropped",
+        "step3-toy-edge-kind-dummy", "step2-toy-base-edge-backwards", "reduce-step2-bl-attach-weight",
+        "reduce-step3-base-bl-attach-weight"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
-    paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"))
+    paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"),
+                 out=str(tmp_path / "out.json"))
     argv = [arg.format(**paths) for arg in argv]
     doc = json.loads(open(step_docs[step]).read())
     (tmp_path / "tampered.json").write_text(json.dumps(doc))
@@ -477,6 +596,31 @@ def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, 
     capsys.readouterr()
     assert run(argv) == 3
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_weight_scale_must_be_the_factor_step3_picks(tmp_path, capsys):
+    """Weight 9 is a multiple of a = 3, so step 3 scales by 1.  The same
+    document read as H = 9/3 scaled by 3 lists the same G*, but step 3 would
+    not scale that H, so the loader refuses it."""
+    h = WeightedGraph()
+    h.add_vertex("u")
+    h.add_vertex("v")
+    h.add_edge(0, 1, 9)
+    g_path, star_path = str(tmp_path / "g.json"), tmp_path / "gstar.json"
+    assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h), "-o", g_path]) == 0
+    assert run(["reduce", "step3", "-i", g_path, "-o", str(star_path)]) == 0
+    order = tmp_path / "order.json"
+    order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    argv = ["witness", "caterpillar", "-i", str(star_path), "--order", str(order),
+            "-o", str(tmp_path / "layout.json")]
+    assert run(argv) == 0
+    doc = json.loads(star_path.read_text())
+    doc["weight_scale"] = 3
+    star_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "weight_scale 3" in err["error"]
 
 
 def test_step1_constants_asking_for_a_huge_build_exit_3(step_docs, cnf_file, tmp_path):
@@ -546,6 +690,57 @@ def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
         code = run(["witness", "decode", "-i", step1_fuzz["mutated.json"],
                     "--cnf", step1_fuzz["f.cnf"], "--order", step1_fuzz["order.json"]])
     if mutated == original:
+        assert code == 0
+    else:
+        assert code == 3
+        assert json.loads(err.getvalue())["type"] == "validation"
+
+
+REBUILT_DOCUMENTS = {
+    "step2m": ["witness", "path-mapping", "-i", "{mutated}", "--order", "{orderm}", "-o", "{out}"],
+    "step3": ["witness", "caterpillar", "-i", "{mutated}", "--order", "{order}", "-o", "{out}"],
+}
+
+
+def _site_group(path):
+    """The first two keys of a value's path, list indices left out."""
+    return tuple(key for key in path if isinstance(key, str))[:2]
+
+
+@pytest.mark.parametrize("step", REBUILT_DOCUMENTS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_step2_and_step3_loaders_accept_exactly_the_rebuild(step_docs, step, data):
+    """One mutated value anywhere in a step-2 document with a step-1 base
+    (under `witness path-mapping`) or in the toy step-3 document, which lists
+    its edges (under `witness caterpillar`): ±1 on an int, another type, or
+    deleted.  The command exits 0 exactly when the document still equals the
+    original, and otherwise 3 with a JSON diagnostic.  Deleting the step-1
+    meta alone leaves the step-2 document of the plain graph H, which is
+    accepted as such."""
+    text = open(step_docs[step]).read()
+    original, mutated = json.loads(text), json.loads(text)
+    groups = {}
+    for path in _paths(original):
+        if path:
+            groups.setdefault(_site_group(path), []).append(path)
+    *head, last = data.draw(st.sampled_from(groups[data.draw(st.sampled_from(sorted(groups)))]))
+    holder = functools.reduce(operator.getitem, head, mutated)
+    value = holder[last]
+    how = data.draw(st.sampled_from(["+1", "-1", "type", "delete"] if type(value) is int
+                                    else ["type", "delete"]))
+    if how == "delete":
+        del holder[last]
+    elif how == "type":
+        holder[last] = [value] if isinstance(value, str) else str(value)
+    else:
+        holder[last] = value + int(how)
+    paths = dict(step_docs, out=step_docs["mutated"] + ".out")
+    open(paths["mutated"], "w").write(json.dumps(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
+    if mutated == original or (head, last, how) == (["base"], "meta", "delete"):
         assert code == 0
     else:
         assert code == 3
