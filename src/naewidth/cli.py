@@ -39,12 +39,18 @@ def _write(path, doc):
             fh.write(text)
 
 
+def _not_an_integer(token):
+    raise ValueError(f"number {token} is not an integer")
+
+
 def _load(path):
+    """The JSON document at path; no document holds a float, NaN or Infinity."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+        text = fh.read()
+    try:
+        return json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    except ValueError as exc:  # also an integer beyond int()'s digit limit
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_profile(spec: str) -> red1.Constants:

@@ -55,10 +55,13 @@ class PartitionedGraph:
     def owner(self, p):
         return self.block_of(p)[0]
 
+    def block_end(self, k):
+        """End of block k: the next block's start, |V(G)| after the last block."""
+        return self.block_start[k + 1] if k + 1 < len(self.block_start) else self.n
+
     def block_range(self, u, v):
         k = self.block_index[(u, v)]
-        start = self.block_start[k]
-        return range(start, start + self.H.edge_weight(u, v))
+        return range(self.block_start[k], self.block_end(k))
 
     def block_position(self, p):
         k = bisect.bisect_right(self.block_start, p) - 1

@@ -3,12 +3,12 @@
 Each part S(u) becomes a gadget on the path P_u: every block I(u, v) is cut
 into `a` equal slices, chunk i lists slice i of each block in ascending
 neighbour order, and the sequence is 1-subdivided with one vertex appended
-(so |V(P_u)| = 2|S(u)|).  P_u is never stored: a gadget keeps one (first
-G-vertex, |I(u, v)|/a) pair per block and computes any position on demand,
-so building and validating G* costs O(|E(H)|), not O(|V(G*)|).  The gadget
-concatenates b quasi-copies of P_u that are densely interconnected except
-around corresponding positions.  Inter-gadget edges are bicliques between
-the copy sets of G-adjacent originals.
+(so |V(P_u)| = 2|S(u)|).  The gadget concatenates b quasi-copies of P_u
+that are densely interconnected except around corresponding positions.
+Inter-gadget edges are bicliques between the copy sets of G-adjacent
+originals.  Neither P_u nor the id layout of G* is stored: a gadget reads any
+position off the block layout of (G, S), and the gadget of u holds the
+2b·|S(u)| ids from 2b·start(S(u)) on, so G* is built in O(|E(H)|).
 
 The hybrid-tree machinery relocates whole gadgets onto subdivided layout
 edges and contracts the result down to a tree mapping of (G*, S*), which
@@ -18,8 +18,6 @@ projects back to a tree mapping of (G, S).
 from __future__ import annotations
 
 import bisect
-import itertools
-from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET
@@ -35,23 +33,21 @@ from .widths import TreeLayout, linear_layout_from_order, tree_cut_values
 LAYOUT_CAP = 1 << 21
 
 
-@dataclass
 class Gadget:
     """One part gadget: b copies of the subdivided block path P_u.
 
-    `blocks` holds one (first G-vertex of I(u, v), |I(u, v)|/a) pair per
-    block of S(u) in ascending neighbour order; P_u follows from it and `a`.
+    P_u is read off the block layout of (G, S): S(u) spans the G-vertices
+    [start, end), u's blocks are the block indices [first, last), and the
+    gadgets before it hold 2b ids per G-vertex, so it starts at 2b·start.
     """
 
-    owner: int
-    copies: int
-    a: int
-    blocks: list
-    base: int = 0     # first G*-vertex id of this gadget
-
-    def __post_init__(self):
-        self._offsets = list(itertools.accumulate((w for _, w in self.blocks), initial=0))
-        self.plen = 2 * self.a * self._offsets[-1]
+    def __init__(self, gs: PartitionedGraph, owner, copies, a):
+        self.gs, self.owner, self.copies, self.a = gs, owner, copies, a
+        self.start, self.end = gs.part_range[owner]
+        self.first = bisect.bisect_left(gs.block_start, self.start)
+        self.last = bisect.bisect_left(gs.block_start, self.end)
+        self.plen = 2 * (self.end - self.start)
+        self.base = copies * 2 * self.start  # first G*-vertex id of this gadget
 
     @property
     def size(self):
@@ -61,22 +57,25 @@ class Gadget:
         """(tag, original G-vertex or None) at position pos of P_u.
 
         Even positions hold the originals: original pos/2 is offset r of one
-        chunk, and one bisect over the chunk's prefix widths finds its block."""
+        chunk.  A chunk holds a slice of each block of u, 1/a of its size, so
+        offset r lies in the block that holds G-vertex start + r·a."""
         if pos == self.plen - 1:
             return "appended", None
         if pos % 2:
             return "subdivision", None
-        chunk, r = divmod(pos // 2, self._offsets[-1])
-        j = bisect.bisect_right(self._offsets, r) - 1
-        start, width = self.blocks[j]
-        return "original", start + chunk * width + r - self._offsets[j]
+        chunk, r = divmod(pos // 2, self.plen // (2 * self.a))
+        at = self.start + r * self.a
+        starts = self.gs.block_start
+        k = bisect.bisect_right(starts, at, self.first, self.last) - 1
+        first = starts[k]
+        width = ((starts[k + 1] if k + 1 < self.last else self.end) - first) // self.a
+        return "original", first + chunk * width + (at - first) // self.a
 
     def vid(self, copy, pos):
         return self.base + copy * self.plen + pos
 
     def locate(self, vid):
-        off = vid - self.base
-        return divmod(off, self.plen)
+        return divmod(vid - self.base, self.plen)
 
     def copy_vertices(self, copy):
         start = self.base + copy * self.plen
@@ -108,47 +107,44 @@ class Gadget:
 
 
 def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
-    """Gadget of u: b concatenated quasi-copies of P_u."""
-    validate_constants(c)
+    """Gadget of u: b concatenated quasi-copies of P_u, for valid constants c.
+    Refuses an empty S(u) and a block whose size a does not divide."""
     if u not in gs.part_range:
         raise ValidationError(f"{u} is not an H-vertex of the partition")
-    blocks = []
-    for v, _ in sorted(gs.H.adj[u]):
-        block = gs.block_range(u, v)
-        if len(block) % c.a != 0:
-            raise ValidationError(f"|I({u},{v})| = {len(block)} not divisible by a = {c.a}")
-        blocks.append((block.start, len(block) // c.a))
-    return Gadget(owner=u, copies=c.b, a=c.a, blocks=blocks)
+    gadget = Gadget(gs, u, c.b, c.a)
+    if gadget.plen == 0:
+        raise ValidationError(f"S({u}) is empty, so |V(P_{u})| = 2|S({u})| = 0")
+    for k in range(gadget.first, gadget.last):
+        size = gs.block_end(k) - gs.block_start[k]
+        if size % c.a != 0:
+            raise ValidationError(f"|I({u},{gs.block_pairs[k][1]})| = {size} "
+                                  f"not divisible by a = {c.a}")
+    return gadget
 
 
 class Gstar:
     """Implicit G*: the gadget registry plus an O(1) adjacency oracle.
 
-    Gadgets occupy contiguous id ranges in ascending owner order; S* maps
-    each owner to its gadget's vertex range.  Inter-gadget edges join
-    original-tagged vertices whose G-originals are adjacent, inheriting the
-    matching/dummy kind.
+    Gadgets occupy contiguous id ranges in ascending owner order, 2b ids per
+    G-vertex of their part, so G*-vertex x lies in the gadget of the owner
+    of G-vertex x // 2b; S* maps each owner to its gadget's vertex range.
+    Inter-gadget edges join original-tagged vertices whose G-originals are
+    adjacent, inheriting the matching/dummy kind.
     """
 
     def __init__(self, gs: PartitionedGraph, c: Constants):
+        validate_constants(c)
         self.GS = gs
         self.constants = c
-        self.gadgets = {}
-        base = 0
-        for u in gs.parts():
-            gadget = build_gadget(gs, u, c)
-            gadget.base = base
-            base += gadget.size
-            self.gadgets[u] = gadget
-        self.n = base
-        self._owners = sorted(self.gadgets)
-        self._bases = [self.gadgets[u].base for u in self._owners]
+        self.span = 2 * c.b  # G*-vertices per G-vertex
+        self.n = self.span * gs.n
+        self.gadgets = {u: build_gadget(gs, u, c) for u in gs.parts()}
 
     def owner_of(self, vid):
         if not 0 <= vid < self.n:
             raise ValidationError(f"G*-vertex {vid} out of range")
-        k = bisect.bisect_right(self._bases, vid) - 1
-        return self._owners[k]
+        gs = self.GS
+        return gs.block_pairs[bisect.bisect_right(gs.block_start, vid // self.span) - 1][0]
 
     def locate(self, vid):
         """(owner, copy, position, tag, original G-vertex or None)."""
@@ -162,7 +158,7 @@ class Gstar:
         return range(gadget.base, gadget.base + gadget.size)
 
     def parts(self):
-        return list(self._owners)
+        return list(self.gadgets)
 
     def adjacent(self, x, y):
         """Edge kind between two G*-vertices ("path", "cross", "matching",
@@ -179,28 +175,9 @@ class Gstar:
             return None
         return self.GS.adjacent(gx, gy)
 
-    def validate(self) -> None:
-        """Audit each gadget in O(deg u): its slices tile S(u) from its start,
-        block by block in ascending neighbour order, with a·width = |I(u, v)|.
-        With |V(P_u)| = 2|S(u)| this also leaves no block out."""
-        a = self.constants.a
-        for u, gadget in self.gadgets.items():
-            start, end = self.GS.part_range[u]
-            nbrs = sorted(self.GS.H.adj[u])
-            if not gadget.plen == 2 * (end - start) > 0:
-                raise ValidationError(f"|V(P_{u})| != 2|S({u})| > 0")
-            nxt = start
-            for (first, width), (v, w) in zip(gadget.blocks, nbrs):
-                if first != nxt or a * width != w:
-                    raise ValidationError(f"P_{u} slices of I({u},{v}) are out of place")
-                nxt += w
-
 
 def build_Gstar(gs: PartitionedGraph, c: Constants) -> Gstar:
-    validate_constants(c)
-    star = Gstar(gs, c)
-    star.validate()
-    return star
+    return Gstar(gs, c)
 
 
 def scale_factor(h: WeightedGraph, c: Constants) -> int:

@@ -35,7 +35,7 @@ def canonical_json(doc) -> str:
 def _expect(doc, kind, version=FORMAT_VERSION):
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValidationError(f"expected a {kind!r} document")
-    if doc.get("format_version") != version:
+    if type(doc.get("format_version")) is not int or doc["format_version"] != version:
         raise ValidationError(f"unsupported format_version {doc.get('format_version')!r}")
 
 
@@ -229,7 +229,7 @@ def _partitioned_doc(gs: PartitionedGraph, base):
                    "size": gs.part_range[u][1] - gs.part_range[u][0]}
                   for u in gs.parts()],
         "blocks": [{"u": u, "v": v, "start": gs.block_start[k],
-                    "size": gs.H.edge_weight(u, v)}
+                    "size": gs.block_end(k) - gs.block_start[k]}
                    for k, (u, v) in enumerate(gs.block_pairs)],
         "edge_rule": "blocks-v1",
     }

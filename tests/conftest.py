@@ -152,10 +152,22 @@ def brute_Pu(gs, u, c):
     return path
 
 
+def brute_gstar_ids(star):
+    """Reference for the arithmetic G*-ids: ({owner: base}, |V(G*)|) found by
+    summing gadget sizes, b·2|S(u)| with |S(u)| the weighted degree of u in
+    H, over the owners in ascending order."""
+    bases, n = {}, 0
+    for u in sorted(star.gadgets):
+        bases[u] = n
+        n += star.constants.b * 2 * star.GS.H.vertex_weight(u)
+    return bases, n
+
+
 def brute_validate_gstar(star):
-    """Reference for Gstar.validate: materialize every P_u through
-    Gadget.entry and check its length, that its originals cover S(u), and
-    that the tags alternate original/subdivision before the appended vertex."""
+    """Audit of the gadget paths G* reads off the block layout: materialize
+    every P_u through Gadget.entry and check its length, that its originals
+    cover S(u), and that the tags alternate original/subdivision before the
+    appended vertex."""
     for u, gadget in star.gadgets.items():
         if gadget.plen != 2 * len(star.GS.part_vertices(u)):
             raise ValidationError(f"|V(P_{u})| != 2|S({u})|")

@@ -21,7 +21,7 @@ from naewidth.red3 import build_Gstar, build_gadget, caterpillar_layout, find_de
 from naewidth.wgraph import WeightedGraph, check_balancing_order, enumerate_balancing_orders, solve_balancing_order
 from naewidth.widths import double_factorial, enumerate_leaf_trees, exact_width
 
-from conftest import path_graph, random_weighted_graph, star_graph
+from conftest import brute_validate_gstar, path_graph, random_weighted_graph, star_graph
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -338,7 +338,7 @@ def test_pipeline_smoke(tmp_path):
     gs.validate()
     gs.sample_oracle_check(random.Random(0), samples=2000)
     star = serialize.gstar_from_doc(json.loads((tmp_path / "a.step3.json").read_text()))
-    star.validate()
+    brute_validate_gstar(star)
     ok = ok and star.n == 2 * SMALL.b * gs.n * SMALL.a  # scaled by a, b copies
     elapsed = time.time() - start
     report("pipeline-smoke", ok and elapsed < 60.0)

@@ -523,6 +523,14 @@ def _drop_gadget_record(doc):
     del doc["gadgets"][1]
 
 
+def _num_vertices_float(doc):
+    doc["num_vertices"] = float(doc["num_vertices"])
+
+
+def _format_version_true(doc):
+    doc["format_version"] = True
+
+
 DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", "{order1}"]
 PATH_MAPPING_ARGV = ["witness", "path-mapping", "-i", "{doc}", "--order", "{orderm}", "-o", "{out}"]
 CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]
@@ -570,6 +578,10 @@ CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}
      ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
     ("step1", _bl_attach_weight_changed, ["reduce", "step2", "-i", "{doc}", "-o", "{out}"]),
     ("step2m", _in_base(_bl_attach_weight_changed), ["reduce", "step3", "-i", "{doc}", "-o", "{out}"]),
+    ("step2toy", _num_vertices_float,
+     ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
+    ("step2toy", _format_version_true,
+     ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
         "step1-short-pad-pair", "step1-clause-group-unknown", "step1-vx-group-is-vbar",
         "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step1-num-vars-order",
@@ -583,7 +595,8 @@ CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}
         "step3-extra-top-level-key", "step3-base-step1-meta", "step3-base-edge-rule",
         "step2-toy-edge-record-dropped", "step3-toy-edge-record-dropped",
         "step3-toy-edge-kind-dummy", "step2-toy-base-edge-backwards", "reduce-step2-bl-attach-weight",
-        "reduce-step3-base-bl-attach-weight"])
+        "reduce-step3-base-bl-attach-weight", "step2-toy-num-vertices-6.0",
+        "step2-toy-format-version-true"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
     paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"),
                  out=str(tmp_path / "out.json"))
@@ -662,38 +675,69 @@ def step1_fuzz(tmp_path_factory):
     return paths
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
-    """One mutated value (a meta entry, vertex field or edge field: ±1 on an
-    int, another type, or deleted) makes `witness decode` exit 3 with a JSON
-    diagnostic unless the document still equals the original."""
-    text = open(step1_fuzz["H.json"]).read()
-    original, mutated = json.loads(text), json.loads(text)
-    sites = {"meta": [("meta",) + p for p in _paths(original["meta"]) if p],
-             **{part: [(part, i, key) for i, rec in enumerate(original[part]) for key in rec]
-                for part in ("vertices", "edges")}}
-    *head, last = data.draw(st.sampled_from(sites[data.draw(st.sampled_from(sorted(sites)))]))
-    holder = functools.reduce(operator.getitem, head, mutated)
+def _mutate(data, doc, paths):
+    """Change the value at one path drawn from paths, in place: ±1 or the
+    equal float on an int, another type, or deleted.  Returns (path, how)."""
+    path = data.draw(st.sampled_from(paths))
+    *head, last = path
+    holder = functools.reduce(operator.getitem, head, doc)
     value = holder[last]
-    how = data.draw(st.sampled_from(["+1", "-1", "type", "delete"] if type(value) is int
+    how = data.draw(st.sampled_from(["+1", "-1", "float", "type", "delete"] if type(value) is int
                                     else ["type", "delete"]))
     if how == "delete":
         del holder[last]
     elif how == "type":
         holder[last] = [value] if isinstance(value, str) else str(value)
+    elif how == "float":
+        holder[last] = float(value)
     else:
         holder[last] = value + int(how)
-    open(step1_fuzz["mutated.json"], "w").write(json.dumps(mutated))
+    return path, how
+
+
+def _run_quietly(argv):
+    """The exit code of the CLI on argv and what it wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run(["witness", "decode", "-i", step1_fuzz["mutated.json"],
-                    "--cnf", step1_fuzz["f.cnf"], "--order", step1_fuzz["order.json"]])
-    if mutated == original:
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _same_json(a, b):
+    """Equal as JSON text, so 6.0 and true differ from 6 and 1."""
+    return json.dumps(a) == json.dumps(b)
+
+
+def _site_groups(doc):
+    """Every value's path in doc, grouped by its first two keys, list indices
+    left out, so that a draw favours no long list."""
+    groups = {}
+    for path in _paths(doc):
+        if path:
+            groups.setdefault(tuple(k for k in path if isinstance(k, str))[:2], []).append(path)
+    return groups
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
+    """One mutated value (a meta entry, vertex field or edge field: ±1 or a
+    float on an int, another type, or deleted) makes `witness decode` exit 3
+    with a JSON diagnostic unless the document still equals the original."""
+    text = open(step1_fuzz["H.json"]).read()
+    original, mutated = json.loads(text), json.loads(text)
+    sites = {"meta": [("meta",) + p for p in _paths(original["meta"]) if p],
+             **{part: [(part, i, key) for i, rec in enumerate(original[part]) for key in rec]
+                for part in ("vertices", "edges")}}
+    _mutate(data, mutated, sites[data.draw(st.sampled_from(sorted(sites)))])
+    open(step1_fuzz["mutated.json"], "w").write(json.dumps(mutated))
+    code, err = _run_quietly(["witness", "decode", "-i", step1_fuzz["mutated.json"],
+                              "--cnf", step1_fuzz["f.cnf"], "--order", step1_fuzz["order.json"]])
+    if _same_json(mutated, original):
         assert code == 0
     else:
         assert code == 3
-        assert json.loads(err.getvalue())["type"] == "validation"
+        assert json.loads(err)["type"] == "validation"
 
 
 REBUILT_DOCUMENTS = {
@@ -702,49 +746,158 @@ REBUILT_DOCUMENTS = {
 }
 
 
-def _site_group(path):
-    """The first two keys of a value's path, list indices left out."""
-    return tuple(key for key in path if isinstance(key, str))[:2]
-
-
 @pytest.mark.parametrize("step", REBUILT_DOCUMENTS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_step2_and_step3_loaders_accept_exactly_the_rebuild(step_docs, step, data):
     """One mutated value anywhere in a step-2 document with a step-1 base
     (under `witness path-mapping`) or in the toy step-3 document, which lists
-    its edges (under `witness caterpillar`): ±1 on an int, another type, or
-    deleted.  The command exits 0 exactly when the document still equals the
-    original, and otherwise 3 with a JSON diagnostic.  Deleting the step-1
-    meta alone leaves the step-2 document of the plain graph H, which is
-    accepted as such."""
+    its edges (under `witness caterpillar`): ±1 or a float on an int, another
+    type, or deleted.  The command exits 0 exactly when the document still
+    equals the original, and otherwise 3 with a JSON diagnostic.  Deleting
+    the step-1 meta alone leaves the step-2 document of the plain graph H,
+    which is accepted as such."""
     text = open(step_docs[step]).read()
     original, mutated = json.loads(text), json.loads(text)
-    groups = {}
-    for path in _paths(original):
-        if path:
-            groups.setdefault(_site_group(path), []).append(path)
-    *head, last = data.draw(st.sampled_from(groups[data.draw(st.sampled_from(sorted(groups)))]))
-    holder = functools.reduce(operator.getitem, head, mutated)
-    value = holder[last]
-    how = data.draw(st.sampled_from(["+1", "-1", "type", "delete"] if type(value) is int
-                                    else ["type", "delete"]))
-    if how == "delete":
-        del holder[last]
-    elif how == "type":
-        holder[last] = [value] if isinstance(value, str) else str(value)
-    else:
-        holder[last] = value + int(how)
+    groups = _site_groups(original)
+    path, how = _mutate(data, mutated, groups[data.draw(st.sampled_from(sorted(groups)))])
     paths = dict(step_docs, out=step_docs["mutated"] + ".out")
     open(paths["mutated"], "w").write(json.dumps(mutated))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
-    if mutated == original or (head, last, how) == (["base"], "meta", "delete"):
+    code, err = _run_quietly([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
+    if _same_json(mutated, original) or (path, how) == (("base", "meta"), "delete"):
         assert code == 0
     else:
         assert code == 3
-        assert json.loads(err.getvalue())["type"] == "validation"
+        assert json.loads(err)["type"] == "validation"
+
+
+@pytest.fixture(scope="module")
+def witness_docs(tmp_path_factory):
+    """The step-2 and step-3 documents of path([3, 3]) at `small` (a 72-vertex
+    G*) and its witnesses: the order [0, 1, 2], its caterpillar tree layout,
+    the hybrid tree `layout group` makes of it, and the tree mapping
+    `layout to-mapping` makes of that."""
+    root = tmp_path_factory.mktemp("witness-docs")
+    h = WeightedGraph()
+    for i in range(3):
+        h.add_vertex(str(i))
+    h.add_edge(0, 1, 3)
+    h.add_edge(1, 2, 3)
+    paths = {name: str(root / f"{name}.json") for name in
+             ("g", "star", "order", "tree_layout", "hybrid_tree", "tree_mapping", "mutated")}
+    open(paths["order"], "w").write(serialize.canonical_json(serialize.order_doc([0, 1, 2])))
+    for argv in (["reduce", "step2", "-i", write_graph_doc(root, h), "-o", "{g}"],
+                 ["reduce", "step3", "-i", "{g}", "-o", "{star}"],
+                 ["witness", "caterpillar", "-i", "{star}", "--order", "{order}",
+                  "-o", "{tree_layout}"],
+                 ["layout", "group", "-i", "{star}", "--hybrid", "{tree_layout}",
+                  "-o", "{hybrid_tree}"],
+                 ["layout", "to-mapping", "-i", "{star}", "--hybrid", "{hybrid_tree}",
+                  "-o", "{tree_mapping}"]):
+        assert run([arg.format(**paths) for arg in argv]) == 0
+    return paths
+
+
+WITNESS_COMMANDS = [
+    ("order", ["witness", "path-mapping", "-i", "{g}", "--order", "{mutated}"]),
+    ("order", ["witness", "caterpillar", "-i", "{star}", "--order", "{mutated}"]),
+    ("tree_layout", ["layout", "group", "-i", "{star}", "--hybrid", "{mutated}"]),
+    ("hybrid_tree", ["layout", "group", "-i", "{star}", "--hybrid", "{mutated}"]),
+    ("hybrid_tree", ["layout", "to-mapping", "-i", "{star}", "--hybrid", "{mutated}"]),
+    ("tree_mapping", ["layout", "project", "-i", "{star}", "--mapping", "{mutated}"]),
+]
+
+
+@pytest.mark.parametrize("kind, argv", WITNESS_COMMANDS,
+                         ids=[f"{kind}-{argv[1]}" for kind, argv in WITNESS_COMMANDS])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_witness_documents_exit_0_or_3(witness_docs, kind, argv, data):
+    """One mutated value in a witness document: ±1 or a float on an int,
+    another type, or deleted.  A witness may stay valid under a change, so
+    the command exits 0 or 3, 3 with a JSON diagnostic, and 0 on the
+    unchanged document."""
+    text = open(witness_docs[kind]).read()
+    original, mutated = json.loads(text), json.loads(text)
+    groups = _site_groups(original)
+    _mutate(data, mutated, groups[data.draw(st.sampled_from(sorted(groups)))])
+    open(witness_docs["mutated"], "w").write(json.dumps(mutated))
+    code, err = _run_quietly([arg.format(**witness_docs) for arg in argv])
+    assert code == 0 if _same_json(mutated, original) else code in (0, 3)
+    if code == 3:
+        assert json.loads(err)["type"] == "validation"
+
+
+def _cnf_token(data):
+    return data.draw(st.one_of(st.integers(-2, 10 ** 25).map(str),
+                               st.sampled_from(["p", "cnf", "c", "0", ""]),
+                               st.text(max_size=4)))
+
+
+@pytest.fixture(scope="module")
+def cnf_fuzz(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cnf-fuzz")
+    return str(root / "mutated.cnf"), str(root / "H.json")
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cnf_text_exits_0_1_or_3(cnf_fuzz, data):
+    """A seeded n=6 strict formula with one line replaced, deleted or
+    repeated, or one token replaced by an integer (up to 10^25) or short
+    text.  `nae check`, `nae solve` and `reduce step1` exit 0 or 3, `nae
+    solve` also 1, 3 with a JSON diagnostic; the three agree on which texts
+    they refuse."""
+    cnf, out = cnf_fuzz
+    lines = ["p cnf 6 8", "4 1 3 0", "5 6 3 0", "5 3 6 0", "1 4 3 0", "5 2 4 0", "1 6 2 0",
+             "2 1 4 0", "5 2 6 0"]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["token", "line", "delete", "repeat"]))
+    if how == "token":
+        tokens = lines[i].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = _cnf_token(data)
+        lines[i] = " ".join(tokens)
+    elif how == "line":
+        lines[i] = " ".join(_cnf_token(data) for _ in range(data.draw(st.integers(0, 5))))
+    elif how == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    with open(cnf, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    codes = []
+    for argv, allowed in ((["nae", "check", cnf], (0, 3)), (["nae", "solve", cnf], (0, 1, 3)),
+                          (["reduce", "step1", "-i", cnf, "-o", out], (0, 3))):
+        code, err = _run_quietly(argv)
+        assert code in allowed, argv
+        if code == 3:
+            assert json.loads(err)["type"] == "validation"
+        codes.append(code == 3)
+    assert len(set(codes)) == 1
+
+
+HUGE_HEADERS = ["p cnf 1000000000 1", "p cnf 99999999999999999999999 1"]
+
+
+@pytest.mark.parametrize("argv", [["nae", "check"], ["nae", "solve"],
+                                  ["reduce", "step1", "-o", os.devnull, "-i"]],
+                         ids=["nae-check", "nae-solve", "reduce-step1"])
+def test_huge_cnf_variable_counts_exit_3(tmp_path, argv):
+    """A header declaring 10^9 (or 10^23) variables over one clause is
+    refused because variable 1 occurs once; nothing is sized by the declared
+    count.  The command runs in a child process held to 1 GiB of address
+    space, so code that sizes a table by it fails here with a MemoryError
+    (or an OverflowError) instead of filling the host."""
+    for k, header in enumerate(HUGE_HEADERS):
+        path = tmp_path / f"huge{k}.cnf"
+        path.write_text(header + "\n1 2 3 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "naewidth.cli", *argv, str(path)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, header
+        assert json.loads(proc.stderr)["type"] == "validation"
 
 
 @pytest.mark.parametrize("command", ["order", "decode"])
@@ -845,14 +998,18 @@ ORDER_COMMANDS = {
     "witness-caterpillar": ("step3", ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}"]),
 }
 BAD_SEQUENCES = {"without-sequence": {}, "sequence-not-a-list": {"sequence": 5},
-                 "sequence-of-lists": {"sequence": [[1], [2]]}}
+                 "sequence-of-lists": {"sequence": [[1], [2]]},
+                 "format-version-1.0": {"format_version": 1.0, "sequence": [0, 1, 2]}}
 
 
 # a sequence of lists covers no part, so path-mapping and caterpillar refuse it at the
 # coverage check whatever the order reader does; only the other two tell the cases apart
+# apart; [0, 1, 2] covers the three parts of the path-mapping graph, so only the
+# format_version 1.0 refuses that document
 @pytest.mark.parametrize("command, bad", [
     *itertools.product(ORDER_COMMANDS, ["without-sequence", "sequence-not-a-list"]),
-    ("balance-check", "sequence-of-lists"), ("witness-decode", "sequence-of-lists")])
+    ("balance-check", "sequence-of-lists"), ("witness-decode", "sequence-of-lists"),
+    ("witness-path-mapping", "format-version-1.0")])
 def test_malformed_order_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, command, bad):
     order = tmp_path / "bad-order.json"
     order.write_text(json.dumps({"format_version": serialize.FORMAT_VERSION, "kind": "order",
@@ -897,6 +1054,17 @@ def test_width_survey_script_runs_from_any_directory(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "chain violations: 0" in proc.stdout
+
+
+def test_run_pipeline_script_runs_from_any_directory(tmp_path):
+    """The end-to-end demo builds the 1,992,096-vertex G* of the seeded n=6
+    formula at `small` through ensure_divisible and build_Gstar."""
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_pipeline.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, script, "-n", "6", "--seed", "0"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "step 3: G* has 1992096 vertices" in proc.stdout
 
 
 def test_reduce_step2_paper_profile(cnf_file, tmp_path):

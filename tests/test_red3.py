@@ -7,7 +7,6 @@ from naewidth.red1 import SMALL, Constants, validate_constants
 from naewidth.red2 import TreeMapping, build_partitioned, cut_value, mapping_value
 from naewidth.red3 import (
     DefaultEdgeNotFound,
-    Gadget,
     HybridTree,
     build_Gstar,
     build_gadget,
@@ -22,7 +21,7 @@ from naewidth.red3 import (
 )
 from naewidth.wgraph import WeightedGraph, scale_weights
 
-from conftest import brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, star_graph
+from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, star_graph
 
 A1 = Constants(36, 3, 6, 1, 3)  # a=1 keeps tiny blocks legal
 validate_constants(A1)
@@ -131,38 +130,19 @@ def test_entry_matches_listed_path(rng):
             assert gadget_path(gs, u, c) == brute_Pu(gs, u, c)
 
 
-def _shift_start(blocks):
-    (first, width), *rest = blocks
-    return [(first + 1, width)] + rest
-
-
-def _widen(blocks):
-    return blocks[:-1] + [(blocks[-1][0], blocks[-1][1] + 1)]
-
-
-def _swap_widths(blocks):
-    """Keeps |V(P_u)| but misplaces the slices when the widths differ."""
-    (s0, w0), (s1, w1), *rest = blocks
-    return [(s0, w1), (s1, w0)] + rest
-
-
-@pytest.mark.parametrize("tamper", [_shift_start, _widen, lambda blocks: blocks[:-1],
-                                    _swap_widths],
-                         ids=["shifted-start", "wrong-width", "dropped-block", "swapped-widths"])
-def test_validate_rejects_tampered_gadgets(rng, tamper):
-    graphs = [star_graph([3, 6, 9])] + [random_h_for(rng, SMALL) for _ in range(30)]
-    for h in graphs:
-        star = build_Gstar(build_partitioned(h), SMALL)
-        brute_validate_gstar(star)
-        for u, gadget in list(star.gadgets.items()):
-            if tamper is _swap_widths and len({w for _, w in gadget.blocks[:2]}) < 2:
-                continue
-            star.gadgets[u] = Gadget(owner=u, copies=gadget.copies, a=gadget.a,
-                                     blocks=tamper(gadget.blocks), base=gadget.base)
-            for check in (star.validate, lambda: brute_validate_gstar(star)):
-                with pytest.raises(ValidationError):
-                    check()
-            star.gadgets[u] = gadget
+def test_arithmetic_ids_match_the_accumulated_layout(rng):
+    """Every gadget base, |V(G*)| and the locate of every G*-vertex agree
+    with ids accumulated gadget by gadget and with the listed paths."""
+    for c in (A1, SMALL) * 10:
+        gs = build_partitioned(random_h_for(rng, c))
+        star = build_Gstar(gs, c)
+        bases, n = brute_gstar_ids(star)
+        assert star.n == n
+        assert {u: gadget.base for u, gadget in star.gadgets.items()} == bases
+        paths = {u: brute_Pu(gs, u, c) for u in bases}
+        located = [(u, copy, pos) + paths[u][pos] for u in sorted(bases)
+                   for copy in range(c.b) for pos in range(len(paths[u]))]
+        assert [star.locate(x) for x in range(star.n)] == located
 
 
 def test_isolated_vertex_has_no_gadget():
@@ -326,7 +306,7 @@ def test_ensure_divisible():
     scaled, factor = ensure_divisible(gs4, SMALL)
     assert factor == SMALL.a
     assert scaled.H.edge_weight(0, 1) == 12
-    build_Gstar(scaled, SMALL).validate()
+    brute_validate_gstar(build_Gstar(scaled, SMALL))
 
 
 def grouping_fixture(h):
