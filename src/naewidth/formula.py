@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ParseError, ValidationError
@@ -18,6 +19,8 @@ from .errors import CapExceededError, ParseError, ValidationError
 Assignment = tuple  # tuple[bool, ...], index i holds the value of variable i+1
 
 BRUTE_FORCE_CAP = 24
+
+_DIMACS_INT = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,14 @@ def validate_formula(f: NaeFormula, strict: bool = True) -> None:
                 raise ValidationError(f"variable {var} occurs {counts[var]} times, expected 4")
 
 
+def _dimacs_int(token: str) -> int:
+    """int() of an optional '-' and ASCII digits; int() alone also takes a
+    '+', '_' separators and non-ASCII digits."""
+    if not _DIMACS_INT.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_nae_dimacs(text: str, strict: bool = True) -> NaeFormula:
     """Parse DIMACS CNF text into an all-positive NAE formula.
 
@@ -68,7 +79,7 @@ def parse_nae_dimacs(text: str, strict: bool = True) -> NaeFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", line=lineno)
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = (_dimacs_int(parts[2]), _dimacs_int(parts[3]))
             except ValueError:
                 raise ParseError(f"non-integer counts in problem line {line!r}", line=lineno)
             if header[0] < 1 or header[1] < 0:
@@ -89,7 +100,7 @@ def parse_nae_dimacs(text: str, strict: bool = True) -> NaeFormula:
     current = []
     for tok, lineno, col in tokens:
         try:
-            lit = int(tok)
+            lit = _dimacs_int(tok)
         except ValueError:
             raise ParseError(f"non-integer literal {tok!r}", line=lineno, col=col)
         if lit == 0:
@@ -128,10 +139,6 @@ def eval_nae(f: NaeFormula, assignment) -> bool:
         if all(values) or not any(values):
             return False
     return True
-
-
-def complement(assignment):
-    return tuple(not b for b in assignment)
 
 
 def brute_force_nae(f: NaeFormula, cap: int = BRUTE_FORCE_CAP):

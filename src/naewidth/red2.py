@@ -150,33 +150,10 @@ class PartitionedGraph:
             if u == v or weight.get((v, u)) != w or not parts[u][0] <= start < nxt <= parts[u][1]:
                 raise ValidationError(f"I({u},{v}) has no twin of its weight or lies outside S({u})")
 
-    def sample_oracle_check(self, rng, samples: int = 2000) -> None:
-        """Spot-check the adjacency oracle against first principles."""
-        for _ in range(samples):
-            p = rng.randrange(self.n)
-            q = rng.randrange(self.n)
-            if p == q:
-                continue
-            u, v = self.block_of(p)
-            x, y = self.block_of(q)
-            kind = self.adjacent(p, q)
-            if u == x:
-                if kind is not None:
-                    raise ValidationError(f"S({u}) not independent: edge ({p},{q})")
-            elif (x, y) == (v, u):
-                expect = "matching" if self.block_position(p) == self.block_position(q) else None
-                if kind != expect:
-                    raise ValidationError(f"matching oracle wrong at ({p},{q})")
-            elif {u, v} & {x, y}:
-                if kind is not None:
-                    raise ValidationError(f"blocks of touching H-edges joined: ({p},{q})")
-            elif kind != "dummy":
-                raise ValidationError(f"missing dummy edge ({p},{q})")
-
 
 def build_partitioned(h: WeightedGraph) -> PartitionedGraph:
-    """Construct (G, S) from a positively-weighted graph."""
-    h.check_simple()
+    """Construct (G, S) from a positively-weighted graph; validate() refuses
+    a non-simple H."""
     gs = PartitionedGraph(h)
     gs.validate()
     return gs

@@ -27,9 +27,9 @@ from .tree import Tree
 from .wgraph import WeightedGraph, scale_weights
 from .widths import TreeLayout, linear_layout_from_order, tree_cut_values
 
-# caterpillar_layout lists every G*-vertex: this admits the seeded n=6 formula
-# at the small profile (1,992,096 vertices) and refuses a paper-profile G*
-# before the list exhausts memory
+# caterpillar_layout and HybridTree.gadget_nodes list every G*-vertex: this
+# admits the seeded n=6 formula at the small profile (1,992,096 vertices) and
+# refuses a paper-profile G* before the list exhausts memory
 LAYOUT_CAP = 1 << 21
 
 
@@ -224,7 +224,10 @@ class HybridTree(Tree):
 
         Raises ValidationError unless the placement covers exactly V(G*),
         every node has degree at most 3, and every node holding two or more
-        vertices holds one whole gadget."""
+        vertices holds one whole gadget.  A G* above LAYOUT_CAP is refused
+        before its ids are listed."""
+        if star.n > LAYOUT_CAP:
+            raise CapExceededError(f"|V(G*)| = {star.n} exceeds the layout cap {LAYOUT_CAP}")
         if self.node_of.keys() != set(range(star.n)):
             raise ValidationError("hybrid tree placement does not cover the G*-vertices")
         for x, nbrs in self.tree_adj.items():

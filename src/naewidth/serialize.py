@@ -62,7 +62,6 @@ def _edge_records(g: WeightedGraph, scale=1):
 
 
 def weighted_graph_doc(g: WeightedGraph, meta=None):
-    g.check_simple()
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "weighted_graph",

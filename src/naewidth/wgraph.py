@@ -1,6 +1,6 @@
 """Edge-weighted graph core plus the linear and tree degree-balancing
-problems: per-vertex left/right weights under an order, witness checkers, and
-exhaustive solvers for small instances.
+problems: witness checkers for orders and trees, and an exact pruned search
+for balancing orders.
 
 A *t-balancing order* places the vertices so that every vertex has weighted
 backward and forward degree at most t.  A *t-balancing tree* maps vertices
@@ -11,10 +11,7 @@ cut of e is at most t.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-
-from .errors import BudgetExceededError, CapExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .tree import Tree, path
 
 ROLES = (
@@ -23,7 +20,6 @@ ROLES = (
 )
 
 DEFAULT_ORDER_BUDGET = 10 ** 7
-DEFAULT_TREE_CAP = 8
 
 
 class WeightedGraph:
@@ -123,19 +119,6 @@ def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
     return out
 
 
-def side_weights(g, order, v):
-    """Left and right weighted degree of v under the order."""
-    pos = {u: i for i, u in enumerate(order)}
-    if v not in pos:
-        raise ValidationError(f"vertex {v} not in order")
-    if set(pos) != set(g.vertex_ids()):
-        raise ValidationError("order does not cover the vertex set")
-    pv = pos[v]
-    left = sum(w for u, w in g.adj[v] if pos[u] < pv)
-    right = sum(w for u, w in g.adj[v] if pos[u] > pv)
-    return left, right
-
-
 def check_balancing_order(g, order, t):
     """Return (True, None) if the order is t-balancing, else (False, violator).
 
@@ -162,6 +145,82 @@ def check_balancing_order(g, order, t):
 _PROPAGATION_DEGREE_CAP = 12
 
 
+def _alive(adj, committed, t, placed_mask):
+    """False if precedence propagation proves the placed prefix dead.
+
+    Per unplaced vertex, the remaining neighbors must split into a
+    before/after set keeping both sides at most t; neighbors forced onto one
+    side seed before/after arcs, propagated to a fixpoint, and the arcs must
+    be acyclic (Kahn's algorithm)."""
+    n = len(adj)
+    before = [0] * n
+    after = [0] * n
+    pending = [u for u in range(n) if not placed_mask >> u & 1]
+    unplaced = len(pending)
+    in_pending = [not placed_mask >> u & 1 for u in range(n)]
+    while pending:
+        u = pending.pop()
+        in_pending[u] = False
+        lbase = committed[u]
+        rbase = 0
+        free = []
+        for x, w in adj[u]:
+            if placed_mask >> x & 1:
+                continue
+            if before[u] >> x & 1:
+                lbase += w
+            elif after[u] >> x & 1:
+                rbase += w
+            else:
+                free.append((x, w))
+        if lbase > t or rbase > t:
+            return False
+        m = len(free)
+        if m == 0 or m > _PROPAGATION_DEGREE_CAP:
+            continue
+        always = (1 << m) - 1
+        union = 0
+        feasible = False
+        for subset in range(1 << m):
+            left = lbase
+            right = rbase
+            for i in range(m):
+                if subset >> i & 1:
+                    left += free[i][1]
+                else:
+                    right += free[i][1]
+            if left <= t and right <= t:
+                feasible = True
+                always &= subset
+                union |= subset
+        if not feasible:
+            return False
+        for i, (x, _) in enumerate(free):
+            if always >> i & 1:
+                before[u] |= 1 << x
+                after[x] |= 1 << u
+            elif not union >> i & 1:
+                after[u] |= 1 << x
+                before[x] |= 1 << u
+            else:
+                continue
+            for y in (u, x):
+                if not in_pending[y]:
+                    in_pending[y] = True
+                    pending.append(y)
+    indegree = [bits.bit_count() for bits in before]
+    ready = [u for u in range(n) if not placed_mask >> u & 1 and indegree[u] == 0]
+    for x in ready:
+        bits = after[x]
+        while bits:
+            y = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                ready.append(y)
+    return len(ready) == unplaced
+
+
 def _extensions(g, t, budget, limit):
     """DFS over prefix extensions, vertices tried in ascending id.
 
@@ -169,11 +228,9 @@ def _extensions(g, t, budget, limit):
     orders.  A placement is refused when the placed vertex's left weight (now
     final) or committed right weight (total - left) exceeds t, when any
     unplaced vertex's accumulated left weight already exceeds t, or when
-    precedence propagation proves the prefix dead: per unplaced vertex, the
-    remaining neighbors must split into a before/after set keeping both
-    sides at most t, and neighbors forced onto one side seed before/after
-    arcs that are propagated to a fixpoint and checked for cycles.  Yields
-    each solution and stops after `limit` solutions if given.
+    _alive proves the prefix dead.  The search is one loop over an explicit
+    stack holding the next vertex id to try per depth.  Yields each solution
+    and stops after `limit` solutions if given.
     """
     adj = g.adj
     n = len(adj)
@@ -182,115 +239,48 @@ def _extensions(g, t, budget, limit):
         return
     committed = [0] * n
     placed = []
-    state = {"mask": 0, "nodes": 0, "found": 0}
-
-    def alive():
-        placed_mask = state["mask"]
-        before = [0] * n
-        after = [0] * n
-        pending = [u for u in range(n) if not placed_mask >> u & 1]
-        in_pending = [not placed_mask >> u & 1 for u in range(n)]
-        while pending:
-            u = pending.pop()
-            in_pending[u] = False
-            lbase = committed[u]
-            rbase = 0
-            free = []
-            for x, w in adj[u]:
-                if placed_mask >> x & 1:
-                    continue
-                if before[u] >> x & 1:
-                    lbase += w
-                elif after[u] >> x & 1:
-                    rbase += w
-                else:
-                    free.append((x, w))
-            if lbase > t or rbase > t:
-                return False
-            m = len(free)
-            if m == 0 or m > _PROPAGATION_DEGREE_CAP:
-                continue
-            always = (1 << m) - 1
-            union = 0
-            feasible = False
-            for subset in range(1 << m):
-                left = lbase
-                right = rbase
-                for i in range(m):
-                    if subset >> i & 1:
-                        left += free[i][1]
-                    else:
-                        right += free[i][1]
-                if left <= t and right <= t:
-                    feasible = True
-                    always &= subset
-                    union |= subset
-            if not feasible:
-                return False
-            for i, (x, _) in enumerate(free):
-                if always >> i & 1:
-                    before[u] |= 1 << x
-                    after[x] |= 1 << u
-                elif not union >> i & 1:
-                    after[u] |= 1 << x
-                    before[x] |= 1 << u
-                else:
-                    continue
-                for y in (u, x):
-                    if not in_pending[y]:
-                        in_pending[y] = True
-                        pending.append(y)
-        colour = [0] * n  # 0 new, 1 on stack, 2 done
-
-        def cyclic(u):
-            colour[u] = 1
-            bits = before[u]
-            while bits:
-                x = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                if colour[x] == 1 or (colour[x] == 0 and cyclic(x)):
-                    return True
-            colour[u] = 2
-            return False
-
-        for u in range(n):
-            if not placed_mask >> u & 1 and colour[u] == 0 and cyclic(u):
-                return False
-        return True
-
-    def rec():
+    next_id = [0]
+    mask = nodes = found = 0
+    while next_id:
         if len(placed) == n:
-            state["found"] += 1
+            found += 1
             yield list(placed)
-            return
-        for vi in range(n):
-            if state["mask"] >> vi & 1:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > budget:
+            vi = n
+        else:
+            vi = next_id[-1]
+            while vi < n and mask >> vi & 1:
+                vi += 1
+        if vi < n:
+            next_id[-1] = vi + 1
+            nodes += 1
+            if nodes > budget:
                 raise BudgetExceededError(f"order search exceeded {budget} nodes")
             left = committed[vi]
             if left > t or total[vi] - left > t:
                 continue
             dead = False
             for u, w in adj[vi]:
-                if not state["mask"] >> u & 1:
+                if not mask >> u & 1:
                     committed[u] += w
                     if committed[u] > t:
                         dead = True
-            state["mask"] |= 1 << vi
-            if not dead and alive():
+            mask |= 1 << vi
+            if not dead and _alive(adj, committed, t, mask):
                 placed.append(vi)
-                yield from rec()
-                placed.pop()
-            state["mask"] ^= 1 << vi
-            for u, w in adj[vi]:
-                if not state["mask"] >> u & 1:
-                    committed[u] -= w
-            if limit is not None and state["found"] >= limit:
+                next_id.append(0)
+                continue
+        else:
+            next_id.pop()
+            if not placed:
                 return
-
-    yield from rec()
+            vi = placed.pop()
+        # take vi back: a refused placement or a finished subtree
+        mask ^= 1 << vi
+        for u, w in adj[vi]:
+            if not mask >> u & 1:
+                committed[u] -= w
+        if limit is not None and found >= limit:
+            return
 
 
 def solve_balancing_order(g, t, budget: int = DEFAULT_ORDER_BUDGET):
@@ -303,16 +293,6 @@ def solve_balancing_order(g, t, budget: int = DEFAULT_ORDER_BUDGET):
 def enumerate_balancing_orders(g, t, budget: int = DEFAULT_ORDER_BUDGET, limit=None):
     """List the t-balancing orders found by the pruned DFS, up to `limit`."""
     return list(_extensions(g, t, budget, limit))
-
-
-def naive_balancing_orders(g, t):
-    """Oracle: all t-balancing orders by plain permutation enumeration."""
-    out = []
-    for perm in itertools.permutations(g.vertex_ids()):
-        ok, _ = check_balancing_order(g, list(perm), t)
-        if ok:
-            out.append(list(perm))
-    return out
 
 
 class BalancingTree(Tree):
@@ -345,54 +325,3 @@ def check_balancing_tree(g, bt: BalancingTree, t):
         if wy > t:
             return False, (vy, (x, y))
     return True, None
-
-
-def _prufer_decode(seq, labels):
-    """Labeled tree (adjacency dict over `labels`) from a Prüfer sequence."""
-    adj = {v: [] for v in labels}
-    degree = {v: 1 for v in labels}
-    for v in seq:
-        degree[v] += 1
-    leaf_heap = [v for v in labels if degree[v] == 1]
-    heapq.heapify(leaf_heap)
-    for v in seq:
-        leaf = heapq.heappop(leaf_heap)
-        adj[leaf].append(v)
-        adj[v].append(leaf)
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaf_heap, v)
-    u = heapq.heappop(leaf_heap)
-    v = heapq.heappop(leaf_heap)
-    adj[u].append(v)
-    adj[v].append(u)
-    return adj
-
-
-def enumerate_labeled_trees(labels):
-    """All labeled trees on the given vertex labels, one per Prüfer sequence."""
-    labels = sorted(labels)
-    n = len(labels)
-    if n == 1:
-        yield {labels[0]: []}
-        return
-    for seq in itertools.product(labels, repeat=n - 2):
-        yield _prufer_decode(seq, labels)
-
-
-def solve_balancing_tree(g, t, cap: int = DEFAULT_TREE_CAP):
-    """Exhaustive t-balancing tree search via labeled-tree enumeration.
-
-    A (tree, placement) pair is equivalent up to node relabeling to a labeled
-    tree on the vertex set itself, so placements are taken as the identity
-    and only the n^(n-2) Prüfer-coded trees are scanned.
-    """
-    verts = g.vertex_ids()
-    if len(verts) > cap:
-        raise CapExceededError(f"|V| = {len(verts)} exceeds tree-enumeration cap {cap}")
-    for adj in enumerate_labeled_trees(verts):
-        bt = BalancingTree(tree_adj=adj, placement={v: v for v in verts})
-        ok, _ = check_balancing_tree(g, bt, t)
-        if ok:
-            return bt
-    return None

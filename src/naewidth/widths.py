@@ -30,8 +30,7 @@ class TreeLayout(Tree):
     leaf order is read off the leaf node ids.
     """
 
-    def __init__(self, tree_adj: dict, leaf_vertex: dict, linear: bool = False,
-                 leaf_order=None):
+    def __init__(self, tree_adj: dict, leaf_vertex: dict, linear: bool = False):
         leaves = {x for x, nbrs in tree_adj.items() if len(nbrs) <= 1}
         if set(leaf_vertex) != leaves:
             raise ValidationError("leaf map must cover exactly the tree leaves")
@@ -47,9 +46,7 @@ class TreeLayout(Tree):
         super().__init__(tree_adj, {v: leaf for leaf, v in leaf_vertex.items()})
         self.leaf_vertex = leaf_vertex  # leaf node -> graph vertex
         self.linear = linear
-        if linear and leaf_order is None:
-            leaf_order = [leaf_vertex[leaf] for leaf in sorted(leaf_vertex)]
-        self.leaf_order = leaf_order
+        self.leaf_order = [leaf_vertex[leaf] for leaf in sorted(leaf_vertex)] if linear else None
 
 
 def linear_layout_from_order(order) -> TreeLayout:
@@ -88,14 +85,6 @@ def layout_value(adjacent, vertices, layout: TreeLayout, kind: str,
         raise ValidationError("layout leaves do not match the vertex set")
     return max(tree_cut_values(adjacent, vertices, layout, kind, budget=budget,
                                stats=stats).values(), default=0)
-
-
-def double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
 
 
 def enumerate_leaf_trees(num_leaves: int):

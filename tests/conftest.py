@@ -2,20 +2,22 @@
 
 The oracles here deliberately avoid the library's search kernels: matchings
 are maximized by plain backtracking over edge subsets, orders by permutation
-scans, so they stay valid cross-checks for the branch-and-bound paths.
+scans and balancing trees by Prüfer enumeration, so they stay valid
+cross-checks for the branch-and-bound paths.
 """
 
 import functools
+import heapq
 import itertools
 import random
 
 import pytest
 
-from naewidth.errors import ValidationError
+from naewidth.errors import CapExceededError, ValidationError
 from naewidth.matchings import DEFAULT_BUDGET
 from naewidth.red1 import validate_constants
 from naewidth.tree import Tree
-from naewidth.wgraph import WeightedGraph
+from naewidth.wgraph import BalancingTree, WeightedGraph, check_balancing_order, check_balancing_tree
 from naewidth.widths import TreeLayout, _cut_table, enumerate_leaf_trees
 
 
@@ -124,6 +126,30 @@ def brute_validate(gs):
         raise ValidationError(f"block lookup failed: {exc!r}") from None
 
 
+def sample_oracle_check(gs, rng, samples: int = 2000) -> None:
+    """Spot-check the (G, S) adjacency oracle against first principles."""
+    for _ in range(samples):
+        p = rng.randrange(gs.n)
+        q = rng.randrange(gs.n)
+        if p == q:
+            continue
+        u, v = gs.block_of(p)
+        x, y = gs.block_of(q)
+        kind = gs.adjacent(p, q)
+        if u == x:
+            if kind is not None:
+                raise ValidationError(f"S({u}) not independent: edge ({p},{q})")
+        elif (x, y) == (v, u):
+            expect = "matching" if gs.block_position(p) == gs.block_position(q) else None
+            if kind != expect:
+                raise ValidationError(f"matching oracle wrong at ({p},{q})")
+        elif {u, v} & {x, y}:
+            if kind is not None:
+                raise ValidationError(f"blocks of touching H-edges joined: ({p},{q})")
+        elif kind != "dummy":
+            raise ValidationError(f"missing dummy edge ({p},{q})")
+
+
 def brute_Pu(gs, u, c):
     """Reference for Gadget.entry: the path P_u of part u listed as
     [(tag, G-vertex or None)].  Blocks I(u, v) are split into a chunks; chunk
@@ -180,6 +206,79 @@ def brute_validate_gstar(star):
                 t != ("original" if i % 2 == 0 else "subdivision")
                 for i, t in enumerate(tags[:-1])):
             raise ValidationError(f"P_{u} does not alternate original/subdivision")
+
+
+def naive_balancing_orders(g, t):
+    """Reference for enumerate_balancing_orders: all t-balancing orders by
+    plain permutation enumeration."""
+    out = []
+    for perm in itertools.permutations(g.vertex_ids()):
+        ok, _ = check_balancing_order(g, list(perm), t)
+        if ok:
+            out.append(list(perm))
+    return out
+
+
+DEFAULT_TREE_CAP = 8
+
+
+def _prufer_decode(seq, labels):
+    """Labeled tree (adjacency dict over `labels`) from a Prüfer sequence."""
+    adj = {v: [] for v in labels}
+    degree = {v: 1 for v in labels}
+    for v in seq:
+        degree[v] += 1
+    leaf_heap = [v for v in labels if degree[v] == 1]
+    heapq.heapify(leaf_heap)
+    for v in seq:
+        leaf = heapq.heappop(leaf_heap)
+        adj[leaf].append(v)
+        adj[v].append(leaf)
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaf_heap, v)
+    u = heapq.heappop(leaf_heap)
+    v = heapq.heappop(leaf_heap)
+    adj[u].append(v)
+    adj[v].append(u)
+    return adj
+
+
+def enumerate_labeled_trees(labels):
+    """All labeled trees on the given vertex labels, one per Prüfer sequence."""
+    labels = sorted(labels)
+    n = len(labels)
+    if n == 1:
+        yield {labels[0]: []}
+        return
+    for seq in itertools.product(labels, repeat=n - 2):
+        yield _prufer_decode(seq, labels)
+
+
+def solve_balancing_tree(g, t, cap: int = DEFAULT_TREE_CAP):
+    """Exhaustive t-balancing tree search via labeled-tree enumeration.
+
+    A (tree, placement) pair is equivalent up to node relabeling to a labeled
+    tree on the vertex set itself, so placements are taken as the identity
+    and only the n^(n-2) Prüfer-coded trees are scanned.
+    """
+    verts = g.vertex_ids()
+    if len(verts) > cap:
+        raise CapExceededError(f"|V| = {len(verts)} exceeds tree-enumeration cap {cap}")
+    for adj in enumerate_labeled_trees(verts):
+        bt = BalancingTree(tree_adj=adj, placement={v: v for v in verts})
+        ok, _ = check_balancing_tree(g, bt, t)
+        if ok:
+            return bt
+    return None
+
+
+def double_factorial(k: int) -> int:
+    out = 1
+    while k > 1:
+        out *= k
+        k -= 2
+    return out
 
 
 @functools.lru_cache(maxsize=None)

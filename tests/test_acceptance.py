@@ -19,9 +19,9 @@ from naewidth.red1 import PAPER, SMALL, build_bottleneck, build_bottleneck_seque
 from naewidth.red2 import build_partitioned, cut_value, mapping_value, path_mapping_from_order
 from naewidth.red3 import build_Gstar, build_gadget, caterpillar_layout, find_default_edge, group_gadget, hybrid_from_layout, hybrid_sim_values, hybrid_to_tree_mapping, project_mapping_to_G
 from naewidth.wgraph import WeightedGraph, check_balancing_order, enumerate_balancing_orders, solve_balancing_order
-from naewidth.widths import double_factorial, enumerate_leaf_trees, exact_width
+from naewidth.widths import enumerate_leaf_trees, exact_width
 
-from conftest import brute_validate_gstar, path_graph, random_weighted_graph, star_graph
+from conftest import brute_validate_gstar, double_factorial, path_graph, random_weighted_graph, sample_oracle_check, star_graph
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -336,7 +336,7 @@ def test_pipeline_smoke(tmp_path):
     build.graph.check_simple()
     gs = serialize.partitioned_from_doc(json.loads((tmp_path / "a.step2.json").read_text()))
     gs.validate()
-    gs.sample_oracle_check(random.Random(0), samples=2000)
+    sample_oracle_check(gs, random.Random(0), samples=2000)
     star = serialize.gstar_from_doc(json.loads((tmp_path / "a.step3.json").read_text()))
     brute_validate_gstar(star)
     ok = ok and star.n == 2 * SMALL.b * gs.n * SMALL.a  # scaled by a, b copies

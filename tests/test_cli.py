@@ -17,7 +17,8 @@ import naewidth
 from naewidth import serialize
 from naewidth.cli import run
 from naewidth.formula import parse_nae_dimacs
-from naewidth.wgraph import WeightedGraph
+from naewidth.red3 import HybridTree
+from naewidth.wgraph import WeightedGraph, check_balancing_order
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -52,12 +53,22 @@ def test_nae_check_and_solve(cnf_file, capsys):
     assert out == {"satisfiable": True, "assignment": "FFT"}
 
 
+MALFORMED_CNF = [
+    "p cnf 2 1\n1 -2 2 0\n",
+    # integers DIMACS does not allow, though Python's int() reads them
+    FOUR_COPIES[:-len("1 2 3 0\n")] + "+1 2 3 0\n",
+    FOUR_COPIES[:-len("1 2 3 0\n")] + "\u0661 2 3 0\n",
+    FOUR_COPIES.replace("p cnf 3 4", "p cnf +3 4"),
+]
+
+
 def test_nae_check_invalid_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
-    bad.write_text("p cnf 2 1\n1 -2 2 0\n")
-    assert run(["nae", "check", str(bad)]) == 3
-    err = capsys.readouterr().err
-    assert json.loads(err)["type"] == "validation"
+    for text in MALFORMED_CNF:
+        bad.write_text(text, encoding="utf-8")
+        assert run(["nae", "check", str(bad)]) == 3, text
+        err = capsys.readouterr().err
+        assert json.loads(err)["type"] == "validation"
 
 
 def test_nae_solve_unsat_exits_1(tmp_path):
@@ -237,6 +248,28 @@ def test_balance_solve(tmp_path, capsys):
     order = serialize.order_from_doc(json.loads(open(out_path).read()))
     assert order.index(1) == 1
     assert run(["balance", "solve", "-i", path, "--threshold", "3"]) == 1
+
+
+def test_balance_solve_long_path_without_recursion(tmp_path):
+    """A 400-vertex unit path at threshold 2 answers with an order in a
+    child process whose recursion limit is 200: the order search keeps its
+    own stack instead of recursing once per placed vertex."""
+    g = WeightedGraph()
+    for i in range(400):
+        g.add_vertex(str(i))
+    for i in range(399):
+        g.add_edge(i, i + 1, 1)
+    path, out = write_graph_doc(tmp_path, g), str(tmp_path / "order.json")
+    code = ("import sys; from naewidth.cli import run; sys.setrecursionlimit(200); "
+            "sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "balance", "solve", "-i", path, "--threshold", "2",
+         "-o", out],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    order = serialize.order_from_doc(json.loads(open(out).read()))
+    assert check_balancing_order(g, order, 2) == (True, None)
 
 
 def test_layout_group_project_flow(cnf_file, tmp_path, capsys):
@@ -1020,11 +1053,16 @@ def test_malformed_order_documents_exit_3(step_docs, cnf_file, tmp_path, capsys,
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
 
 
-def test_witness_caterpillar_refuses_paper_gstar(tmp_path):
+@pytest.mark.parametrize("argv", [["witness", "caterpillar", "--order", "{order}"],
+                                  ["layout", "group", "--hybrid", "{hybrid}"],
+                                  ["layout", "to-mapping", "--hybrid", "{hybrid}"]],
+                         ids=["witness-caterpillar", "layout-group", "layout-to-mapping"])
+def test_witness_caterpillar_refuses_paper_gstar(tmp_path, argv):
     """path([45]) at the paper profile has a 1,417,176,180-vertex G*: over the
-    layout cap, so `witness caterpillar` exits 3 before listing a vertex.  The
-    command runs in a child process held to 1 GiB of address space, so code
-    without the cap fails here with a MemoryError instead of filling the host."""
+    layout cap, so `witness caterpillar`, and `layout group` and `to-mapping`
+    on a one-node hybrid tree, exit 3 before listing a vertex.  The command
+    runs in a child process held to 1 GiB of address space, so code without
+    the cap fails here with a MemoryError instead of filling the host."""
     h = WeightedGraph()
     h.add_vertex("u")
     h.add_vertex("v")
@@ -1033,11 +1071,13 @@ def test_witness_caterpillar_refuses_paper_gstar(tmp_path):
     assert run(["reduce", "step2", "-i", write_graph_doc(tmp_path, h), "-o", g_path]) == 0
     assert run(["reduce", "step3", "--profile", "paper", "-i", g_path, "-o", star_path]) == 0
     assert json.loads(open(star_path).read())["num_vertices"] == 1417176180
-    order = tmp_path / "order.json"
+    order, hybrid = tmp_path / "order.json", tmp_path / "hybrid.json"
     order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
+    hybrid.write_text(serialize.canonical_json(
+        serialize.hybrid_tree_doc(HybridTree(tree_adj={0: []}, node_of={0: 0}))))
     proc = subprocess.run(
-        [sys.executable, "-m", "naewidth.cli", "witness", "caterpillar", "-i", star_path,
-         "--order", str(order)],
+        [sys.executable, "-m", "naewidth.cli", *argv[:2], "-i", star_path,
+         *(arg.format(order=order, hybrid=hybrid) for arg in argv[2:])],
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         capture_output=True, text=True, timeout=120)

@@ -13,10 +13,10 @@ from naewidth.red1 import SMALL
 from naewidth.red2 import build_partitioned, path_mapping_from_order
 from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_from_layout,
                            hybrid_to_tree_mapping)
-from naewidth.wgraph import path_tree_from_order, solve_balancing_tree
+from naewidth.wgraph import path_tree_from_order
 from naewidth.widths import exact_width, linear_layout_from_order
 
-from conftest import adj_fn, adjacency_sets, path_graph, star_graph
+from conftest import adj_fn, adjacency_sets, path_graph, solve_balancing_tree, star_graph
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 

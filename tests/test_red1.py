@@ -22,8 +22,9 @@ from naewidth.wgraph import (
     WeightedGraph,
     check_balancing_order,
     enumerate_balancing_orders,
-    naive_balancing_orders,
 )
+
+from conftest import naive_balancing_orders
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 

@@ -19,7 +19,7 @@ from naewidth.red2 import (
 )
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, brute_validate, path_graph, random_weighted_graph, star_graph
+from conftest import adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, brute_validate, path_graph, random_weighted_graph, sample_oracle_check, star_graph
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -151,8 +151,18 @@ def self_loop_block(h, rng):
     return gs
 
 
+def duplicate_edge(h, rng):
+    """A second edge between the ends of an H-edge, of its weight or another."""
+    g = copy_of(h)
+    u, v, w = rng.choice(list(h.edges()))
+    w += rng.choice((0, 1))
+    g.adj[u].append((v, w))
+    g.adj[v].append((u, w))
+    return PartitionedGraph(g)
+
+
 TAMPERS = [n_off_by_one, shifted_block_start, twisted_twins, shifted_part, dropped_index_entry,
-           grown_part, swapped_index_entries, dropped_last_block, self_loop_block]
+           grown_part, swapped_index_entries, dropped_last_block, self_loop_block, duplicate_edge]
 
 
 def test_validate_matches_per_vertex_walk(rng):
@@ -203,7 +213,7 @@ def test_oracle_spot_check(rng):
     h = random_weighted_graph(rng, 6, p=0.5, max_w=3)
     if h.num_edges() >= 2:
         gs = build_partitioned(h)
-        gs.sample_oracle_check(rng, samples=3000)
+        sample_oracle_check(gs, rng, samples=3000)
 
 
 def test_cut_value_trivial_cases():

@@ -9,10 +9,10 @@ from naewidth.red2 import TreeMapping, build_partitioned
 from naewidth.red3 import (HybridTree, build_Gstar, caterpillar_layout, group_gadget,
                            hybrid_from_layout)
 from naewidth.tree import Tree, path
-from naewidth.wgraph import BalancingTree, enumerate_labeled_trees
+from naewidth.wgraph import BalancingTree
 from naewidth.widths import TreeLayout, enumerate_leaf_trees
 
-from conftest import brute_sides, path_graph
+from conftest import brute_sides, enumerate_labeled_trees, path_graph
 
 
 def assert_sides_match(tree):

@@ -13,15 +13,12 @@ from naewidth.wgraph import (
     check_balancing_order,
     check_balancing_tree,
     enumerate_balancing_orders,
-    enumerate_labeled_trees,
-    naive_balancing_orders,
     path_tree_from_order,
-    side_weights,
     solve_balancing_order,
-    solve_balancing_tree,
 )
 
-from conftest import path_graph, random_weighted_graph, star_graph
+from conftest import (enumerate_labeled_trees, naive_balancing_orders, path_graph,
+                      random_weighted_graph, solve_balancing_tree, star_graph)
 
 
 def triangle(w):
@@ -43,14 +40,6 @@ def test_vertex_weight():
     assert g.vertex_weight(d) == 0
     with pytest.raises(ValidationError):
         g.vertex_weight(9)
-
-
-def test_side_weights_p3():
-    g = path_graph([4, 4])
-    left, right = side_weights(g, [0, 1, 2], 1)
-    assert (left, right) == (4, 4)
-    assert side_weights(g, [0, 1, 2], 0) == (0, 4)
-    assert side_weights(g, [0, 1, 2], 2) == (4, 0)
 
 
 def test_check_single_edge():

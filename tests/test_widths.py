@@ -8,7 +8,6 @@ from naewidth.red2 import cut_value, mapping_value, path_mapping_from_order
 from naewidth.widths import (
     EXACT_CAP,
     TreeLayout,
-    double_factorial,
     enumerate_leaf_trees,
     exact_width,
     layout_value,
@@ -16,7 +15,7 @@ from naewidth.widths import (
 )
 
 from conftest import (adj_fn, adjacency_sets, brute_exact_width, brute_mim, brute_uim,
-                      random_graph_adj)
+                      double_factorial, random_graph_adj)
 
 
 def complete_graph(n):
