@@ -4,14 +4,17 @@ graph (G, S) whose cut matchings mirror H's weighted degrees.
 Every vertex u of H becomes an independent part S(u) split into blocks
 I(u, v) of size w(uv); matching edges pair I(u, v) with I(v, u) position by
 position, and dummy bicliques join blocks of disjoint H-edges.  G is kept
-implicit (block layout + O(1) adjacency oracle): real instances have far too
-many dummy edges to materialize.  Validation is arithmetic over the blocks,
-O(|E(H)|), since |V(G)| = 2·W(H) reaches tens of millions at the paper profile.
+implicit (one block table + adjacency oracle): real instances have far too
+many dummy edges to materialize.  Step 3 scales H's weights by a on the table
+(its scale; every start and size times a), so H is never copied.  Validation
+is arithmetic over the blocks, O(|E(H)|), since |V(G)| = 2·W(H) reaches tens
+of millions at the paper profile.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 
 from .errors import ValidationError
@@ -21,29 +24,39 @@ from .wgraph import BalancingTree, WeightedGraph
 
 
 class PartitionedGraph:
-    """Implicit (G, S): block layout over H plus an adjacency oracle.
+    """Implicit (G, S) over H with its weights times scale: a block table.
 
     Blocks are laid out in ascending (u, v), so every part S(u) is a
-    contiguous id range.  adjacent(p, q) returns "matching", "dummy", or
-    None in O(log #blocks).
+    contiguous id range and a block is found by bisection.  adjacent(p, q)
+    returns "matching", "dummy", or None in O(log #blocks).
     """
 
     def __init__(self, h: WeightedGraph):
         self.H = h
-        self.block_pairs = []   # ordered (u, v) with uv in E(H)
+        self.scale = 1
+        self.block_pairs = []   # strictly ascending (u, v) with uv in E(H)
         self.block_start = []   # parallel to block_pairs
-        self.block_index = {}
         self.part_range = {}
         nxt = 0
         for u in h.vertex_ids():
             part_start = nxt
             for v, w in sorted(h.adj[u]):
-                self.block_index[(u, v)] = len(self.block_pairs)
                 self.block_pairs.append((u, v))
                 self.block_start.append(nxt)
                 nxt += w
             self.part_range[u] = (part_start, nxt)
         self.n = nxt
+
+    def scaled(self, factor):
+        """The (G, S) of H's weights times factor by arithmetic: every start,
+        part bound, |V(G)| and the scale times factor (factor 1: self)."""
+        if factor == 1:
+            return self
+        out = copy.copy(self)
+        out.scale, out.n = self.scale * factor, self.n * factor
+        out.block_start = [start * factor for start in self.block_start]
+        out.part_range = {u: (a * factor, b * factor) for u, (a, b) in self.part_range.items()}
+        return out
 
     def block_of(self, p):
         """(u, v) block containing G-vertex p."""
@@ -60,7 +73,10 @@ class PartitionedGraph:
         return self.block_start[k + 1] if k + 1 < len(self.block_start) else self.n
 
     def block_range(self, u, v):
-        k = self.block_index[(u, v)]
+        """G-vertices of I(u, v); KeyError if uv is not an edge of H."""
+        k = bisect.bisect_left(self.block_pairs, (u, v))
+        if k == len(self.block_pairs) or self.block_pairs[k] != (u, v):
+            raise KeyError((u, v))
         return range(self.block_start[k], self.block_end(k))
 
     def block_position(self, p):
@@ -93,7 +109,7 @@ class PartitionedGraph:
         return self.block_range(v, u)[self.block_position(p)]
 
     def num_matching_edges(self):
-        return self.H.total_weight()
+        return self.scale * self.H.total_weight()
 
     def num_dummy_edges(self):
         """4·Σ w_e·w_f over unordered pairs of vertex-disjoint H-edges, in O(|E(H)|).
@@ -101,12 +117,13 @@ class PartitionedGraph:
         Closed form 2·[(W² − Σ w_e²) − Σ_v (d_v² − Σ_{e∋v} w_e²)], W the total
         weight and d_v the weighted degree: ordered pairs of distinct edges
         less those sharing a vertex (H is simple, so they share at most one).
-        Every edge meets two vertices, which leaves 2·(W² + Σ w_e² − Σ_v d_v²).
+        Every edge meets two vertices, which leaves 2·(W² + Σ w_e² − Σ_v d_v²)
+        for H's weights times scale.
         """
         h = self.H
         squares = sum(w * w for _, _, w in h.edges())
         degree_squares = sum(h.vertex_weight(v) ** 2 for v in h.vertex_ids())
-        return 2 * (h.total_weight() ** 2 + squares - degree_squares)
+        return 2 * self.scale ** 2 * (h.total_weight() ** 2 + squares - degree_squares)
 
     def num_edges(self):
         return self.num_matching_edges() + self.num_dummy_edges()
@@ -128,24 +145,26 @@ class PartitionedGraph:
                             yield min(p, q), max(p, q), "dummy"
 
     def validate(self) -> None:
-        """Audit of the block layout in O(|E(H)|): one block per entry of H.adj,
-        contiguous from 0 in block_pairs order, each inside S(u) (|S(u)| = d_u)
-        with a twin (v, u) of equal positive weight.  So S(u) spans u's blocks,
-        and matching_partner is an involution that matches every G-vertex."""
-        h, pairs, parts = self.H, self.block_pairs, self.part_range
-        weight = {(u, v): w for u in h.vertex_ids() for v, w in h.adj[u]}
-        if self.n != 2 * h.total_weight():
-            raise ValidationError("|V(G)| != 2 * total weight of H")
-        if not (len(pairs) == len(self.block_start) == len(self.block_index)
-                == len(weight) == sum(map(len, h.adj))):
-            raise ValidationError("blocks do not list each edge of H once per direction")
-        if {u: b - a for u, (a, b) in parts.items()} != {u: h.vertex_weight(u) for u in range(h.n)}:
+        """Audit of the block layout in O(|E(H)|), H's weights times scale: one
+        block per entry of H.adj in ascending (u, v), contiguous from 0, each
+        inside S(u) (|S(u)| = d_u) with a twin (v, u) of equal positive weight.
+        So S(u) spans u's blocks, block_range finds each one, and
+        matching_partner is an involution that matches every G-vertex."""
+        h, pairs, parts, scale = self.H, self.block_pairs, self.part_range, self.scale
+        weight = {(u, v): w * scale for u in h.vertex_ids() for v, w in h.adj[u]}
+        if self.n != 2 * scale * h.total_weight():
+            raise ValidationError("|V(G)| != 2 * scale * total weight of H")
+        if (pairs != sorted(weight) or len(pairs) != len(self.block_start)
+                or len(weight) != sum(map(len, h.adj))):
+            raise ValidationError("blocks do not list each edge of H once per direction in order")
+        degrees = {u: scale * h.vertex_weight(u) for u in range(h.n)}
+        if {u: b - a for u, (a, b) in parts.items()} != degrees:
             raise ValidationError("part sizes differ from the weighted degrees of H")
         nxt = 0
-        for k, ((u, v), start) in enumerate(zip(pairs, self.block_start)):
-            if start != nxt or self.block_index.get((u, v)) != k:
+        for (u, v), start in zip(pairs, self.block_start):
+            if start != nxt:
                 raise ValidationError(f"block I({u},{v}) is out of place in the layout")
-            w = weight.get((u, v), 0)
+            w = weight[(u, v)]
             nxt += w
             if u == v or weight.get((v, u)) != w or not parts[u][0] <= start < nxt <= parts[u][1]:
                 raise ValidationError(f"I({u},{v}) has no twin of its weight or lies outside S({u})")

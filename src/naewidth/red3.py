@@ -3,8 +3,10 @@
 Each part S(u) becomes a gadget on the path P_u: every block I(u, v) is cut
 into `a` equal slices, chunk i lists slice i of each block in ascending
 neighbour order, and the sequence is 1-subdivided with one vertex appended
-(so |V(P_u)| = 2|S(u)|).  The gadget concatenates b quasi-copies of P_u
-that are densely interconnected except around corresponding positions.
+(so |V(P_u)| = 2|S(u)|).  When a block size is no multiple of a,
+ensure_divisible first scales (G, S) by a, by arithmetic on its block table:
+every start and size times a.  The gadget concatenates b quasi-copies of
+P_u that are densely interconnected except around corresponding positions.
 Inter-gadget edges are bicliques between the copy sets of G-adjacent
 originals.  Neither P_u nor the id layout of G* is stored: a gadget reads any
 position off the block layout of (G, S), and the gadget of u holds the
@@ -22,9 +24,8 @@ import bisect
 from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET
 from .red1 import Constants, validate_constants
-from .red2 import PartitionedGraph, TreeMapping, build_partitioned
+from .red2 import PartitionedGraph, TreeMapping
 from .tree import Tree
-from .wgraph import WeightedGraph, scale_weights
 from .widths import TreeLayout, linear_layout_from_order, tree_cut_values
 
 # caterpillar_layout and HybridTree.gadget_nodes list every G*-vertex: this
@@ -180,20 +181,13 @@ def build_Gstar(gs: PartitionedGraph, c: Constants) -> Gstar:
     return Gstar(gs, c)
 
 
-def scale_factor(h: WeightedGraph, c: Constants) -> int:
-    """The factor step 3 scales H's weights by to make every block size a
-    multiple of a: 1 if every weight is one already, else a.  The step-1
-    graphs carry unit-grain weights (gamma+1 links, weight-1 padding edges);
-    balancing thresholds scale along exactly."""
-    return 1 if all(w % c.a == 0 for _, _, w in h.edges()) else c.a
-
-
 def ensure_divisible(gs: PartitionedGraph, c: Constants):
-    """(G, S) over H with its weights scaled by scale_factor, and the factor."""
-    factor = scale_factor(gs.H, c)
-    if factor == 1:
+    """(G, S) with a dividing every block size, and the factor: (gs, 1) if a
+    does already, else (gs.scaled(a), a).  Step-1 graphs carry unit-grain
+    weights (gamma+1 links, weight-1 padding); balancing thresholds scale too."""
+    if all(w * gs.scale % c.a == 0 for _, _, w in gs.H.edges()):
         return gs, 1
-    return build_partitioned(scale_weights(gs.H, factor)), factor
+    return gs.scaled(c.a), c.a
 
 
 def caterpillar_layout(star: Gstar, h_order) -> TreeLayout:

@@ -18,8 +18,8 @@ from .errors import ValidationError
 from .formula import NaeFormula
 from .red1 import BottleneckHandle, Constants, HBuild, build_H, validate_constants
 from .red2 import PartitionedGraph, TreeMapping, build_partitioned
-from .red3 import Gstar, HybridTree, build_Gstar, scale_factor
-from .wgraph import ROLES, BalancingTree, WeightedGraph, scale_weights
+from .red3 import Gstar, HybridTree, build_Gstar, ensure_divisible
+from .wgraph import ROLES, BalancingTree, WeightedGraph
 from .widths import TreeLayout
 
 FORMAT_VERSION = 1
@@ -61,12 +61,12 @@ def _edge_records(g: WeightedGraph, scale=1):
     return ({"u": u, "v": v, "weight": w * scale} for u, v, w in sorted(g.edges()))
 
 
-def weighted_graph_doc(g: WeightedGraph, meta=None):
+def weighted_graph_doc(g: WeightedGraph, meta=None, scale=1):
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "weighted_graph",
         "vertices": list(_vertex_records(g)),
-        "edges": list(_edge_records(g)),
+        "edges": list(_edge_records(g, scale)),
     }
     if meta is not None:
         doc["meta"] = meta
@@ -215,7 +215,7 @@ def hbuild_from_doc(doc, scale=1) -> HBuild:
 # -- step-2 partitioned graphs ----------------------------------------------
 
 def partitioned_doc(gs: PartitionedGraph, base_meta=None):
-    return _partitioned_doc(gs, weighted_graph_doc(gs.H, meta=base_meta))
+    return _partitioned_doc(gs, weighted_graph_doc(gs.H, meta=base_meta, scale=gs.scale))
 
 
 def _partitioned_doc(gs: PartitionedGraph, base):
@@ -239,17 +239,19 @@ def _partitioned_doc(gs: PartitionedGraph, base):
 
 
 def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
-    """The (G, S) of the base graph H, weights times scale, if the document
-    is exactly its; given constants c, scale must be step 3's factor for H."""
+    """The (G, S) of the base graph H, if the document is exactly its.  Given
+    constants c, it is scaled as step 3 scales it, and scale, the factor on
+    the base's weights, must be step 3's factor."""
     with _malformed("partitioned_graph"):
         _expect(doc, "partitioned_graph")
         base = doc["base"]
-        h = weighted_graph_from_doc(base, scale)
-        if c is not None and scale != scale_factor(h, c):
-            raise ValidationError(f"weight_scale {scale} is not the factor step 3 picks for H")
-        gs = build_partitioned(scale_weights(h, scale))
+        gs = build_partitioned(weighted_graph_from_doc(base, scale))
+        if c is not None:
+            gs, factor = ensure_divisible(gs, c)
+            if factor != scale:
+                raise ValidationError(f"weight_scale {scale} is not the factor step 3 picks for H")
         if "meta" not in base:  # a step-1 base was compared record by record when read
-            base = weighted_graph_doc(gs.H)
+            base = weighted_graph_doc(gs.H, scale=scale)
         if doc != _partitioned_doc(gs, base):
             raise ValidationError("step-2 document is not the rebuild of its base graph")
         return gs

@@ -89,34 +89,18 @@ class WeightedGraph:
         return sum(w for _, w in self.adj[v])
 
     def check_simple(self) -> None:
+        """O(|E|) audit: no self-loop, duplicate, one-sided edge or weight below 1."""
+        weights = [dict(lst) for lst in self.adj]
         for u, lst in enumerate(self.adj):
-            seen = set()
+            if len(weights[u]) != len(lst):
+                raise ValidationError(f"duplicate edge at {u}")
             for v, w in lst:
                 if v == u:
                     raise ValidationError(f"self-loop at {u}")
-                if v in seen:
-                    raise ValidationError(f"duplicate edge ({u}, {v})")
                 if w < 1:
                     raise ValidationError(f"non-positive weight on ({u}, {v})")
-                if self.edge_weight(v, u) != w:
+                if weights[v].get(u) != w:
                     raise ValidationError(f"asymmetric edge ({u}, {v})")
-                seen.add(v)
-
-
-def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
-    """Copy of g with every edge weight multiplied by factor.
-
-    Scaling is exact for balancing: an order or tree is t-balancing on g iff
-    it is (t*factor)-balancing on the scaled copy.
-    """
-    if factor < 1:
-        raise ValidationError(f"scale factor {factor} < 1")
-    out = WeightedGraph()
-    for v in g.vertex_ids():
-        out.add_vertex(g.labels[v], g.roles[v])
-    for u, v, w in g.edges():
-        out.add_edge(u, v, w * factor)
-    return out
 
 
 def check_balancing_order(g, order, t):

@@ -97,26 +97,46 @@ def brute_dummy_edges(h):
     return total
 
 
+def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
+    """Reference for PartitionedGraph.scaled: a copy of g with every edge
+    weight multiplied by factor.
+
+    Scaling is exact for balancing: an order or tree is t-balancing on g iff
+    it is (t*factor)-balancing on the scaled copy.
+    """
+    out = WeightedGraph()
+    for v in g.vertex_ids():
+        out.add_vertex(g.labels[v], g.roles[v])
+    for u, v, w in g.edges():
+        out.add_edge(u, v, w * factor)
+    return out
+
+
 def brute_validate(gs):
     """Reference for PartitionedGraph.validate: the per-vertex walk, two
-    binary searches per matching_partner call over all 2·W(H) G-vertices.
-    Each vertex must lie in its own part; a lookup that fails on a broken
-    layout counts as a failed audit."""
-    if gs.n != 2 * gs.H.total_weight():
-        raise ValidationError("|V(G)| != 2 * total weight of H")
+    binary searches per matching_partner call over all 2·W(H) G-vertices,
+    H's weights times gs.scale.  Each vertex must lie in its own part, the
+    walk must meet the blocks in ascending (u, v), and a lookup that fails on
+    a broken layout counts as a failed audit."""
+    scale = gs.scale
+    if gs.n != 2 * scale * gs.H.total_weight():
+        raise ValidationError("|V(G)| != 2 * scale * total weight of H")
     try:
         covered = 0
         for u in gs.parts():
             start, end = gs.part_range[u]
             covered += end - start
             blocks = sorted(gs.H.adj[u])
-            if sum(w for _, w in blocks) != end - start:
+            if sum(w * scale for _, w in blocks) != end - start:
                 raise ValidationError(f"S({u}) does not decompose into its blocks")
             for v, w in blocks:
-                if len(gs.block_range(u, v)) != w or len(gs.block_range(v, u)) != w:
+                if len(gs.block_range(u, v)) != w * scale or len(gs.block_range(v, u)) != w * scale:
                     raise ValidationError(f"|I({u},{v})| != w({u}{v}) or mismatched twin")
         if covered != gs.n:
             raise ValidationError("parts do not partition V(G)")
+        walk = [gs.block_of(p) for p in range(gs.n)]
+        if walk != sorted(walk):
+            raise ValidationError("the walk meets the blocks out of ascending order")
         for u in gs.parts():
             for p in gs.part_vertices(u):
                 q = gs.matching_partner(p)
@@ -181,11 +201,11 @@ def brute_Pu(gs, u, c):
 def brute_gstar_ids(star):
     """Reference for the arithmetic G*-ids: ({owner: base}, |V(G*)|) found by
     summing gadget sizes, b·2|S(u)| with |S(u)| the weighted degree of u in
-    H, over the owners in ascending order."""
+    H times the scale of (G, S), over the owners in ascending order."""
     bases, n = {}, 0
     for u in sorted(star.gadgets):
         bases[u] = n
-        n += star.constants.b * 2 * star.GS.H.vertex_weight(u)
+        n += star.constants.b * 2 * star.GS.scale * star.GS.H.vertex_weight(u)
     return bases, n
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naewidth
-from naewidth import serialize
+from naewidth import red2, serialize
 from naewidth.cli import run
 from naewidth.formula import parse_nae_dimacs
 from naewidth.red3 import HybridTree
-from naewidth.wgraph import WeightedGraph, check_balancing_order
+from naewidth.wgraph import ROLES, WeightedGraph, check_balancing_order
+
+from conftest import adjacency_sets
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -28,6 +31,11 @@ def cnf_file(tmp_path):
     path = tmp_path / "f.cnf"
     path.write_text(FOUR_COPIES)
     return str(path)
+
+
+def file_sha(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_graph_doc(tmp_path, g, name="g.json"):
@@ -208,6 +216,50 @@ def test_malformed_cutval_input_exits_3(tmp_path, capsys, graph_text, cut_text):
     cut.write_text(cut_text)
     assert run(["cutval", "--kind", "mim", "-i", graph, "--cut", str(cut)]) == 3
     assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def _edge_faults():
+    """Weighted graph documents with one fault check_simple or add_edge
+    refuses: a self-loop, a duplicate edge, or a weight below 1."""
+    h = WeightedGraph()
+    for label in "uvw":
+        h.add_vertex(label)
+    h.add_edge(0, 1, 2)
+    h.add_edge(1, 2, 3)
+    doc = serialize.weighted_graph_doc(h)
+    for extra in ({"u": 2, "v": 2, "weight": 1}, {"u": 1, "v": 0, "weight": 2},
+                  {"u": 0, "v": 2, "weight": 0}):
+        yield {**doc, "edges": doc["edges"] + [extra]}
+
+
+@pytest.mark.parametrize("doc", _edge_faults(), ids=["self-loop", "duplicate", "zero-weight"])
+def test_weighted_graph_edge_faults_exit_3(tmp_path, capsys, doc):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    order = tmp_path / "order.json"
+    order.write_text(serialize.canonical_json(serialize.order_doc([0, 1, 2])))
+    for argv in (["reduce", "step2", "-i", str(path), "-o", str(tmp_path / "g.json")],
+                 ["balance", "check", "-i", str(path), "--order", str(order),
+                  "--threshold", "5"]):
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_balance_check_on_a_20000_leaf_star(tmp_path):
+    """Loading a graph audits it in O(|E|): the centre of a star with 20,000
+    unit-weight leaves, placed in the middle of the order, has 10,000 leaves
+    on either side."""
+    h = WeightedGraph()
+    h.add_vertex("centre")
+    for i in range(1, 20001):
+        h.add_vertex(f"leaf{i}")
+        h.add_edge(0, i, 1)
+    order = tmp_path / "order.json"
+    order.write_text(serialize.canonical_json(
+        serialize.order_doc(list(range(1, 10001)) + [0] + list(range(10001, 20001)))))
+    assert run(["balance", "check", "-i", write_graph_doc(tmp_path, h), "--order", str(order),
+                "--threshold", "10000"]) == 0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -729,11 +781,11 @@ def _mutate(data, doc, paths):
 
 
 def _run_quietly(argv):
-    """The exit code of the CLI on argv and what it wrote to stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """The exit code of the CLI on argv and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _same_json(a, b):
@@ -764,7 +816,7 @@ def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
                 for part in ("vertices", "edges")}}
     _mutate(data, mutated, sites[data.draw(st.sampled_from(sorted(sites)))])
     open(step1_fuzz["mutated.json"], "w").write(json.dumps(mutated))
-    code, err = _run_quietly(["witness", "decode", "-i", step1_fuzz["mutated.json"],
+    code, _, err = _run_quietly(["witness", "decode", "-i", step1_fuzz["mutated.json"],
                               "--cnf", step1_fuzz["f.cnf"], "--order", step1_fuzz["order.json"]])
     if _same_json(mutated, original):
         assert code == 0
@@ -796,7 +848,7 @@ def test_step2_and_step3_loaders_accept_exactly_the_rebuild(step_docs, step, dat
     path, how = _mutate(data, mutated, groups[data.draw(st.sampled_from(sorted(groups)))])
     paths = dict(step_docs, out=step_docs["mutated"] + ".out")
     open(paths["mutated"], "w").write(json.dumps(mutated))
-    code, err = _run_quietly([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
+    code, _, err = _run_quietly([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
     if _same_json(mutated, original) or (path, how) == (("base", "meta"), "delete"):
         assert code == 0
     else:
@@ -855,7 +907,7 @@ def test_witness_documents_exit_0_or_3(witness_docs, kind, argv, data):
     groups = _site_groups(original)
     _mutate(data, mutated, groups[data.draw(st.sampled_from(sorted(groups)))])
     open(witness_docs["mutated"], "w").write(json.dumps(mutated))
-    code, err = _run_quietly([arg.format(**witness_docs) for arg in argv])
+    code, _, err = _run_quietly([arg.format(**witness_docs) for arg in argv])
     assert code == 0 if _same_json(mutated, original) else code in (0, 3)
     if code == 3:
         assert json.loads(err)["type"] == "validation"
@@ -901,12 +953,180 @@ def test_cnf_text_exits_0_1_or_3(cnf_fuzz, data):
     codes = []
     for argv, allowed in ((["nae", "check", cnf], (0, 3)), (["nae", "solve", cnf], (0, 1, 3)),
                           (["reduce", "step1", "-i", cnf, "-o", out], (0, 3))):
-        code, err = _run_quietly(argv)
+        code, _, err = _run_quietly(argv)
         assert code in allowed, argv
         if code == 3:
             assert json.loads(err)["type"] == "validation"
         codes.append(code == 3)
     assert len(set(codes)) == 1
+
+
+# -- graph, cut and order documents of cutval, width exact and balance -------
+
+@pytest.fixture(scope="module")
+def doc_fuzz(tmp_path_factory):
+    root = tmp_path_factory.mktemp("doc-fuzz")
+    return {name: root / f"{name}.json" for name in ("graph", "cut", "order", "out")}
+
+
+def _draw_graph_doc(data, weighted):
+    """A graph document on 1 to 8 vertices, with weights 1 to 5 if weighted."""
+    n = data.draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    if not weighted:
+        return serialize.graph_doc(adjacency_sets(n, edges))
+    g = WeightedGraph()
+    g.add_vertices(map(str, range(n)))
+    for u, v in edges:
+        g.add_edge(u, v, data.draw(st.integers(1, 5)))
+    return serialize.weighted_graph_doc(g)
+
+
+def _maybe_mutate(data, doc):
+    """doc, or a copy with one value mutated as _mutate does."""
+    if not data.draw(st.booleans()):
+        return doc
+    mutated = json.loads(json.dumps(doc))
+    _mutate(data, mutated, [path for path in _paths(doc) if path])
+    return mutated
+
+
+def _fields_ok(records, checks):
+    """Whether every record is an object whose named fields pass their checks."""
+    try:
+        return all(check(rec[key]) for rec in records for key, check in checks.items())
+    except (KeyError, TypeError):
+        return False
+
+
+def _is_int(value):
+    return type(value) is int
+
+
+def _graph_doc_size(doc, weighted):
+    """The vertex count of a graph document the loader must accept, else None:
+    the loader's rules restated over the JSON text."""
+    if not (isinstance(doc, dict) and doc.get("kind") == ("weighted_graph" if weighted else "graph")
+            and _same_json(doc.get("format_version"), serialize.FORMAT_VERSION)
+            and isinstance(doc.get("vertices"), list) and isinstance(doc.get("edges"), list)):
+        return None
+    vertices, edges = doc["vertices"], doc["edges"]
+    n = len(vertices)
+
+    def on_ids(x):
+        return _is_int(x) and 0 <= x < n
+
+    vertex_checks, edge_checks = {"id": _is_int}, {"u": on_ids, "v": on_ids}
+    if weighted:
+        vertex_checks.update(label=lambda x: isinstance(x, str), role=lambda x: x in ROLES)
+        edge_checks["weight"] = lambda w: _is_int(w) and w >= 1
+    if not (_fields_ok(vertices, vertex_checks) and _fields_ok(edges, edge_checks)
+            and [rec["id"] for rec in vertices] == list(range(n))
+            and all(rec["u"] != rec["v"] for rec in edges)):
+        return None
+    if weighted and len({frozenset((rec["u"], rec["v"])) for rec in edges}) != len(edges):
+        return None
+    return n
+
+
+def _order_ok(doc, n):
+    return (isinstance(doc, dict) and doc.get("kind") == "order"
+            and _same_json(doc.get("format_version"), serialize.FORMAT_VERSION)
+            and isinstance(doc.get("sequence"), list)
+            and all(map(_is_int, doc["sequence"])) and sorted(doc["sequence"]) == list(range(n)))
+
+
+def _assert_documented(code, err, allowed):
+    """code is one of the allowed exit codes; 3 and 4 come with a JSON
+    diagnostic of their type."""
+    assert code in allowed
+    if code in (3, 4):
+        assert json.loads(err)["type"] == {3: "validation", 4: "budget"}[code]
+
+
+_INT_OPTION = st.one_of(st.integers(-3, 40), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cutval_documents_exit_0_3_or_4(doc_fuzz, data):
+    """A graph and a cut document of up to 8 vertices, either possibly with
+    one value mutated, a threshold and a small budget: `cutval` exits 0 or 4
+    on documents its loader must accept, and 3 with a JSON diagnostic on the
+    rest."""
+    graph = _maybe_mutate(data, _draw_graph_doc(data, weighted=False))
+    n = len(graph["vertices"]) if isinstance(graph.get("vertices"), list) else 0
+    side = data.draw(st.lists(st.sampled_from("AB-"), min_size=n, max_size=n))
+    cut = _maybe_mutate(data, {key: [v for v in range(n) if side[v] == key] for key in "AB"})
+    doc_fuzz["graph"].write_text(json.dumps(graph))
+    doc_fuzz["cut"].write_text(json.dumps(cut))
+    argv = ["cutval", "--kind", data.draw(st.sampled_from(["mim", "sim"])),
+            "-i", str(doc_fuzz["graph"]), "--cut", str(doc_fuzz["cut"]),
+            "--budget", str(data.draw(st.integers(-1, 30)))]
+    if data.draw(st.booleans()):
+        argv += ["--threshold", str(data.draw(_INT_OPTION))]
+    code, out, err = _run_quietly(argv)
+    size = _graph_doc_size(graph, weighted=False)
+    cut_ok = (size is not None and isinstance(cut, dict)
+              and all(isinstance(cut.get(key), list) and all(map(_is_int, cut[key]))
+                      and set(cut[key]) <= set(range(size)) for key in "AB")
+              and not set(cut["A"]) & set(cut["B"]))
+    _assert_documented(code, err, (0, 4) if cut_ok else (3,))
+    if code == 0:
+        assert json.loads(out)["value"] >= 0
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_width_exact_graph_documents_exit_0_3_or_4(doc_fuzz, data):
+    """A graph document of up to 8 vertices, possibly with one value mutated,
+    under `width exact` with any kind, layout, cap and a small budget: exit 0
+    or 4 on a document the loader must accept within the cap, and 3 with a
+    JSON diagnostic on the rest."""
+    graph = _maybe_mutate(data, _draw_graph_doc(data, weighted=False))
+    doc_fuzz["graph"].write_text(json.dumps(graph))
+    cap = data.draw(st.integers(-1, 13))
+    argv = ["width", "exact", "--kind", data.draw(st.sampled_from(["mim", "sim", "omim"])),
+            "-i", str(doc_fuzz["graph"]), "--cap", str(cap),
+            "--budget", str(data.draw(st.integers(-1, 10 ** 4)))]
+    if data.draw(st.booleans()):
+        argv.append("--linear")
+    code, out, err = _run_quietly(argv)
+    size = _graph_doc_size(graph, weighted=False)
+    _assert_documented(code, err, (0, 4) if size is not None and 1 <= size <= cap else (3,))
+    if code == 0:
+        assert json.loads(out)["value"] >= 0
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_balance_documents_exit_0_1_3_or_4(doc_fuzz, data):
+    """A weighted graph of up to 8 vertices and an order of its vertices,
+    either possibly with one value mutated, any integer threshold and a small
+    budget.  On documents the loaders must accept, `balance check` exits 0
+    or 1 as the order is balanced or not, and `balance solve` exits 0 with a
+    balanced order, 1 or 4; on the rest both exit 3 with a JSON diagnostic."""
+    graph = _maybe_mutate(data, _draw_graph_doc(data, weighted=True))
+    n = len(graph["vertices"]) if isinstance(graph.get("vertices"), list) else 0
+    order = _maybe_mutate(data, serialize.order_doc(data.draw(st.permutations(range(n)))))
+    doc_fuzz["graph"].write_text(json.dumps(graph))
+    doc_fuzz["order"].write_text(json.dumps(order))
+    graph_path, order_path, out_path = (str(doc_fuzz[key]) for key in ("graph", "order", "out"))
+    threshold = str(data.draw(_INT_OPTION))
+    size = _graph_doc_size(graph, weighted=True)
+    code, out, err = _run_quietly(["balance", "check", "-i", graph_path, "--order", order_path,
+                                   "--threshold", threshold])
+    _assert_documented(code, err, (0, 1) if size is not None and _order_ok(order, size) else (3,))
+    if code in (0, 1):
+        assert json.loads(out)["balanced"] is (code == 0)
+    code, out, err = _run_quietly(["balance", "solve", "-i", graph_path, "--threshold", threshold,
+                                   "--budget", str(data.draw(st.integers(-1, 200))),
+                                   "-o", out_path])
+    _assert_documented(code, err, (0, 1, 4) if size is not None else (3,))
+    if code == 0:
+        assert _run_quietly(["balance", "check", "-i", graph_path, "--order", out_path,
+                             "--threshold", threshold])[0] == 0
 
 
 HUGE_HEADERS = ["p cnf 1000000000 1", "p cnf 99999999999999999999999 1"]
@@ -1144,6 +1364,35 @@ def test_gadget_document_version_1_exits_3(toy_gstar, step_docs, tmp_path, capsy
     assert err["type"] == "validation" and "unsupported format_version" in err["error"]
 
 
+def test_reduce_lays_out_one_partitioned_graph(cnf_file, tmp_path, monkeypatch):
+    """`reduce all` and `reduce step3` lay (G, S) out once: step 3 scales that
+    block table by a (3 at small) instead of laying out a scaled copy of H.
+    Loading the step-3 document lays it out once as well."""
+    built = []
+    init = red2.PartitionedGraph.__init__
+
+    def counted(self, h):
+        built.append(h)
+        init(self, h)
+
+    def layouts(argv):
+        built.clear()
+        assert run(argv) == 0
+        return len(built)
+
+    monkeypatch.setattr(red2.PartitionedGraph, "__init__", counted)
+    prefix = str(tmp_path / "r")
+    assert layouts(["reduce", "all", "-i", cnf_file, "-o", prefix]) == 1
+    step3 = json.loads(open(prefix + ".step3.json").read())
+    assert step3["weight_scale"] == 3
+    assert layouts(["reduce", "step3", "-i", prefix + ".step2.json",
+                    "-o", str(tmp_path / "s.json")]) == 1
+    assert file_sha(tmp_path / "s.json") == file_sha(prefix + ".step3.json")
+    built.clear()
+    serialize.gstar_from_doc(step3)
+    assert len(built) == 1
+
+
 def test_reduce_step3_paper_profile(cnf_file, tmp_path):
     """Step 3 at the paper profile: |V(G*)| = 2·a·b·|V(G)| ≈ 3.8e16, built per block."""
     h_path, g_path, star_path = (str(tmp_path / name) for name in ("H.json", "G.json", "S.json"))
@@ -1156,3 +1405,6 @@ def test_reduce_step3_paper_profile(cnf_file, tmp_path):
     assert n_g == 53513200
     assert doc["format_version"] == 2 and doc["weight_scale"] == c["a"] == 45
     assert doc["num_vertices"] == 2 * c["a"] * c["b"] * n_g == 37918816177788000
+    # only at paper does the step-3 base carry H's weights times a (= 45)
+    assert file_sha(g_path) == "7a057cafc21ccad91f1dc12f6ebf055197c00533a798378ae939866e823f4532"
+    assert file_sha(star_path) == "fb1fce30646e34253caa6ab93e138be588aa85ce7ce8847ac025f7ae643e3a9d"

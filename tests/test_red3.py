@@ -19,9 +19,9 @@ from naewidth.red3 import (
     hybrid_to_tree_mapping,
     project_mapping_to_G,
 )
-from naewidth.wgraph import WeightedGraph, scale_weights
+from naewidth.wgraph import WeightedGraph
 
-from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, star_graph
+from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, scale_weights, star_graph
 
 A1 = Constants(36, 3, 6, 1, 3)  # a=1 keeps tiny blocks legal
 validate_constants(A1)
@@ -305,8 +305,12 @@ def test_ensure_divisible():
     gs4 = build_partitioned(single_edge_h(4))
     scaled, factor = ensure_divisible(gs4, SMALL)
     assert factor == SMALL.a
-    assert scaled.H.edge_weight(0, 1) == 12
-    brute_validate_gstar(build_Gstar(scaled, SMALL))
+    assert len(scaled.block_range(0, 1)) == 12
+    star = build_Gstar(scaled, SMALL)
+    brute_validate_gstar(star)
+    assert brute_gstar_ids(star)[1] == star.n
+    again, factor = ensure_divisible(scaled, SMALL)
+    assert factor == 1 and again is scaled
 
 
 def grouping_fixture(h):

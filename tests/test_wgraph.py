@@ -18,7 +18,7 @@ from naewidth.wgraph import (
 )
 
 from conftest import (enumerate_labeled_trees, naive_balancing_orders, path_graph,
-                      random_weighted_graph, solve_balancing_tree, star_graph)
+                      random_weighted_graph, scale_weights, solve_balancing_tree, star_graph)
 
 
 def triangle(w):
@@ -201,8 +201,6 @@ def test_tree_solver_cap():
 
 
 def test_scale_weights_preserves_balancing(rng):
-    from naewidth.wgraph import scale_weights
-
     for _ in range(10):
         g = random_weighted_graph(rng, rng.randint(2, 6), p=0.6, max_w=4)
         t = rng.randint(2, 10)
@@ -214,6 +212,21 @@ def test_scale_weights_preserves_balancing(rng):
             assert check_balancing_order(scaled, order, 3 * t) == (True, None)
         assert (solve_balancing_order(g, t) is None) == (
             solve_balancing_order(scaled, 3 * t) is None)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda adj: adj[1].append((1, 2)), "self-loop"),
+    (lambda adj: (adj[0].append((1, 2)), adj[1].append((0, 2))), "duplicate edge"),
+    (lambda adj: (adj[0].append((2, 0)), adj[2].append((0, 0))), "non-positive weight"),
+    (lambda adj: adj[2].append((0, 4)), "asymmetric edge"),
+    (lambda adj: adj.__setitem__(2, [(1, 4)]), "asymmetric edge"),
+])
+def test_check_simple_refuses_each_fault(fault, message):
+    g = path_graph([2, 3])
+    g.check_simple()
+    fault(g.adj)
+    with pytest.raises(ValidationError, match=message):
+        g.check_simple()
 
 
 def test_labeled_tree_enumeration_counts():
