@@ -39,6 +39,12 @@ def _write(path, doc):
             fh.write(text)
 
 
+def _count(token):
+    if int(token) < 0:
+        raise argparse.ArgumentTypeError(f"count {token} is negative")
+    return int(token)
+
+
 def _not_an_integer(token):
     raise ValueError(f"number {token} is not an integer")
 
@@ -108,7 +114,8 @@ def _cmd_nae(args):
         print(json.dumps({"ok": True, "num_vars": f.num_vars,
                           "num_clauses": len(f.clauses)}, sort_keys=True))
         return EXIT_OK
-    assignment = fm.brute_force_nae(f, cap=args.cap)
+    # --cap can lower the brute-force bound, never raise it
+    assignment = fm.brute_force_nae(f, cap=min(args.cap, fm.BRUTE_FORCE_CAP))
     if assignment is None:
         print(json.dumps({"satisfiable": False}, sort_keys=True))
         return EXIT_NO
@@ -252,7 +259,7 @@ def _load_hybrid(path, star):
         ht = red3.hybrid_from_layout(serialize.tree_layout_from_doc(doc))
     else:
         ht = serialize.hybrid_tree_from_doc(doc)
-    ht.gadget_nodes(star)
+    red3.gadget_nodes(ht, star)
     return ht
 
 
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = nae_sub.add_parser("gen")
     p.add_argument("-n", "--num-vars", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--sat-only", action="store_true")
 
     reduce_p = sub.add_parser("reduce", help="run the reduction steps")

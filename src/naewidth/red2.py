@@ -20,7 +20,7 @@ import itertools
 from .errors import ValidationError
 from .matchings import DEFAULT_BUDGET, cut_value
 from .tree import Tree, path
-from .wgraph import BalancingTree, WeightedGraph
+from .wgraph import WeightedGraph
 
 
 class PartitionedGraph:
@@ -179,7 +179,7 @@ def build_partitioned(h: WeightedGraph) -> PartitionedGraph:
 
 
 class TreeMapping(Tree):
-    """Tree whose nodes each carry exactly one part of the partition."""
+    """Tree whose nodes each carry exactly one part; a balancing tree of H."""
 
     def __init__(self, tree_adj: dict, part_at: dict, is_path: bool = False):
         if set(part_at) != set(tree_adj):
@@ -191,7 +191,6 @@ class TreeMapping(Tree):
         super().__init__(tree_adj, {part: node for node, part in part_at.items()})
         self.part_at = part_at  # node -> part key (H vertex / gadget owner)
         self.is_path = is_path
-        self.node_of = self.placement
 
 
 def _parts_cut(gs, mapping: TreeMapping, parts_b):
@@ -232,8 +231,3 @@ def path_mapping_from_order(gs, order) -> TreeMapping:
     return TreeMapping(tree_adj=path(order).tree_adj, part_at=dict(enumerate(order)),
                        is_path=True)
 
-
-def balancing_tree_from_mapping(h: WeightedGraph, mapping: TreeMapping) -> BalancingTree:
-    """Reuse the mapping's tree for H itself: vertex v sits where S(v) sits."""
-    return BalancingTree(tree_adj={k: list(v) for k, v in mapping.tree_adj.items()},
-                         placement=dict(mapping.node_of))

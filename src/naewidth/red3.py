@@ -12,9 +12,9 @@ originals.  Neither P_u nor the id layout of G* is stored: a gadget reads any
 position off the block layout of (G, S), and the gadget of u holds the
 2b·|S(u)| ids from 2b·start(S(u)) on, so G* is built in O(|E(H)|).
 
-The hybrid-tree machinery relocates whole gadgets onto subdivided layout
-edges and contracts the result down to a tree mapping of (G*, S*), which
-projects back to a tree mapping of (G, S).
+Grouping moves each gadget of a hybrid tree (a Tree placing V(G*), one vertex
+or one whole gadget per node) onto a subdivided edge and contracts the result
+to a tree mapping of (G*, S*), which projects back to one of (G, S).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .red2 import PartitionedGraph, TreeMapping
 from .tree import Tree
 from .widths import TreeLayout, linear_layout_from_order, tree_cut_values
 
-# caterpillar_layout and HybridTree.gadget_nodes list every G*-vertex: this
+# caterpillar_layout and gadget_nodes list every G*-vertex: this
 # admits the seeded n=6 formula at the small profile (1,992,096 vertices) and
 # refuses a paper-profile G* before the list exhausts memory
 LAYOUT_CAP = 1 << 21
@@ -203,54 +203,51 @@ def caterpillar_layout(star: Gstar, h_order) -> TreeLayout:
     return linear_layout_from_order(leaves)
 
 
-class HybridTree(Tree):
-    """Subcubic tree whose nodes hold either a whole gadget or one vertex."""
-
-    def __init__(self, tree_adj: dict, node_of: dict):
-        super().__init__(tree_adj, node_of)
-        self.node_of = node_of  # G*-vertex -> node
-        self.preimages = {node: set() for node in tree_adj}
-        for v, node in node_of.items():
-            self.preimages[node].add(v)
-
-    def gadget_nodes(self, star: Gstar) -> dict:
-        """{node: owner} of the nodes holding a whole gadget.
-
-        Raises ValidationError unless the placement covers exactly V(G*),
-        every node has degree at most 3, and every node holding two or more
-        vertices holds one whole gadget.  A G* above LAYOUT_CAP is refused
-        before its ids are listed."""
-        if star.n > LAYOUT_CAP:
-            raise CapExceededError(f"|V(G*)| = {star.n} exceeds the layout cap {LAYOUT_CAP}")
-        if self.node_of.keys() != set(range(star.n)):
-            raise ValidationError("hybrid tree placement does not cover the G*-vertices")
-        for x, nbrs in self.tree_adj.items():
-            if len(nbrs) > 3:
-                raise ValidationError(f"node {x} has degree {len(nbrs)} > 3")
-        owners = {}
-        for node, pre in self.preimages.items():
-            if len(pre) <= 1:
-                continue
-            u = star.owner_of(next(iter(pre)))
-            if pre != set(star.part_vertices(u)):
-                raise ValidationError(f"node {node} holds a strict partial gadget")
-            owners[node] = u
-        return owners
+def _held(ht: Tree) -> dict:
+    """{node: set of the G*-vertices placed on it} over every node of ht."""
+    held = {node: set() for node in ht.tree_adj}
+    for v, node in ht.placement.items():
+        held[node].add(v)
+    return held
 
 
-def hybrid_from_layout(layout: TreeLayout) -> HybridTree:
+def gadget_nodes(ht: Tree, star: Gstar) -> dict:
+    """{node: owner} of the nodes of hybrid tree ht holding a whole gadget.
+
+    Raises ValidationError unless the placement covers exactly V(G*), every
+    node has degree at most 3, and every node holding two or more vertices
+    holds one whole gadget.  A G* above LAYOUT_CAP is refused before its ids
+    are listed."""
+    if star.n > LAYOUT_CAP:
+        raise CapExceededError(f"|V(G*)| = {star.n} exceeds the layout cap {LAYOUT_CAP}")
+    if ht.placement.keys() != set(range(star.n)):
+        raise ValidationError("hybrid tree placement does not cover the G*-vertices")
+    for x, nbrs in ht.tree_adj.items():
+        if len(nbrs) > 3:
+            raise ValidationError(f"node {x} has degree {len(nbrs)} > 3")
+    owners = {}
+    for node, vertices in _held(ht).items():
+        if len(vertices) <= 1:
+            continue
+        u = star.owner_of(next(iter(vertices)))
+        if vertices != set(star.part_vertices(u)):
+            raise ValidationError(f"node {node} holds a strict partial gadget")
+        owners[node] = u
+    return owners
+
+
+def hybrid_from_layout(layout: TreeLayout) -> Tree:
     """A tree layout is already a hybrid tree: leaves hold one vertex each."""
-    return HybridTree(tree_adj={k: list(v) for k, v in layout.tree_adj.items()},
-                      node_of=dict(layout.placement))
+    return Tree({k: list(v) for k, v in layout.tree_adj.items()}, dict(layout.placement))
 
 
-def hybrid_cut_sides(ht: HybridTree, star: Gstar, edge):
+def hybrid_cut_sides(ht: Tree, star: Gstar, edge):
     """The cut (A, B) of G* at a tree edge, B the vertices on its far side."""
     far = ht.side(*edge)
     return [v for v in range(star.n) if v not in far], sorted(far)
 
 
-def hybrid_sim_values(ht: HybridTree, star: Gstar, budget: int = DEFAULT_BUDGET):
+def hybrid_sim_values(ht: Tree, star: Gstar, budget: int = DEFAULT_BUDGET):
     """Exact sim value per tree edge, keyed by the edge."""
     return tree_cut_values(star.adjacent, range(star.n), ht, "sim", budget=budget)
 
@@ -260,18 +257,18 @@ class DefaultEdgeNotFound(ValidationError):
     both sides; the sim-value assumption behind relocation was violated."""
 
 
-def find_default_edge(star: Gstar, ht: HybridTree, u):
+def find_default_edge(star: Gstar, ht: Tree, u):
     """Either ("node", t) with preimage V(G(u))), or ("edge", (x, y)) with a
     whole copy of P_u on both sides; deterministic BFS scan from the
     minimum-id node."""
     gadget = star.gadgets[u]
-    whole = set(star.part_vertices(u))
+    whole, held = set(star.part_vertices(u)), _held(ht)
     for node in sorted(ht.tree_adj):
-        if ht.preimages[node] == whole:
+        if held[node] == whole:
             return "node", node
     copies = [set(gadget.copy_vertices(i)) for i in range(gadget.copies)]
     far = dict(ht.sides())
-    placed = frozenset(ht.node_of)
+    placed = frozenset(ht.placement)
     queue = [min(ht.tree_adj)]
     seen = set(queue)
     for x in queue:
@@ -288,7 +285,7 @@ def find_default_edge(star: Gstar, ht: HybridTree, u):
     raise DefaultEdgeNotFound(f"no default node or edge for gadget of {u}")
 
 
-def group_gadget(star: Gstar, ht: HybridTree, u) -> HybridTree:
+def group_gadget(star: Gstar, ht: Tree, u) -> Tree:
     """Relocate all of V(G(u)) onto the default edge, subdividing it.
 
     Identity when some node already holds the whole gadget; the result stays
@@ -301,22 +298,22 @@ def group_gadget(star: Gstar, ht: HybridTree, u) -> HybridTree:
     if kind == "node":
         return ht
     new_node = max(ht.tree_adj) + 1
-    node_of = dict(ht.node_of)
+    placement = dict(ht.placement)
     for v in star.part_vertices(u):
-        node_of[v] = new_node
-    return HybridTree(tree_adj=ht.subdivide(*where, new_node), node_of=node_of)
+        placement[v] = new_node
+    return Tree(ht.subdivide(*where, new_node), placement)
 
 
-def group_all(star: Gstar, ht: HybridTree) -> HybridTree:
+def group_all(star: Gstar, ht: Tree) -> Tree:
     """Group every gadget, owners in ascending id order."""
     for u in star.parts():
         ht = group_gadget(star, ht, u)
     return ht
 
 
-def hybrid_to_tree_mapping(star: Gstar, ht: HybridTree) -> TreeMapping:
+def hybrid_to_tree_mapping(star: Gstar, ht: Tree) -> TreeMapping:
     """Contract part-next-to-empty edges until every node holds one part."""
-    owners = ht.gadget_nodes(star)
+    owners = gadget_nodes(ht, star)
     if len(owners) != len(star.gadgets):
         raise ValidationError("a node holds a strict partial preimage; grouping incomplete")
     owner_at = {node: owners.get(node) for node in ht.tree_adj}

@@ -18,8 +18,9 @@ from .errors import ValidationError
 from .formula import NaeFormula
 from .red1 import BottleneckHandle, Constants, HBuild, build_H, validate_constants
 from .red2 import PartitionedGraph, TreeMapping, build_partitioned
-from .red3 import Gstar, HybridTree, build_Gstar, ensure_divisible
-from .wgraph import ROLES, BalancingTree, WeightedGraph
+from .red3 import Gstar, build_Gstar, ensure_divisible
+from .tree import Tree
+from .wgraph import ROLES, WeightedGraph
 from .widths import TreeLayout
 
 FORMAT_VERSION = 1
@@ -344,13 +345,15 @@ def _tree_from_doc(doc, kind, key, node_at, flag=None):
     return adj, dict(pairs)
 
 
-def balancing_tree_doc(bt: BalancingTree):
+def balancing_tree_doc(bt: Tree):
     return _tree_doc("balancing_tree", bt, "placement", bt.placement)
 
 
-def balancing_tree_from_doc(doc) -> BalancingTree:
+def balancing_tree_from_doc(doc) -> Tree:
     adj, placement = _tree_from_doc(doc, "balancing_tree", "placement", 1)
-    return BalancingTree(tree_adj=adj, placement=placement)
+    if sorted(placement.values()) != sorted(adj):
+        raise ValidationError("placement is not a bijection onto the tree nodes")
+    return Tree(adj, placement)
 
 
 def tree_mapping_doc(m: TreeMapping):
@@ -371,10 +374,9 @@ def tree_layout_from_doc(doc) -> TreeLayout:
     return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=doc["linear"])
 
 
-def hybrid_tree_doc(ht: HybridTree):
-    return _tree_doc("hybrid_tree", ht, "placement", ht.node_of)
+def hybrid_tree_doc(ht: Tree):
+    return _tree_doc("hybrid_tree", ht, "placement", ht.placement)
 
 
-def hybrid_tree_from_doc(doc) -> HybridTree:
-    adj, node_of = _tree_from_doc(doc, "hybrid_tree", "placement", 1)
-    return HybridTree(tree_adj=adj, node_of=node_of)
+def hybrid_tree_from_doc(doc) -> Tree:
+    return Tree(*_tree_from_doc(doc, "hybrid_tree", "placement", 1))

@@ -1,9 +1,9 @@
 """The one tree core: a free tree plus a placement of items onto its nodes.
 
-Balancing trees, tree mappings, tree layouts and hybrid trees are all this
-object with one extra invariant each.  Edges are listed as (x, y) with
-x < y in adjacency insertion order, and sides() yields every edge together
-with the items placed on y's side, computed in one rooted pass.
+Balancing trees (V(H) placed bijectively) and hybrid trees (V(G*)) are plain
+Trees; tree mappings and tree layouts add one invariant each.  Edges are
+listed as (x, y) with x < y in adjacency insertion order, and sides() yields
+every edge together with the items placed on y's side, in one rooted pass.
 """
 
 from __future__ import annotations

@@ -3,16 +3,15 @@ problems: witness checkers for orders and trees, and an exact pruned search
 for balancing orders.
 
 A *t-balancing order* places the vertices so that every vertex has weighted
-backward and forward degree at most t.  A *t-balancing tree* maps vertices
-bijectively onto the nodes of a free tree so that for every vertex v and
-every tree edge e incident to v's node, the weight of v's edges crossing the
-cut of e is at most t.
+backward and forward degree at most t.  A *t-balancing tree* is any Tree
+placing the vertices bijectively on its nodes so that for every vertex v and
+tree edge e at v's node, v's edges across the cut of e weigh at most t.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceededError, ValidationError
-from .tree import Tree, path
+from .tree import Tree
 
 ROLES = (
     "variable", "variable_bar", "t", "f", "t_bar", "f_bar", "clause",
@@ -279,27 +278,15 @@ def enumerate_balancing_orders(g, t, budget: int = DEFAULT_ORDER_BUDGET, limit=N
     return list(_extensions(g, t, budget, limit))
 
 
-class BalancingTree(Tree):
-    """Unrooted tree plus a bijection from graph vertices to tree nodes."""
-
-    def __init__(self, tree_adj: dict, placement: dict):
-        if set(placement.values()) != set(tree_adj) or len(placement) != len(tree_adj):
-            raise ValidationError("placement is not a bijection onto the tree nodes")
-        super().__init__(tree_adj, placement)
-
-
-def path_tree_from_order(order) -> BalancingTree:
-    """Path-shaped balancing tree carrying the given order."""
-    line = path(order)
-    return BalancingTree(tree_adj=line.tree_adj, placement=line.placement)
-
-
-def check_balancing_tree(g, bt: BalancingTree, t):
+def check_balancing_tree(g, bt: Tree, t):
     """Return (True, None) or (False, (vertex, tree_edge)) for the first
-    vertex whose weight across the cut of an incident tree edge exceeds t."""
+    vertex whose weight across the cut of an incident tree edge exceeds t.
+    Refuses a placement that is not a bijection from V(g) onto the nodes."""
     if set(bt.placement) != set(g.vertex_ids()):
         raise ValidationError("placement does not cover the vertex set")
     vertex_at = {node: v for v, node in bt.placement.items()}
+    if len(vertex_at) != len(bt.placement) or vertex_at.keys() != bt.tree_adj.keys():
+        raise ValidationError("placement is not a bijection onto the tree nodes")
     for (x, y), far in bt.sides():
         vx, vy = vertex_at[x], vertex_at[y]
         wx = sum(w for u, w in g.adj[vx] if u in far)

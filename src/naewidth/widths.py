@@ -67,24 +67,22 @@ def linear_layout_from_order(order) -> TreeLayout:
     return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=True)
 
 
-def tree_cut_values(adjacent, vertices, tree: Tree, kind: str,
-                    budget: int = DEFAULT_BUDGET, stats=None):
+def tree_cut_values(adjacent, vertices, tree: Tree, kind: str, budget: int = DEFAULT_BUDGET):
     """Cut value of every tree edge, keyed by the edge: the vertices placed
     off the edge's far side against those placed on it."""
     out = {}
     for edge, far in tree.sides():
         rest = [v for v in vertices if v not in far]
-        out[edge], _ = cut_value(adjacent, rest, far, kind, budget=budget, stats=stats)
+        out[edge], _ = cut_value(adjacent, rest, far, kind, budget=budget)
     return out
 
 
-def layout_value(adjacent, vertices, layout: TreeLayout, kind: str,
-                 budget: int = DEFAULT_BUDGET, stats=None):
+def layout_value(adjacent, vertices, layout: TreeLayout, kind: str, budget: int = DEFAULT_BUDGET):
     """Max cut value over all tree edges of the layout."""
     if set(layout.leaf_vertex.values()) != set(vertices):
         raise ValidationError("layout leaves do not match the vertex set")
-    return max(tree_cut_values(adjacent, vertices, layout, kind, budget=budget,
-                               stats=stats).values(), default=0)
+    cuts = tree_cut_values(adjacent, vertices, layout, kind, budget=budget)
+    return max(cuts.values(), default=0)
 
 
 def enumerate_leaf_trees(num_leaves: int):

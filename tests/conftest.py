@@ -17,7 +17,7 @@ from naewidth.errors import CapExceededError, ValidationError
 from naewidth.matchings import DEFAULT_BUDGET
 from naewidth.red1 import validate_constants
 from naewidth.tree import Tree
-from naewidth.wgraph import BalancingTree, WeightedGraph, check_balancing_order, check_balancing_tree
+from naewidth.wgraph import WeightedGraph, check_balancing_order, check_balancing_tree
 from naewidth.widths import TreeLayout, _cut_table, enumerate_leaf_trees
 
 
@@ -286,7 +286,7 @@ def solve_balancing_tree(g, t, cap: int = DEFAULT_TREE_CAP):
     if len(verts) > cap:
         raise CapExceededError(f"|V| = {len(verts)} exceeds tree-enumeration cap {cap}")
     for adj in enumerate_labeled_trees(verts):
-        bt = BalancingTree(tree_adj=adj, placement={v: v for v in verts})
+        bt = Tree(adj, {v: v for v in verts})
         ok, _ = check_balancing_tree(g, bt, t)
         if ok:
             return bt
@@ -378,6 +378,14 @@ def random_weighted_graph(rng: random.Random, n, p=0.5, max_w=5) -> WeightedGrap
 def random_graph_adj(rng: random.Random, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return adjacency_sets(n, edges)
+
+
+# (tree_adj, placement) pairs over vertices 0..2 that are no bijection onto the nodes
+NON_BIJECTIVE_PLACEMENTS = {
+    "two-on-one-node": ({0: [1], 1: [0]}, {0: 0, 1: 0, 2: 1}),
+    "empty-node": ({0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}, {0: 0, 1: 1, 2: 2}),
+    "missing-vertex": ({0: [1], 1: [0, 2], 2: [1]}, {0: 0, 2: 2}),
+}
 
 
 def path_graph(weights) -> WeightedGraph:

@@ -18,7 +18,7 @@ import naewidth
 from naewidth import red2, serialize
 from naewidth.cli import run
 from naewidth.formula import parse_nae_dimacs
-from naewidth.red3 import HybridTree
+from naewidth.tree import Tree
 from naewidth.wgraph import ROLES, WeightedGraph, check_balancing_order
 
 from conftest import adjacency_sets
@@ -79,12 +79,29 @@ def test_nae_check_invalid_exits_3(tmp_path, capsys):
         assert json.loads(err)["type"] == "validation"
 
 
+FANO_CLAUSES = "1 2 3 0\n1 4 5 0\n1 6 7 0\n2 4 6 0\n2 5 7 0\n3 4 7 0\n3 5 6 0\n"
+
+
 def test_nae_solve_unsat_exits_1(tmp_path):
-    fano = ["p cnf 7 7"] + ["1 2 3 0", "1 4 5 0", "1 6 7 0", "2 4 6 0",
-                            "2 5 7 0", "3 4 7 0", "3 5 6 0"]
     path = tmp_path / "fano.cnf"
-    path.write_text("\n".join(fano) + "\n")
+    path.write_text("p cnf 7 7\n" + FANO_CLAUSES)
     assert run(["nae", "solve", str(path), "--lax"]) == 1
+
+
+def test_nae_solve_cap_cannot_raise_the_bound(tmp_path):
+    """The Fano clauses plus 18 free variables make a lax 25-variable
+    instance; --cap only lowers the brute-force bound of 24, so --cap 25 and
+    --cap 60 exit 3 at once instead of scanning 2^25 assignments."""
+    path = tmp_path / "fano25.cnf"
+    path.write_text("p cnf 25 7\n" + FANO_CLAUSES)
+    for cap in ([], ["--cap", "25"], ["--cap", "60"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "naewidth.cli", "nae", "solve", "--lax", *cap, str(path)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, cap
+        err = json.loads(proc.stderr)
+        assert err["type"] == "validation" and "cap 24" in err["error"]
 
 
 def test_nae_gen_deterministic(capsys):
@@ -101,6 +118,8 @@ def test_nae_gen_deterministic(capsys):
 def test_usage_error_exits_2():
     assert run(["nonsense"]) == 2
     assert run(["reduce"]) == 2
+    assert run(["nae", "gen", "-n", "3", "--count", "-1"]) == 2
+    assert run(["nae", "gen", "-n", "3", "--count", "-1", "--sat-only"]) == 2
 
 
 def test_reduce_witness_balance_flow(cnf_file, tmp_path, capsys):
@@ -1294,7 +1313,7 @@ def test_witness_caterpillar_refuses_paper_gstar(tmp_path, argv):
     order, hybrid = tmp_path / "order.json", tmp_path / "hybrid.json"
     order.write_text(serialize.canonical_json(serialize.order_doc([0, 1])))
     hybrid.write_text(serialize.canonical_json(
-        serialize.hybrid_tree_doc(HybridTree(tree_adj={0: []}, node_of={0: 0}))))
+        serialize.hybrid_tree_doc(Tree({0: []}, {0: 0}))))
     proc = subprocess.run(
         [sys.executable, "-m", "naewidth.cli", *argv[:2], "-i", star_path,
          *(arg.format(order=order, hybrid=hybrid) for arg in argv[2:])],
@@ -1327,12 +1346,25 @@ def test_run_pipeline_script_runs_from_any_directory(tmp_path):
     assert "step 3: G* has 1992096 vertices" in proc.stdout
 
 
-def test_reduce_step2_paper_profile(cnf_file, tmp_path):
+@pytest.fixture(scope="module")
+def paper_docs(tmp_path_factory):
+    """Paths of the step-1, step-2 and step-3 documents of the four-copies
+    formula at the paper profile, each step run once on the one before's."""
+    root = tmp_path_factory.mktemp("paper")
+    source = root / "f.cnf"
+    source.write_text(FOUR_COPIES)
+    paths = {}
+    for step in ("step1", "step2", "step3"):
+        paths[step] = str(root / f"{step}.json")
+        assert run(["reduce", step, "--profile", "paper", "-i", str(source),
+                    "-o", paths[step]]) == 0
+        source = paths[step]
+    return paths
+
+
+def test_reduce_step2_paper_profile(paper_docs):
     """Step 2 at the paper profile: 53.5 M G-vertices, audited per block."""
-    h_path, g_path = str(tmp_path / "H.json"), str(tmp_path / "G.json")
-    assert run(["reduce", "step1", "--profile", "paper", "-i", cnf_file, "-o", h_path]) == 0
-    assert run(["reduce", "step2", "--profile", "paper", "-i", h_path, "-o", g_path]) == 0
-    doc = json.loads(open(g_path).read())
+    doc = json.loads(open(paper_docs["step2"]).read())
     edges = doc["base"]["edges"]
     total = sum(e["weight"] for e in edges)
     assert doc["num_vertices"] == 2 * total == sum(b["size"] for b in doc["blocks"]) == 53513200
@@ -1393,12 +1425,9 @@ def test_reduce_lays_out_one_partitioned_graph(cnf_file, tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-def test_reduce_step3_paper_profile(cnf_file, tmp_path):
+def test_reduce_step3_paper_profile(paper_docs):
     """Step 3 at the paper profile: |V(G*)| = 2·a·b·|V(G)| ≈ 3.8e16, built per block."""
-    h_path, g_path, star_path = (str(tmp_path / name) for name in ("H.json", "G.json", "S.json"))
-    assert run(["reduce", "step1", "--profile", "paper", "-i", cnf_file, "-o", h_path]) == 0
-    assert run(["reduce", "step2", "--profile", "paper", "-i", h_path, "-o", g_path]) == 0
-    assert run(["reduce", "step3", "--profile", "paper", "-i", g_path, "-o", star_path]) == 0
+    g_path, star_path = paper_docs["step2"], paper_docs["step3"]
     n_g = json.loads(open(g_path).read())["num_vertices"]
     doc = json.loads(open(star_path).read())
     c = doc["constants"]

@@ -13,7 +13,7 @@ from naewidth.red1 import SMALL
 from naewidth.red2 import build_partitioned, path_mapping_from_order
 from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_from_layout,
                            hybrid_to_tree_mapping)
-from naewidth.wgraph import path_tree_from_order
+from naewidth.tree import path
 from naewidth.widths import exact_width, linear_layout_from_order
 
 from conftest import adj_fn, adjacency_sets, path_graph, solve_balancing_tree, star_graph
@@ -42,7 +42,7 @@ def library_docs():
     grouped = group_all(star, ht)
     g7 = adjacency_sets(7, G7_EDGES)
     return {
-        "balancing_tree/path": serialize.balancing_tree_doc(path_tree_from_order([2, 0, 3, 1])),
+        "balancing_tree/path": serialize.balancing_tree_doc(path([2, 0, 3, 1])),
         "balancing_tree/star": serialize.balancing_tree_doc(
             solve_balancing_tree(star_graph([2, 2, 2, 2]), 3)),
         "tree_mapping/path": serialize.tree_mapping_doc(path_mapping_from_order(gs, [2, 0, 1])),

@@ -10,7 +10,6 @@ from naewidth.red1 import PAPER, SMALL, build_H
 from naewidth.red2 import (
     PartitionedGraph,
     TreeMapping,
-    balancing_tree_from_mapping,
     build_partitioned,
     cut_value,
     mapping_cut,
@@ -513,17 +512,15 @@ def test_balancing_tree_from_mapping_threshold(rng):
         order = sorted(gs.parts())
         mapping = path_mapping_from_order(gs, order)
         value, _ = mapping_value(gs, mapping, "sim")
-        bt = balancing_tree_from_mapping(h, mapping)
-        assert check_balancing_tree(h, bt, value) == (True, None)
+        assert check_balancing_tree(h, mapping, value) == (True, None)
 
 
 def test_balancing_tree_two_part_threshold():
     h = single_edge(4)
     gs = build_partitioned(h)
     mapping = path_mapping_from_order(gs, [0, 1])
-    bt = balancing_tree_from_mapping(h, mapping)
-    assert check_balancing_tree(h, bt, 4) == (True, None)
-    assert check_balancing_tree(h, bt, 3)[0] is False
+    assert check_balancing_tree(h, mapping, 4) == (True, None)
+    assert check_balancing_tree(h, mapping, 3)[0] is False
 
 
 def test_path_mapping_requires_matching_parts():

@@ -7,11 +7,11 @@ from naewidth.red1 import SMALL, Constants, validate_constants
 from naewidth.red2 import TreeMapping, build_partitioned, cut_value, mapping_value
 from naewidth.red3 import (
     DefaultEdgeNotFound,
-    HybridTree,
     build_Gstar,
     build_gadget,
     caterpillar_layout,
     find_default_edge,
+    gadget_nodes,
     group_all,
     group_gadget,
     hybrid_from_layout,
@@ -19,6 +19,7 @@ from naewidth.red3 import (
     hybrid_to_tree_mapping,
     project_mapping_to_G,
 )
+from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph
 
 from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, scale_weights, star_graph
@@ -313,6 +314,14 @@ def test_ensure_divisible():
     assert factor == 1 and again is scaled
 
 
+def preimages(ht):
+    """{node: set of the G*-vertices placed on it}, every node listed."""
+    out = {node: set() for node in ht.tree_adj}
+    for v, node in ht.placement.items():
+        out[node].add(v)
+    return out
+
+
 def grouping_fixture(h):
     gs = build_partitioned(h)
     star = build_Gstar(gs, SMALL)
@@ -325,7 +334,7 @@ def test_find_default_edge_prefers_whole_node():
     grouped = group_all(star, ht)
     kind, where = find_default_edge(star, grouped, 0)
     assert kind == "node"
-    assert grouped.preimages[where] == set(star.part_vertices(0))
+    assert preimages(grouped)[where] == set(star.part_vertices(0))
 
 
 def test_find_default_edge_two_gadget_caterpillar():
@@ -351,10 +360,10 @@ def test_find_default_edge_fails_at_b1():
 def test_group_gadget_structure_and_identity():
     gs, star, ht = grouping_fixture(single_edge_h(3))
     ht1 = group_gadget(star, ht, 0)
-    assert ht1.gadget_nodes(star) == {max(ht1.tree_adj): 0}
+    assert gadget_nodes(ht1, star) == {max(ht1.tree_adj): 0}
     whole = set(star.part_vertices(0))
-    assert any(pre == whole for pre in ht1.preimages.values())
-    assert all(len(pre) <= 1 for pre in ht1.preimages.values() if pre != whole)
+    assert any(pre == whole for pre in preimages(ht1).values())
+    assert all(len(pre) <= 1 for pre in preimages(ht1).values() if pre != whole)
     assert group_gadget(star, ht1, 0) is ht1  # already grouped: identity
 
 
@@ -392,8 +401,7 @@ def test_group_gadget_never_increases_sim_values():
 def test_hybrid_to_tree_mapping_identity_case():
     gs = build_partitioned(single_edge_h(3))
     star = build_Gstar(gs, SMALL)
-    node_of = {v: star.owner_of(v) for v in range(star.n)}
-    ht = HybridTree(tree_adj={0: [1], 1: [0]}, node_of=node_of)
+    ht = Tree({0: [1], 1: [0]}, {v: star.owner_of(v) for v in range(star.n)})
     mapping = hybrid_to_tree_mapping(star, ht)
     assert mapping.part_at == {0: 0, 1: 1}
     assert sorted(mapping.tree_adj) == [0, 1]

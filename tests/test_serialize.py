@@ -11,10 +11,11 @@ from naewidth.formula import parse_nae_dimacs, random_strict_formula
 from naewidth.red1 import PROFILES, SMALL, build_H
 from naewidth.red2 import build_partitioned, path_mapping_from_order
 from naewidth.red3 import build_Gstar, caterpillar_layout, group_all, hybrid_from_layout
-from naewidth.wgraph import WeightedGraph, path_tree_from_order
+from naewidth.tree import Tree, path
+from naewidth.wgraph import WeightedGraph
 from naewidth.widths import linear_layout_from_order
 
-from conftest import random_weighted_graph
+from conftest import NON_BIJECTIVE_PLACEMENTS, random_weighted_graph
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -129,7 +130,7 @@ def test_linear_layout_round_trip_quantified(order):
 @given(st.permutations(range(6)))
 @settings(max_examples=25)
 def test_balancing_tree_round_trip_quantified(order):
-    bt = path_tree_from_order(list(order))
+    bt = path(order)
     doc = serialize.balancing_tree_doc(bt)
     back = serialize.balancing_tree_from_doc(json.loads(json.dumps(doc)))
     assert back.placement == bt.placement
@@ -137,12 +138,19 @@ def test_balancing_tree_round_trip_quantified(order):
 
 
 def test_balancing_tree_round_trip():
-    bt = path_tree_from_order([2, 0, 1])
+    bt = path([2, 0, 1])
     doc = serialize.balancing_tree_doc(bt)
     back = serialize.balancing_tree_from_doc(doc)
     assert back.tree_adj.keys() == bt.tree_adj.keys()
     assert back.placement == bt.placement
     assert serialize.balancing_tree_doc(back) == doc
+
+
+@pytest.mark.parametrize("case", NON_BIJECTIVE_PLACEMENTS)
+def test_balancing_tree_doc_refuses_a_non_bijective_placement(case):
+    doc = serialize.balancing_tree_doc(Tree(*NON_BIJECTIVE_PLACEMENTS[case]))
+    with pytest.raises(ValidationError, match="bijection"):
+        serialize.balancing_tree_from_doc(json.loads(json.dumps(doc)))
 
 
 def test_tree_mapping_round_trip():
@@ -177,7 +185,7 @@ def test_hybrid_tree_round_trip():
     ht = group_all(star, hybrid_from_layout(caterpillar_layout(star, [0, 1])))
     doc = serialize.hybrid_tree_doc(ht)
     back = serialize.hybrid_tree_from_doc(doc)
-    assert back.node_of == ht.node_of
+    assert back.placement == ht.placement
     assert serialize.hybrid_tree_doc(back) == doc
 
 

@@ -6,10 +6,8 @@ import pytest
 from naewidth.errors import ValidationError
 from naewidth.red1 import SMALL
 from naewidth.red2 import TreeMapping, build_partitioned
-from naewidth.red3 import (HybridTree, build_Gstar, caterpillar_layout, group_gadget,
-                           hybrid_from_layout)
+from naewidth.red3 import build_Gstar, caterpillar_layout, group_gadget, hybrid_from_layout
 from naewidth.tree import Tree, path
-from naewidth.wgraph import BalancingTree
 from naewidth.widths import TreeLayout, enumerate_leaf_trees
 
 from conftest import brute_sides, enumerate_labeled_trees, path_graph
@@ -34,7 +32,7 @@ def test_sides_match_reference_on_leaf_trees():
 def test_sides_match_reference_on_labeled_trees():
     for n in range(1, 7):
         for adj in enumerate_labeled_trees(list(range(n))):
-            tree = BalancingTree(tree_adj=adj, placement={v: v for v in range(n)})
+            tree = Tree(adj, {v: v for v in range(n)})
             assert_sides_match(tree)
             everything = frozenset(range(n))
             for (x, y), far in tree.sides():
@@ -70,11 +68,10 @@ TRIANGLE_WITH_LEAVES = {0: [1, 2, 3], 1: [0, 2, 4], 2: [0, 1, 5], 3: [0], 4: [1]
 
 
 @pytest.mark.parametrize("build", [
-    lambda: BalancingTree(tree_adj=TRIANGLE, placement={0: 0, 1: 1, 2: 2}),
+    lambda: Tree(TRIANGLE, {0: 0, 1: 1, 2: 2}),
     lambda: TreeMapping(tree_adj=TRIANGLE, part_at={0: 0, 1: 1, 2: 2}),
     lambda: TreeLayout(tree_adj=TRIANGLE_WITH_LEAVES, leaf_vertex={3: 0, 4: 1, 5: 2}),
-    lambda: HybridTree(tree_adj=TRIANGLE, node_of={0: 0, 1: 1}),
-], ids=["balancing_tree", "tree_mapping", "tree_layout", "hybrid_tree"])
+], ids=["tree", "tree_mapping", "tree_layout"])
 def test_constructors_reject_cycles(build):
     with pytest.raises(ValidationError, match="connected and acyclic"):
         build()
@@ -88,7 +85,7 @@ def test_tree_rejects_disconnected_empty_and_dangling():
     with pytest.raises(ValidationError, match="unknown node"):
         Tree({0: [5]}, {})
     with pytest.raises(ValidationError, match="unknown node"):
-        HybridTree(tree_adj={0: []}, node_of={0: 0, 1: 3})
+        Tree({0: []}, {0: 0, 1: 3})
 
 
 def test_linear_layout_must_be_a_caterpillar():

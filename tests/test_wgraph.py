@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from naewidth.errors import BudgetExceededError, CapExceededError, ValidationError
 from naewidth.red1 import SMALL
+from naewidth.tree import Tree, path
 from naewidth.wgraph import (
-    BalancingTree,
     WeightedGraph,
     check_balancing_order,
     check_balancing_tree,
     enumerate_balancing_orders,
-    path_tree_from_order,
     solve_balancing_order,
 )
 
-from conftest import (enumerate_labeled_trees, naive_balancing_orders, path_graph,
-                      random_weighted_graph, scale_weights, solve_balancing_tree, star_graph)
+from conftest import (NON_BIJECTIVE_PLACEMENTS, enumerate_labeled_trees, naive_balancing_orders,
+                      path_graph, random_weighted_graph, scale_weights, solve_balancing_tree,
+                      star_graph)
 
 
 def triangle(w):
@@ -147,13 +147,13 @@ def test_path_tree_carries_order(rng):
         order = solve_balancing_order(g, t)
         if order is None:
             continue
-        bt = path_tree_from_order(order)
+        bt = path(order)
         assert check_balancing_tree(g, bt, t) == (True, None)
 
 
 def test_tree_check_star_violation():
     g = path_graph([6])  # one edge of weight t+1
-    bt = path_tree_from_order([0, 1])
+    bt = path([0, 1])
     ok, info = check_balancing_tree(g, bt, 5)
     assert not ok and info[0] in (0, 1)
 
@@ -162,8 +162,15 @@ def test_tree_check_huge_threshold(rng):
     g = random_weighted_graph(rng, 5, p=0.7, max_w=5)
     total = g.total_weight()
     for adj in itertools.islice(enumerate_labeled_trees(list(g.vertex_ids())), 10):
-        bt = BalancingTree(tree_adj=adj, placement={v: v for v in g.vertex_ids()})
+        bt = Tree(adj, {v: v for v in g.vertex_ids()})
         assert check_balancing_tree(g, bt, total) == (True, None)
+
+
+@pytest.mark.parametrize("case", NON_BIJECTIVE_PLACEMENTS)
+def test_tree_check_refuses_a_non_bijective_placement(case):
+    tree_adj, placement = NON_BIJECTIVE_PLACEMENTS[case]
+    with pytest.raises(ValidationError, match="bijection|cover"):
+        check_balancing_tree(path_graph([1, 1]), Tree(tree_adj, placement), 5)
 
 
 def test_tree_solver_triangle_absent():
