@@ -3,6 +3,7 @@ and the connectivity/acyclicity check behind every tree type."""
 
 import pytest
 
+from naewidth import serialize
 from naewidth.errors import ValidationError
 from naewidth.red1 import SMALL
 from naewidth.red2 import TreeMapping, build_partitioned
@@ -62,16 +63,26 @@ def test_path_and_subdivide():
     assert line.tree_adj == {0: [1], 1: [0, 2], 2: [1]}  # subdivide copies
 
 
+LINE = {0: [1], 1: [0, 2], 2: [1]}
 TRIANGLE = {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 # a triangle with one pendant leaf per corner: ternary, but not a tree
 TRIANGLE_WITH_LEAVES = {0: [1, 2, 3], 1: [0, 2, 4], 2: [0, 1, 5], 3: [0], 4: [1], 5: [2]}
 
 
+def closed_into_triangle(doc):
+    """A tree document over nodes 0, 1, 2 with the edge [0, 2] added."""
+    return {**doc, "edges": doc["edges"] + [[0, 2]]}
+
+
 @pytest.mark.parametrize("build", [
     lambda: Tree(TRIANGLE, {0: 0, 1: 1, 2: 2}),
+    lambda: serialize.balancing_tree_from_doc(
+        closed_into_triangle(serialize.balancing_tree_doc(path([0, 1, 2])))),
     lambda: TreeMapping(tree_adj=TRIANGLE, part_at={0: 0, 1: 1, 2: 2}),
     lambda: TreeLayout(tree_adj=TRIANGLE_WITH_LEAVES, leaf_vertex={3: 0, 4: 1, 5: 2}),
-], ids=["tree", "tree_mapping", "tree_layout"])
+    lambda: serialize.hybrid_tree_from_doc(
+        closed_into_triangle(serialize.hybrid_tree_doc(Tree(LINE, {0: 0, 1: 1})))),
+], ids=["tree", "balancing_tree", "tree_mapping", "tree_layout", "hybrid_tree"])
 def test_constructors_reject_cycles(build):
     with pytest.raises(ValidationError, match="connected and acyclic"):
         build()
