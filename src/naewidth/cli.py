@@ -97,6 +97,9 @@ def _fmt_assignment(assignment):
 
 def _cmd_nae(args):
     if args.action == "gen":
+        if args.sat_only and args.count:
+            # fail before sampling: a large -n takes long to draw
+            fm.check_brute_force_cap(args.num_vars)
         rng = random.Random(args.seed)
         made = 0
         tries = 0

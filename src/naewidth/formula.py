@@ -9,7 +9,6 @@ clauses (so 3*m == 4*n); lax mode admits hand-built toy formulas.
 from __future__ import annotations
 
 import collections
-import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -19,6 +18,8 @@ from .errors import CapExceededError, ParseError, ValidationError
 Assignment = tuple  # tuple[bool, ...], index i holds the value of variable i+1
 
 BRUTE_FORCE_CAP = 24
+# brute_force_nae tests 2^_CHUNK_BITS assignments per big-integer operation
+_CHUNK_BITS = 16
 
 _DIMACS_INT = re.compile(r"-?[0-9]+")
 
@@ -141,17 +142,50 @@ def eval_nae(f: NaeFormula, assignment) -> bool:
     return True
 
 
+def check_brute_force_cap(num_vars: int, cap: int = BRUTE_FORCE_CAP) -> None:
+    """Raise CapExceededError when num_vars is over the brute-force cap."""
+    if num_vars > cap:
+        raise CapExceededError(f"num_vars {num_vars} exceeds brute-force cap {cap}")
+
+
 def brute_force_nae(f: NaeFormula, cap: int = BRUTE_FORCE_CAP):
     """Return the first NAE-satisfying assignment, or None.
 
     Enumeration order is documented and deterministic: assignments are scanned
     lexicographically with False < True and variable 1 most significant.
+
+    The scan is bit-sliced: assignment i sets variable v to bit n - v of i.
+    Each of the low k = min(n, _CHUNK_BITS) variables is a 2^k-bit integer
+    holding its value in all 2^k assignments of a chunk; the high variables
+    are fixed per chunk.  The lowest surviving bit of the first non-empty
+    chunk is therefore the first assignment in lexicographic order.
     """
-    if f.num_vars > cap:
-        raise CapExceededError(f"num_vars {f.num_vars} exceeds brute-force cap {cap}")
-    for bits in itertools.product((False, True), repeat=f.num_vars):
-        if eval_nae(f, bits):
-            return bits
+    check_brute_force_cap(f.num_vars, cap)
+    n = f.num_vars
+    k = min(n, _CHUNK_BITS)
+    full = (1 << (1 << k)) - 1
+    # low[p]: bit j set iff bit p of j is; 2^p zeros then 2^p ones, repeated
+    # by doubling: dividing full by the period is quadratic in 2^k
+    low = []
+    for p in range(k):
+        mask, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+        while width < 1 << k:
+            mask |= mask << width
+            width <<= 1
+        low.append(mask)
+    for chunk in range(1 << (n - k)):
+        # value[v] for v = 1..n, with index 0 unused
+        value = [0] + [full if chunk >> (n - v - k) & 1 else 0 for v in range(1, n - k + 1)]
+        value.extend(reversed(low))
+        alive = full
+        for a, b, c in f.clauses:
+            x, y, z = value[a], value[b], value[c]
+            alive &= (x | y | z) & ~(x & y & z)
+            if not alive:
+                break
+        if alive:
+            i = chunk << k | (alive & -alive).bit_length() - 1
+            return tuple(bool(i >> (n - v) & 1) for v in range(1, n + 1))
     return None
 
 

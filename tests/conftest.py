@@ -1,7 +1,7 @@
 """Shared test fixtures: independent brute-force oracles and instance builders.
 
-The oracles here deliberately avoid the library's search kernels: matchings
-are maximized by plain backtracking over edge subsets, orders by permutation
+The oracles here deliberately avoid the library's search kernels: NAE
+formulas are solved by a scan of assignment tuples, matchings are maximized by plain backtracking over edge subsets, orders by permutation
 scans and balancing trees by Prüfer enumeration, so they stay valid
 cross-checks for the branch-and-bound paths.
 """
@@ -14,6 +14,7 @@ import random
 import pytest
 
 from naewidth.errors import CapExceededError, ValidationError
+from naewidth.formula import eval_nae
 from naewidth.matchings import DEFAULT_BUDGET
 from naewidth.red1 import validate_constants
 from naewidth.tree import Tree
@@ -31,6 +32,16 @@ def adjacency_sets(n, edges):
 
 def adj_fn(adj):
     return lambda u, v: v in adj[u]
+
+
+def brute_nae(f):
+    """Reference for formula.brute_force_nae: the first NAE-satisfying
+    assignment in lexicographic order (False < True, variable 1 most
+    significant), one tuple at a time, or None."""
+    for bits in itertools.product((False, True), repeat=f.num_vars):
+        if eval_nae(f, bits):
+            return bits
+    return None
 
 
 def brute_max_matching(adjacent, side_a, side_b, conflict_in_a, conflict_in_b):

@@ -104,6 +104,32 @@ def test_nae_solve_cap_cannot_raise_the_bound(tmp_path):
         assert err["type"] == "validation" and "cap 24" in err["error"]
 
 
+def test_nae_solve_at_the_cap(tmp_path, capsys):
+    """The Fano clauses plus padding on variables 8-24 make an UNSAT lax
+    instance at the brute-force cap of 24: solved, not refused, and --cap 23
+    refuses it."""
+    path = tmp_path / "fano24.cnf"
+    padding = "8 9 10 0\n11 12 13 0\n14 15 16 0\n17 18 19 0\n20 21 22 0\n22 23 24 0\n"
+    path.write_text("p cnf 24 13\n" + FANO_CLAUSES + padding)
+    assert run(["nae", "solve", "--lax", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"satisfiable": False}
+    assert run(["nae", "solve", "--lax", "--cap", "23", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "cap 23" in err["error"]
+
+
+def test_nae_gen_sat_only_checks_the_cap_before_sampling(monkeypatch, capsys):
+    def draw(*args):
+        raise AssertionError("sampled a formula over the cap")
+
+    monkeypatch.setattr("naewidth.formula.random_strict_formula", draw)
+    assert run(["nae", "gen", "-n", "300000", "--sat-only"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "type": "validation", "error": "num_vars 300000 exceeds brute-force cap 24"}
+
+
 def test_nae_gen_deterministic(capsys):
     assert run(["nae", "gen", "-n", "6", "--seed", "3", "--count", "2", "--sat-only"]) == 0
     first = capsys.readouterr().out

@@ -1,10 +1,11 @@
-import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from naewidth import formula
 from naewidth.errors import CapExceededError, ParseError, ValidationError
 from naewidth.formula import (
     NaeFormula,
@@ -15,6 +16,8 @@ from naewidth.formula import (
     random_strict_formula,
     validate_formula,
 )
+
+from conftest import brute_nae
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -108,8 +111,7 @@ def test_brute_force_unsat_fano():
     validate_formula(FANO, strict=False)
     assert brute_force_nae(FANO) is None
     # absence really does mean no assignment works
-    for bits in itertools.product((False, True), repeat=FANO.num_vars):
-        assert not eval_nae(FANO, bits)
+    assert brute_nae(FANO) is None
 
 
 def test_brute_force_cap():
@@ -120,12 +122,10 @@ def test_brute_force_cap():
 
 @st.composite
 def lax_formulas(draw):
-    n = draw(st.integers(min_value=3, max_value=7))
-    m = draw(st.integers(min_value=1, max_value=6))
-    clauses = []
-    for _ in range(m):
-        clause = draw(st.permutations(range(1, n + 1)))[:3]
-        clauses.append(tuple(clause))
+    """Unvalidated formulas: a clause may repeat a variable."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    var = st.integers(min_value=1, max_value=n)
+    clauses = draw(st.lists(st.tuples(var, var, var), max_size=14))
     return NaeFormula(num_vars=n, clauses=tuple(clauses))
 
 
@@ -137,14 +137,15 @@ def test_nae_symmetric_under_global_flip(f, data):
 
 
 @given(lax_formulas())
-@settings(max_examples=60)
+@example(NaeFormula(num_vars=2, clauses=((1, 1, 2),)))
+@settings(max_examples=100)
 def test_brute_force_agrees_with_full_scan(f):
-    witness = brute_force_nae(f)
-    if witness is None:
-        assert all(not eval_nae(f, bits)
-                   for bits in itertools.product((False, True), repeat=f.num_vars))
-    else:
-        assert eval_nae(f, witness)
+    """Same answer as the tuple scan, first assignment included, whatever
+    the chunk width: at widths 1 and 3 most formulas span several chunks."""
+    expected = brute_nae(f)
+    for width in (1, 3, 16):
+        with mock.patch.object(formula, "_CHUNK_BITS", width):
+            assert brute_force_nae(f) == expected, width
 
 
 def test_brute_force_full_scan_n12():
@@ -154,13 +155,38 @@ def test_brute_force_full_scan_n12():
         clause = rng.sample(range(1, 13), 3)
         clauses.append(tuple(clause))
     f = NaeFormula(num_vars=12, clauses=tuple(clauses))
-    witness = brute_force_nae(f)
-    scan = [bits for bits in itertools.product((False, True), repeat=12)
-            if eval_nae(f, bits)]
-    if witness is None:
-        assert scan == []
-    else:
-        assert witness == scan[0]
+    assert brute_force_nae(f) == brute_nae(f)
+
+
+def test_brute_force_first_witness_in_second_chunk():
+    """Variables 1-3 are above the 16 low ones: every assignment of the
+    first chunk sets them all False, so the first witness is in chunk 1."""
+    f = NaeFormula(num_vars=19, clauses=((1, 2, 3),))
+    assert brute_force_nae(f) == (False, False, True) + (False,) * 16
+
+
+@pytest.mark.parametrize("n", [18, 24])
+@pytest.mark.parametrize("where", ["top", "bottom"])
+def test_brute_force_unsat_fano_across_chunks(n, where):
+    """At n = 24 the top 7 variables are all high, so each chunk fixes the
+    Fano clauses; at the bottom they are all low and fail inside every
+    chunk; at n = 18 the top ones straddle the two kinds."""
+    shift = 0 if where == "top" else n - 7
+    f = NaeFormula(num_vars=n, clauses=tuple(tuple(v + shift for v in c) for c in FANO.clauses))
+    assert brute_force_nae(f) is None
+
+
+def test_brute_force_padded_fano_variant_matches_scan():
+    """The padded Fano instance with one Fano line left out is satisfiable.
+    Its first witness has variables 1 and 2 False, so at width 16 it lies in
+    chunk 0; at widths 1 and 3 the scan crosses thousands of chunks first."""
+    f = NaeFormula(num_vars=18, clauses=FANO.clauses[:-1] + (
+        (8, 9, 10), (11, 12, 13), (14, 15, 16), (16, 17, 18)))
+    expected = brute_nae(f)
+    assert expected is not None
+    for width in (1, 3, 16):
+        with mock.patch.object(formula, "_CHUNK_BITS", width):
+            assert brute_force_nae(f) == expected, width
 
 
 def test_random_strict_formula_is_strict():
