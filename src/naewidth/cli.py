@@ -30,8 +30,7 @@ def _diag(message, **extra):
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _write(path, doc):
-    text = serialize.canonical_json(doc)
+def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -128,31 +127,33 @@ def _cmd_nae(args):
 
 
 def _cmd_reduce(args):
-    """One step on its input; `reduce all` runs each on the one before's output."""
+    """One step on its input; `reduce all` runs each on the one before's
+    output, and steps 2 and 3 reuse the step-1 text of H."""
     c = _parse_profile(args.profile)
-    docs = {}
+    texts = {}
+    base = meta = None
     if args.step in ("step1", "all"):
         build = red1.build_H(_read_formula(args.input), c)
-        docs["step1"] = serialize.hbuild_doc(build)
-        h, meta = build.graph, docs["step1"]["meta"]
+        h = build.graph
+        base = texts["step1"] = serialize.hbuild_text(build)
     elif args.step == "step2":
         doc = _load(args.input)
         h, meta = serialize.weighted_graph_from_doc(doc), doc.get("meta")
     if args.step in ("step2", "all"):
         gs = red2.build_partitioned(h)
-        docs["step2"] = serialize.partitioned_doc(gs, base_meta=meta)
+        texts["step2"] = serialize.partitioned_text(gs, base_meta=meta, base=base)
     elif args.step == "step3":
         doc = _load(args.input)
         gs, meta = serialize.partitioned_from_doc(doc), doc["base"].get("meta")
     if args.step in ("step3", "all"):
         gs, scale = red3.ensure_divisible(gs, c)
-        docs["step3"] = serialize.gstar_doc(red3.build_Gstar(gs, c), base_meta=meta,
-                                            weight_scale=scale)
+        texts["step3"] = serialize.gstar_text(red3.build_Gstar(gs, c), base_meta=meta,
+                                              weight_scale=scale, base=base)
     if args.step != "all":
-        _write(args.output, docs[args.step])
+        _write(args.output, texts[args.step])
         return EXIT_OK
-    for step, doc in docs.items():
-        _write(f"{args.output or 'reduction'}.{step}.json", doc)
+    for step, text in texts.items():
+        _write(f"{args.output or 'reduction'}.{step}.json", text)
     return EXIT_OK
 
 
@@ -182,7 +183,7 @@ def _cmd_witness(args):
         if not ok:
             raise ValidationError(f"witness order is not {build.constants.tau}-balancing at "
                                   f"vertex {violator}")
-        _write(args.output, serialize.order_doc(order))
+        _write(args.output, serialize.canonical_json(serialize.order_doc(order)))
         return EXIT_OK
     if args.action == "decode":
         build, f = _step1_and_formula(args)
@@ -195,12 +196,12 @@ def _cmd_witness(args):
         gs = serialize.partitioned_from_doc(_load(args.input))
         order = serialize.order_from_doc(_load(args.order))
         mapping = red2.path_mapping_from_order(gs, order)
-        _write(args.output, serialize.tree_mapping_doc(mapping))
+        _write(args.output, serialize.canonical_json(serialize.tree_mapping_doc(mapping)))
         return EXIT_OK
     star = serialize.gstar_from_doc(_load(args.input))  # action == caterpillar
     order = serialize.order_from_doc(_load(args.order))
     layout = red3.caterpillar_layout(star, order)
-    _write(args.output, serialize.tree_layout_doc(layout))
+    _write(args.output, serialize.canonical_json(serialize.tree_layout_doc(layout)))
     return EXIT_OK
 
 
@@ -215,7 +216,7 @@ def _cmd_balance(args):
     if order is None:
         print(json.dumps({"balanced": False}, sort_keys=True))
         return EXIT_NO
-    _write(args.output, serialize.order_doc(order))
+    _write(args.output, serialize.canonical_json(serialize.order_doc(order)))
     return EXIT_OK
 
 
@@ -274,16 +275,16 @@ def _cmd_layout(args):
             ht = red3.group_gadget(star, ht, args.owner)
         else:
             ht = red3.group_all(star, ht)
-        _write(args.output, serialize.hybrid_tree_doc(ht))
+        _write(args.output, serialize.canonical_json(serialize.hybrid_tree_doc(ht)))
         return EXIT_OK
     if args.action == "to-mapping":
         ht = _load_hybrid(args.hybrid, star)
         mapping = red3.hybrid_to_tree_mapping(star, ht)
-        _write(args.output, serialize.tree_mapping_doc(mapping))
+        _write(args.output, serialize.canonical_json(serialize.tree_mapping_doc(mapping)))
         return EXIT_OK
     mapping = serialize.tree_mapping_from_doc(_load(args.mapping))  # project
     projected = red3.project_mapping_to_G(star.GS, mapping)
-    _write(args.output, serialize.tree_mapping_doc(projected))
+    _write(args.output, serialize.canonical_json(serialize.tree_mapping_doc(projected)))
     return EXIT_OK
 
 

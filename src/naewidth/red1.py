@@ -104,26 +104,38 @@ def build_bottleneck(g: WeightedGraph, terminals, c: Constants, name: str = "B",
     if not terminals:
         raise ValidationError("bottleneck needs at least one terminal")
     lo, hi = c.gamma + 1, c.tau - c.gamma - 1
+    n = g.n
     for v, w in terminals:
-        if not 0 <= v < g.n:
+        if not 0 <= v < n:
             raise ValidationError(f"terminal {v} not in graph")
         if not lo <= w <= hi:
             raise ValidationError(f"attachment weight {w} outside [{lo}, {hi}]")
+    tau, link = c.tau, c.gamma + 1
+    if min(tau, link) < 1:
+        raise ValidationError(f"spine weights {tau} and {link} must be positive")
     k = len(terminals)
-    spine_a = []
-    spine_b = []
-    for i in range(1, k + 1):
-        spine_a.append(g.add_vertex(f"{name}.a{i}", "spine_a"))
-        if i == k and shared_root is not None:
-            spine_b.append(shared_root)
-        else:
-            spine_b.append(g.add_vertex(f"{name}.b{i}", "spine_b" if i < k else "root"))
-    for i in range(k):
-        g.add_edge(spine_a[i], spine_b[i], c.tau)
+    spine_a = list(range(n, n + 2 * k, 2))
+    spine_b = list(range(n + 1, n + 2 * k, 2))
+    labels = [f"{name}.{side}{i}" for i in range(1, k + 1) for side in "ab"]
+    roles = ["spine_a", "spine_b"] * (k - 1) + ["spine_a", "root"]
+    if shared_root is not None:
+        spine_b[-1] = shared_root
+        del labels[-1], roles[-1]
+    g.labels += labels
+    g.roles += roles
+    adj = g.adj
+    adj += [[] for _ in labels]
+    # the edges in add_edge's order, without its per-edge checks: each spine
+    # edge a_i b_i with its link b_i a_(i+1), then the terminal edges
+    for i, (a, b) in enumerate(zip(spine_a, spine_b)):
+        adj[a].append((b, tau))
+        adj[b].append((a, tau))
         if i + 1 < k:
-            g.add_edge(spine_b[i], spine_a[i + 1], c.gamma + 1)
-    for i, (v, w) in enumerate(terminals):
-        g.add_edge(v, spine_a[i], w)
+            adj[b].append((spine_a[i + 1], link))
+            adj[spine_a[i + 1]].append((b, link))
+    for a, (v, w) in zip(spine_a, terminals):
+        adj[a].append((v, w))
+        adj[v].append((a, w))
     return BottleneckHandle(
         spine_a=spine_a,
         spine_b=spine_b,
@@ -289,8 +301,10 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
     attach = tau - gamma - 1
     bl = build_bottleneck(g, [(v, attach) for v in x_ids], c, "BL")
     br = build_bottleneck(g, [(v, attach) for v in y_ids], c, "BR")
+    adj, pair = g.adj, 2 * gamma + 2  # positive weights on fresh vertex pairs
     for xj, yj in zip(x_ids, y_ids):
-        g.add_edge(xj, yj, 2 * gamma + 2)
+        adj[xj].append((yj, pair))
+        adj[yj].append((xj, pair))
 
     pad_assign = {}
     ptr = 0
@@ -299,8 +313,9 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
             mine = x_ids[ptr:ptr + missing[v]]
             ptr += missing[v]
             pad_assign[v] = mine
+            adj[v] += [(xj, 1) for xj in mine]
             for xj in mine:
-                g.add_edge(v, xj, 1)
+                adj[xj].append((v, 1))
 
     return HBuild(
         graph=g, constants=c, formula=f, num_vars=n, num_clauses=m,

@@ -1,18 +1,26 @@
 """JSON documents for every pipeline artifact.
 
-All emitters produce canonical JSON (sorted keys, compact separators, one
-trailing newline) so that reruns are byte-identical.  Step-2 and step-3
-graphs are stored structurally (block layout, gadget registry): their edge
-sets are bicliques that blow up quadratically, so explicit edge arrays are
-only materialized below a small size limit.  A step-1 document is accepted
-only if it is exactly the build of the formula its clause vertices encode,
-and a step-2 or step-3 document only if it is exactly the rebuild of its base.
+All documents are canonical JSON (sorted keys, compact separators, one
+trailing newline) so that reruns are byte-identical.  The step documents
+(weighted graph and step 1, step 2, step 3) are written as text by one
+writer per kind, which fills a template per record in sorted-key order, so no
+record dict is built and no key is sorted again; the *_doc functions parse
+that text.  Step-2 and step-3 graphs are stored structurally (block layout,
+gadget registry): their edge sets are bicliques that blow up quadratically,
+so explicit edge arrays are only written below a small size limit.  A step-1
+document is accepted only if it is exactly the build of the formula its
+clause vertices encode, and a step-2 or step-3 document only if it is exactly
+the rebuild of its base: records are compared with the rebuild's rows in
+streaming C-level passes, and a boolean or float never stands for an integer.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+from json.encoder import encode_basestring_ascii as _string
+from operator import eq, itemgetter
 
 from .errors import ValidationError
 from .formula import NaeFormula
@@ -28,9 +36,49 @@ GADGET_FORMAT_VERSION = 2  # gadget paths are derived from the block layout, not
 EXPLICIT_EDGE_VERTEX_LIMIT = 150
 EXPLICIT_EDGE_LIMIT = 5000
 
+# the records of the step documents: their keys in sorted order and the
+# template that writes one; the keys in _STRINGS hold strings, all others ints
+_VERTEX = ("id", "label", "role"), '{"id":%d,"label":%s,"role":%s}'
+_EDGE = ("u", "v", "weight"), '{"u":%d,"v":%d,"weight":%d}'
+_PART = ("owner", "size", "start"), '{"owner":%d,"size":%d,"start":%d}'
+_BLOCK = ("size", "start", "u", "v"), '{"size":%d,"start":%d,"u":%d,"v":%d}'
+_GADGET = ("base", "copies", "owner"), '{"base":%d,"copies":%d,"owner":%d}'
+_KIND_EDGE = ("kind", "u", "v"), '{"kind":"%s","u":%d,"v":%d}'  # kinds are fixed ASCII words
+_STRINGS = {"label", "role", "kind"}
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json(doc) + "\n"
+
+
+def _records(record, rows):
+    return ",".join(map(record[1].__mod__, rows))
+
+
+def _same_records(records, record, rows, count):
+    """Whether records is count objects with exactly the record's keys whose
+    values, in key order, are the rows, with an int (not a boolean or float,
+    which equal one) under every key but the string ones.  Each check is one
+    C-level pass over the records; no record dict or list of tuples is built."""
+    keys = record[0]
+    return (len(records) == count
+            and set(map(len, records)) <= {len(keys)}
+            and all(map(eq, map(itemgetter(*keys), records), rows))
+            and all(set(map(type, map(itemgetter(key), records))) <= {int}
+                    for key in keys if key not in _STRINGS))
+
+
+def _typed(value):
+    """Whether every number in a parsed JSON object or list is an int, in one
+    C-level type pass per object or list inside it."""
+    items = list(value.values()) if type(value) is dict else value
+    types = set(map(type, items))
+    nested = [x for x in items if type(x) in (dict, list)] if types & {dict, list} else ()
+    return types <= {int, str, dict, list} and all(map(_typed, nested))
 
 
 def _expect(doc, kind, version=FORMAT_VERSION):
@@ -54,24 +102,38 @@ def _malformed(kind):
 
 # -- weighted graphs ---------------------------------------------------------
 
-def _vertex_records(g: WeightedGraph):
-    return ({"id": v, "label": g.labels[v], "role": g.roles[v]} for v in g.vertex_ids())
+_GRAPH_KEYS = {"format_version", "kind", "vertices", "edges"}
+_EDGES_END = '],"format_version":'  # the first "]" of a weighted graph's text ends its edges
 
 
-def _edge_records(g: WeightedGraph, scale=1):
-    return ({"u": u, "v": v, "weight": w * scale} for u, v, w in sorted(g.edges()))
+def _edge_rows(g: WeightedGraph, scale=1):
+    """(u, v, weight·scale) of every edge, u < v, in ascending order."""
+    for u, lst in enumerate(g.adj):
+        for v, w in sorted(lst):
+            if u < v:
+                yield u, v, w * scale
+
+
+def _edges_text(g: WeightedGraph, scale):
+    return '{"edges":[' + _records(_EDGE, _edge_rows(g, scale))
+
+
+def weighted_graph_text(g: WeightedGraph, meta=None, scale=1) -> str:
+    """The canonical text of g's document, its weights times scale."""
+    vertices = _records(_VERTEX, zip(range(g.n), map(_string, g.labels), map(_string, g.roles)))
+    meta = "" if meta is None else ',"meta":' + _json(meta)
+    return (f'{_edges_text(g, scale)}{_EDGES_END}{FORMAT_VERSION},"kind":"weighted_graph"'
+            f'{meta},"vertices":[{vertices}]}}\n')
 
 
 def weighted_graph_doc(g: WeightedGraph, meta=None, scale=1):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "weighted_graph",
-        "vertices": list(_vertex_records(g)),
-        "edges": list(_edge_records(g, scale)),
-    }
-    if meta is not None:
-        doc["meta"] = meta
-    return doc
+    return json.loads(weighted_graph_text(g, meta, scale))
+
+
+def _is_graph(doc, g: WeightedGraph, scale, keys=_GRAPH_KEYS):
+    return (doc.keys() == keys
+            and _same_records(doc["vertices"], _VERTEX, zip(range(g.n), g.labels, g.roles), g.n)
+            and _same_records(doc["edges"], _EDGE, _edge_rows(g, scale), g.num_edges()))
 
 
 def weighted_graph_from_doc(doc, scale=1) -> WeightedGraph:
@@ -182,32 +244,34 @@ def _hbuild_meta(build: HBuild):
     }
 
 
+def hbuild_text(build: HBuild) -> str:
+    return weighted_graph_text(build.graph, _hbuild_meta(build))
+
+
 def hbuild_doc(build: HBuild):
-    return weighted_graph_doc(build.graph, meta=_hbuild_meta(build))
+    return json.loads(hbuild_text(build))
 
 
 def hbuild_from_doc(doc, scale=1) -> HBuild:
     """The build, at the document's constants, of the formula the document
     encodes, if the document is exactly that build's, weights times scale.
     Variable i+1 is the i-th variable vertex; clause j lists the variables
-    of the (variable, clause) edge records at the j-th clause vertex."""
+    of the (variable, clause) edge records at the j-th clause vertex.  They
+    are read off the meta's groups vx and C and the edge records on variable
+    vertices that lead the edge list; the comparison with the build then
+    holds every record and group to that reading."""
     with _malformed("step-1 weighted_graph"):
         _expect(doc, "weighted_graph")
         meta, vertices, edges = doc["meta"], doc["vertices"], doc["edges"]
-        variables = [v for v, rec in enumerate(vertices) if rec["role"] == "variable"]
-        var_of = {v: i for i, v in enumerate(variables, start=1)}
-        clauses = {v: [] for v, rec in enumerate(vertices) if rec["role"] == "clause"}
-        for rec in edges:
-            if rec["u"] in var_of and rec["v"] in clauses:
+        var_of = {v: i for i, v in enumerate(meta["groups"]["vx"], start=1)}
+        clauses = {v: [] for v in meta["groups"]["C"]}
+        for rec in itertools.takewhile(lambda rec: rec["u"] in var_of, edges):
+            if rec["v"] in clauses:
                 clauses[rec["v"]].append(var_of[rec["u"]])
-        f = NaeFormula(len(variables), tuple(tuple(sorted(vs)) for vs in clauses.values()))
+        f = NaeFormula(len(var_of), tuple(tuple(sorted(vs)) for vs in clauses.values()))
         build = build_H(f, constants_from_doc(meta["constants"]), max_vertices=len(vertices))
-        g = build.graph
-        if not (doc.keys() == {"format_version", "kind", "vertices", "edges", "meta"}
-                and meta == _hbuild_meta(build)
-                and len(vertices) == g.n and len(edges) == g.num_edges()
-                and all(a == b for a, b in zip(vertices, _vertex_records(g)))
-                and all(a == b for a, b in zip(edges, _edge_records(g, scale)))):
+        if not (_is_graph(doc, build.graph, scale, _GRAPH_KEYS | {"meta"})
+                and meta == _hbuild_meta(build) and _typed(meta)):
             raise ValidationError("step-1 document is not the build of the formula its "
                                   "clause vertices encode")
         return build
@@ -215,28 +279,39 @@ def hbuild_from_doc(doc, scale=1) -> HBuild:
 
 # -- step-2 partitioned graphs ----------------------------------------------
 
-def partitioned_doc(gs: PartitionedGraph, base_meta=None):
-    return _partitioned_doc(gs, weighted_graph_doc(gs.H, meta=base_meta, scale=gs.scale))
+def _part_rows(gs: PartitionedGraph):
+    return ((u, end - start, start) for u, (start, end) in sorted(gs.part_range.items()))
 
 
-def _partitioned_doc(gs: PartitionedGraph, base):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "partitioned_graph",
-        "base": base,
-        "num_vertices": gs.n,
-        "parts": [{"owner": u, "start": gs.part_range[u][0],
-                   "size": gs.part_range[u][1] - gs.part_range[u][0]}
-                  for u in gs.parts()],
-        "blocks": [{"u": u, "v": v, "start": gs.block_start[k],
-                    "size": gs.block_end(k) - gs.block_start[k]}
-                   for k, (u, v) in enumerate(gs.block_pairs)],
-        "edge_rule": "blocks-v1",
-    }
+def _block_rows(gs: PartitionedGraph):
+    starts = gs.block_start
+    ends = itertools.chain(itertools.islice(starts, 1, None), (gs.n,))
+    return ((end - start, start, u, v) for (u, v), start, end in zip(gs.block_pairs, starts, ends))
+
+
+def _partitioned_edge_rows(gs: PartitionedGraph):
+    """(kind, p, q) of every edge of G if it is small enough to list, else None."""
     if gs.n <= EXPLICIT_EDGE_VERTEX_LIMIT and gs.num_edges() <= EXPLICIT_EDGE_LIMIT:
-        doc["edges"] = [{"u": p, "v": q, "kind": kind}
-                        for p, q, kind in sorted(gs.edge_iter())]
-    return doc
+        return [(kind, p, q) for p, q, kind in sorted(gs.edge_iter())]
+    return None
+
+
+def partitioned_text(gs: PartitionedGraph, base_meta=None, base=None) -> str:
+    """The canonical text of the step-2 document of gs.  Its base is the text
+    of the document of H with its weights times gs.scale: base if given (as
+    weighted_graph_text or hbuild_text writes it), else written here."""
+    if base is None:
+        base = weighted_graph_text(gs.H, base_meta, gs.scale)
+    rows = _partitioned_edge_rows(gs)
+    edges = "" if rows is None else f',"edges":[{_records(_KIND_EDGE, rows)}]'
+    return (f'{{"base":{base[:-1]},"blocks":[{_records(_BLOCK, _block_rows(gs))}],'
+            f'"edge_rule":"blocks-v1"{edges},"format_version":{FORMAT_VERSION},'
+            f'"kind":"partitioned_graph","num_vertices":{gs.n},'
+            f'"parts":[{_records(_PART, _part_rows(gs))}]}}\n')
+
+
+def partitioned_doc(gs: PartitionedGraph, base_meta=None):
+    return json.loads(partitioned_text(gs, base_meta))
 
 
 def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
@@ -251,37 +326,54 @@ def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
             gs, factor = ensure_divisible(gs, c)
             if factor != scale:
                 raise ValidationError(f"weight_scale {scale} is not the factor step 3 picks for H")
-        if "meta" not in base:  # a step-1 base was compared record by record when read
-            base = weighted_graph_doc(gs.H, scale=scale)
-        if doc != _partitioned_doc(gs, base):
+        rows = _partitioned_edge_rows(gs)
+        keys = {"format_version", "kind", "base", "num_vertices", "parts", "blocks", "edge_rule"}
+        # a step-1 base was compared record by record when read
+        if not (("meta" in base or _is_graph(base, gs.H, scale))
+                and doc.keys() == (keys if rows is None else keys | {"edges"})
+                and doc["edge_rule"] == "blocks-v1"
+                and type(doc["num_vertices"]) is int and doc["num_vertices"] == gs.n
+                and _same_records(doc["parts"], _PART, _part_rows(gs), len(gs.part_range))
+                and _same_records(doc["blocks"], _BLOCK, _block_rows(gs), len(gs.block_pairs))
+                and (rows is None or _same_records(doc["edges"], _KIND_EDGE, rows, len(rows)))):
             raise ValidationError("step-2 document is not the rebuild of its base graph")
         return gs
 
 
 # -- step-3 gadget graphs ----------------------------------------------------
 
+def _gadget_rows(star: Gstar):
+    return ((g.base, g.copies, u) for u, g in sorted(star.gadgets.items()))
+
+
+def _gstar_edge_rows(star: Gstar):
+    """(kind, x, y) of every edge of G* if it is small enough to list, else None."""
+    if star.n > EXPLICIT_EDGE_VERTEX_LIMIT:
+        return None
+    rows = [(kind, x, y) for x in range(star.n) for y in range(x + 1, star.n)
+            if (kind := star.adjacent(x, y))]
+    return rows if len(rows) <= EXPLICIT_EDGE_LIMIT else None
+
+
+def gstar_text(star: Gstar, base_meta=None, weight_scale: int = 1, base=None) -> str:
+    """The canonical text of the step-3 document of star.  base, if given, is
+    the text of the unscaled base graph's document: its vertex and meta text
+    are kept and only its edges are written again, times the scale of star's
+    (G, S)."""
+    gs = star.GS
+    if base is not None:
+        base = _edges_text(gs.H, gs.scale) + base[base.index(_EDGES_END):]
+    rows = _gstar_edge_rows(star)
+    edges = "" if rows is None else f',"edges":[{_records(_KIND_EDGE, rows)}]'
+    return (f'{{"base":{partitioned_text(gs, base_meta, base)[:-1]},'
+            f'"constants":{_json(_constants_doc(star.constants))}{edges},'
+            f'"format_version":{GADGET_FORMAT_VERSION},'
+            f'"gadgets":[{_records(_GADGET, _gadget_rows(star))}],"kind":"gadget_graph",'
+            f'"num_vertices":{star.n},"weight_scale":{weight_scale}}}\n')
+
+
 def gstar_doc(star: Gstar, base_meta=None, weight_scale: int = 1):
-    return _gstar_doc(star, partitioned_doc(star.GS, base_meta=base_meta), weight_scale)
-
-
-def _gstar_doc(star: Gstar, base, scale):
-    doc = {
-        "format_version": GADGET_FORMAT_VERSION,
-        "kind": "gadget_graph",
-        "base": base,
-        "constants": _constants_doc(star.constants),
-        "weight_scale": scale,
-        "num_vertices": star.n,
-        "gadgets": [{"owner": u, "base": g.base, "copies": g.copies}
-                    for u, g in sorted(star.gadgets.items())],
-    }
-    if star.n <= EXPLICIT_EDGE_VERTEX_LIMIT:
-        edges = [{"u": x, "v": y, "kind": star.adjacent(x, y)}
-                 for x in range(star.n) for y in range(x + 1, star.n)
-                 if star.adjacent(x, y)]
-        if len(edges) <= EXPLICIT_EDGE_LIMIT:
-            doc["edges"] = edges
-    return doc
+    return json.loads(gstar_text(star, base_meta, weight_scale))
 
 
 def gstar_from_doc(doc) -> Gstar:
@@ -291,7 +383,14 @@ def gstar_from_doc(doc) -> Gstar:
         if type(scale) is not int or scale < 1:
             raise ValidationError(f"weight_scale {scale!r} is not a positive integer")
         star = build_Gstar(partitioned_from_doc(doc["base"], scale, c), c)
-        if doc != _gstar_doc(star, doc["base"], scale):
+        rows = _gstar_edge_rows(star)
+        keys = {"format_version", "kind", "base", "constants", "weight_scale", "num_vertices",
+                "gadgets"}
+        if not (doc.keys() == (keys if rows is None else keys | {"edges"})
+                and doc["constants"] == _constants_doc(c) and _typed(doc["constants"])
+                and type(doc["num_vertices"]) is int and doc["num_vertices"] == star.n
+                and _same_records(doc["gadgets"], _GADGET, _gadget_rows(star), len(star.gadgets))
+                and (rows is None or _same_records(doc["edges"], _KIND_EDGE, rows, len(rows)))):
             raise ValidationError("step-3 document is not the rebuild of its base graph")
         return star
 

@@ -51,8 +51,10 @@ class WeightedGraph:
 
     def add_vertices(self, labels, role: str = "plain"):
         start = len(self.adj)
-        for label in labels:
-            self.add_vertex(label, role)
+        self.labels += labels
+        added = len(self.labels) - start
+        self.roles += [role] * added
+        self.adj += ([] for _ in range(added))
         return range(start, len(self.adj))
 
     def add_edge(self, u: int, v: int, w: int) -> None:
@@ -63,12 +65,6 @@ class WeightedGraph:
         self.adj[u].append((v, w))
         self.adj[v].append((u, w))
 
-    def edge_weight(self, u: int, v: int):
-        for x, w in self.adj[u]:
-            if x == v:
-                return w
-        return None
-
     def edges(self):
         for u, lst in enumerate(self.adj):
             for v, w in lst:
@@ -76,7 +72,7 @@ class WeightedGraph:
                     yield u, v, w
 
     def num_edges(self):
-        return sum(len(lst) for lst in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def total_weight(self):
         return sum(w for _, _, w in self.edges())

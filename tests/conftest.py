@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's search kernels: NAE
 formulas are solved by a scan of assignment tuples, matchings are maximized by plain backtracking over edge subsets, orders by permutation
 scans and balancing trees by Prüfer enumeration, so they stay valid
-cross-checks for the branch-and-bound paths.
+cross-checks for the branch-and-bound paths.  The step documents are built
+here as record dicts, whose canonical_json the library's text writers must
+write byte for byte.
 """
 
 import functools
@@ -13,6 +15,7 @@ import random
 
 import pytest
 
+from naewidth import serialize
 from naewidth.errors import CapExceededError, ValidationError
 from naewidth.formula import eval_nae
 from naewidth.matchings import DEFAULT_BUDGET
@@ -98,6 +101,27 @@ def brute_compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b
     return masks
 
 
+def brute_bottleneck(g: WeightedGraph, terminals, c, name="B", shared_root=None):
+    """Reference for red1.build_bottleneck: the spine vertices, then one
+    add_edge call per edge, spine before terminals, which fixes the order of
+    every adjacency list.  Returns (spine_a, spine_b)."""
+    k = len(terminals)
+    spine_a, spine_b = [], []
+    for i in range(1, k + 1):
+        spine_a.append(g.add_vertex(f"{name}.a{i}", "spine_a"))
+        if i == k and shared_root is not None:
+            spine_b.append(shared_root)
+        else:
+            spine_b.append(g.add_vertex(f"{name}.b{i}", "spine_b" if i < k else "root"))
+    for i in range(k):
+        g.add_edge(spine_a[i], spine_b[i], c.tau)
+        if i + 1 < k:
+            g.add_edge(spine_b[i], spine_a[i + 1], c.gamma + 1)
+    for i, (v, w) in enumerate(terminals):
+        g.add_edge(v, spine_a[i], w)
+    return spine_a, spine_b
+
+
 def brute_dummy_edges(h):
     """Reference for PartitionedGraph.num_dummy_edges: the pairwise count,
     4·w1·w2 for each unordered pair of vertex-disjoint H-edges."""
@@ -106,6 +130,11 @@ def brute_dummy_edges(h):
         if len({a, b, x, y}) == 4:
             total += 4 * w1 * w2  # both orientations of both edges
     return total
+
+
+def edge_weight(g: WeightedGraph, u, v):
+    """The weight of the edge uv of g, or None."""
+    return dict(g.adj[u]).get(v)
 
 
 def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
@@ -237,6 +266,78 @@ def brute_validate_gstar(star):
                 t != ("original" if i % 2 == 0 else "subdivision")
                 for i, t in enumerate(tags[:-1])):
             raise ValidationError(f"P_{u} does not alternate original/subdivision")
+
+
+def _vertex_records(g: WeightedGraph):
+    return ({"id": v, "label": g.labels[v], "role": g.roles[v]} for v in g.vertex_ids())
+
+
+def _edge_records(g: WeightedGraph, scale=1):
+    return ({"u": u, "v": v, "weight": w * scale} for u, v, w in sorted(g.edges()))
+
+
+def reference_graph_doc(g: WeightedGraph, meta=None, scale=1):
+    """Reference for serialize.weighted_graph_text: the document as record
+    dicts, whose canonical_json the writer's text must equal."""
+    doc = {
+        "format_version": serialize.FORMAT_VERSION,
+        "kind": "weighted_graph",
+        "vertices": list(_vertex_records(g)),
+        "edges": list(_edge_records(g, scale)),
+    }
+    if meta is not None:
+        doc["meta"] = meta
+    return doc
+
+
+def reference_hbuild_doc(build):
+    """Reference for serialize.hbuild_text."""
+    return reference_graph_doc(build.graph, meta=serialize._hbuild_meta(build))
+
+
+def reference_partitioned_doc(gs, base_meta=None):
+    """Reference for serialize.partitioned_text: the step-2 document of gs as
+    record dicts around the reference document of H, weights times gs.scale."""
+    doc = {
+        "format_version": serialize.FORMAT_VERSION,
+        "kind": "partitioned_graph",
+        "base": reference_graph_doc(gs.H, meta=base_meta, scale=gs.scale),
+        "num_vertices": gs.n,
+        "parts": [{"owner": u, "start": gs.part_range[u][0],
+                   "size": gs.part_range[u][1] - gs.part_range[u][0]}
+                  for u in gs.parts()],
+        "blocks": [{"u": u, "v": v, "start": gs.block_start[k],
+                    "size": gs.block_end(k) - gs.block_start[k]}
+                   for k, (u, v) in enumerate(gs.block_pairs)],
+        "edge_rule": "blocks-v1",
+    }
+    if (gs.n <= serialize.EXPLICIT_EDGE_VERTEX_LIMIT
+            and gs.num_edges() <= serialize.EXPLICIT_EDGE_LIMIT):
+        doc["edges"] = [{"u": p, "v": q, "kind": kind}
+                        for p, q, kind in sorted(gs.edge_iter())]
+    return doc
+
+
+def reference_gstar_doc(star, base_meta=None, weight_scale=1):
+    """Reference for serialize.gstar_text: the step-3 document of star as
+    record dicts around the reference step-2 document of its (G, S)."""
+    doc = {
+        "format_version": serialize.GADGET_FORMAT_VERSION,
+        "kind": "gadget_graph",
+        "base": reference_partitioned_doc(star.GS, base_meta),
+        "constants": serialize._constants_doc(star.constants),
+        "weight_scale": weight_scale,
+        "num_vertices": star.n,
+        "gadgets": [{"owner": u, "base": g.base, "copies": g.copies}
+                    for u, g in sorted(star.gadgets.items())],
+    }
+    if star.n <= serialize.EXPLICIT_EDGE_VERTEX_LIMIT:
+        edges = [{"u": x, "v": y, "kind": star.adjacent(x, y)}
+                 for x in range(star.n) for y in range(x + 1, star.n)
+                 if star.adjacent(x, y)]
+        if len(edges) <= serialize.EXPLICIT_EDGE_LIMIT:
+            doc["edges"] = edges
+    return doc
 
 
 def naive_balancing_orders(g, t):

@@ -661,6 +661,39 @@ def _format_version_true(doc):
     doc["format_version"] = True
 
 
+def _vertex_0_id_false(doc):
+    rec = doc["vertices"][0]
+    assert rec["id"] == 0
+    rec["id"] = False
+
+
+def _unit_weight_true(doc):
+    next(rec for rec in doc["edges"] if rec["weight"] == 1)["weight"] = True
+
+
+def _first_block_start_false(doc):
+    rec = doc["blocks"][0]
+    assert rec["start"] == 0
+    rec["start"] = False
+
+
+def _meta_vx_0_false(doc):
+    vx = doc["meta"]["groups"]["vx"]
+    assert vx[0] == 0
+    vx[0] = False
+
+
+def _constants_a_true(doc):
+    assert doc["constants"]["a"] == 1
+    doc["constants"]["a"] = True
+
+
+def _first_gadget_owner_false(doc):
+    rec = doc["gadgets"][0]
+    assert rec["owner"] == 0
+    rec["owner"] = False
+
+
 DECODE_ARGV = ["witness", "decode", "-i", "{doc}", "--cnf", "{cnf}", "--order", "{order1}"]
 PATH_MAPPING_ARGV = ["witness", "path-mapping", "-i", "{doc}", "--order", "{orderm}", "-o", "{out}"]
 CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]
@@ -712,6 +745,14 @@ CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}
      ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
     ("step2toy", _format_version_true,
      ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
+    ("step1", _vertex_0_id_false, DECODE_ARGV),
+    ("step1", _unit_weight_true, DECODE_ARGV),
+    ("step2", _first_block_start_false,
+     ["witness", "path-mapping", "-i", "{doc}", "--order", "{order3}"]),
+    ("step3", _first_gadget_owner_false, CATERPILLAR_ARGV),
+    ("step1", _meta_vx_0_false, DECODE_ARGV),
+    ("step3m", _constants_a_true,
+     ["witness", "caterpillar", "-i", "{doc}", "--order", "{orderm}", "-o", "{out}"]),
 ], ids=["step1-meta-without-constants", "step1-meta-not-an-object", "step1-vertex-not-a-record",
         "step1-short-pad-pair", "step1-clause-group-unknown", "step1-vx-group-is-vbar",
         "step1-pad-assign-key-moved", "step1-bl-spine-at-vertex-0", "step1-num-vars-order",
@@ -726,7 +767,9 @@ CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}
         "step2-toy-edge-record-dropped", "step3-toy-edge-record-dropped",
         "step3-toy-edge-kind-dummy", "step2-toy-base-edge-backwards", "reduce-step2-bl-attach-weight",
         "reduce-step3-base-bl-attach-weight", "step2-toy-num-vertices-6.0",
-        "step2-toy-format-version-true"])
+        "step2-toy-format-version-true", "step1-id-false", "step1-weight-true",
+        "step2-start-false", "step3-owner-false", "step1-meta-vx-false",
+        "step3-constants-a-true"])
 def test_malformed_step_documents_exit_3(step_docs, cnf_file, tmp_path, capsys, step, tamper, argv):
     paths = dict(step_docs, cnf=cnf_file, doc=str(tmp_path / "tampered.json"),
                  out=str(tmp_path / "out.json"))
@@ -807,19 +850,24 @@ def step1_fuzz(tmp_path_factory):
 
 def _mutate(data, doc, paths):
     """Change the value at one path drawn from paths, in place: ±1 or the
-    equal float on an int, another type, or deleted.  Returns (path, how)."""
+    equal float on an int, the equal boolean on 0 and 1, another type, or
+    deleted.  Returns (path, how)."""
     path = data.draw(st.sampled_from(paths))
     *head, last = path
     holder = functools.reduce(operator.getitem, head, doc)
     value = holder[last]
-    how = data.draw(st.sampled_from(["+1", "-1", "float", "type", "delete"] if type(value) is int
-                                    else ["type", "delete"]))
+    hows = ["type", "delete"]
+    if type(value) is int:
+        hows += ["+1", "-1", "float"] + (["bool"] if value in (0, 1) else [])
+    how = data.draw(st.sampled_from(hows))
     if how == "delete":
         del holder[last]
     elif how == "type":
         holder[last] = [value] if isinstance(value, str) else str(value)
     elif how == "float":
         holder[last] = float(value)
+    elif how == "bool":
+        holder[last] = bool(value)
     else:
         holder[last] = value + int(how)
     return path, how
@@ -852,8 +900,9 @@ def _site_groups(doc):
 @settings(max_examples=80, deadline=None)
 def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
     """One mutated value (a meta entry, vertex field or edge field: ±1 or a
-    float on an int, another type, or deleted) makes `witness decode` exit 3
-    with a JSON diagnostic unless the document still equals the original."""
+    float on an int, a boolean on 0 or 1, another type, or deleted) makes
+    `witness decode` exit 3 with a JSON diagnostic unless the document still
+    equals the original."""
     text = open(step1_fuzz["H.json"]).read()
     original, mutated = json.loads(text), json.loads(text)
     sites = {"meta": [("meta",) + p for p in _paths(original["meta"]) if p],
@@ -882,9 +931,10 @@ REBUILT_DOCUMENTS = {
 def test_step2_and_step3_loaders_accept_exactly_the_rebuild(step_docs, step, data):
     """One mutated value anywhere in a step-2 document with a step-1 base
     (under `witness path-mapping`) or in the toy step-3 document, which lists
-    its edges (under `witness caterpillar`): ±1 or a float on an int, another
-    type, or deleted.  The command exits 0 exactly when the document still
-    equals the original, and otherwise 3 with a JSON diagnostic.  Deleting
+    its edges (under `witness caterpillar`): ±1 or a float on an int, a
+    boolean on 0 or 1, another type, or deleted.  The command exits 0
+    exactly when the document still equals the original, and otherwise 3
+    with a JSON diagnostic.  Deleting
     the step-1 meta alone leaves the step-2 document of the plain graph H,
     which is accepted as such."""
     text = open(step_docs[step]).read()
@@ -943,8 +993,8 @@ WITNESS_COMMANDS = [
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_witness_documents_exit_0_or_3(witness_docs, kind, argv, data):
-    """One mutated value in a witness document: ±1 or a float on an int,
-    another type, or deleted.  A witness may stay valid under a change, so
+    """One mutated value in a witness document: ±1 or a float on an int, a
+    boolean on 0 or 1, another type, or deleted.  A witness may stay valid under a change, so
     the command exits 0 or 3, 3 with a JSON diagnostic, and 0 on the
     unchanged document."""
     text = open(witness_docs[kind]).read()

@@ -24,7 +24,7 @@ from naewidth.wgraph import (
     enumerate_balancing_orders,
 )
 
-from conftest import naive_balancing_orders
+from conftest import brute_bottleneck, edge_weight, naive_balancing_orders
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -82,8 +82,28 @@ def test_build_bottleneck_k3_spine_weights():
     h = build_bottleneck(g, terms, SMALL)
     assert g.n == 3 + 6 and g.num_edges() == 3 * 3 - 1
     spine = h.spine_ascending()
-    weights = [g.edge_weight(spine[i], spine[i + 1]) for i in range(5)]
+    weights = [edge_weight(g, spine[i], spine[i + 1]) for i in range(5)]
     assert weights == [36, 4, 36, 4, 36]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-root", "shared-root"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_build_bottleneck_adjacency_is_the_edge_by_edge_order(k, shared):
+    """build_bottleneck fills the adjacency lists directly; they hold the
+    entries, labels and roles that adding the edges one at a time gives, in
+    the same order, also on a shared root that already has an edge."""
+    built = []
+    for build in (build_bottleneck, brute_bottleneck):
+        g = WeightedGraph()
+        terms = [(g.add_vertex(f"v{i}"), SMALL.gamma + 1 + i) for i in range(k)]
+        root = None
+        if shared:
+            root = g.add_vertex("r", "root")
+            g.add_edge(terms[0][0], root, 5)
+        handle = build(g, terms, SMALL, "B", shared_root=root)
+        spines = (handle.spine_a, handle.spine_b) if build is build_bottleneck else handle
+        built.append((g.labels, g.roles, g.adj, spines))
+    assert built[0] == built[1]
 
 
 def test_build_bottleneck_rejects_attachment_out_of_range():
@@ -109,9 +129,9 @@ def test_sequence_counts_and_s_edges():
     # 3 fresh s-vertices + 4 bottlenecks of k=2 minus the 2 root identifications
     assert g.n - 3 == 17
     s1, s2, s3 = handles.s
-    assert g.edge_weight(s1, s2) == 20
-    assert g.edge_weight(s2, s3) == 20
-    assert g.edge_weight(s1, s3) is None
+    assert edge_weight(g, s1, s2) == 20
+    assert edge_weight(g, s2, s3) == 20
+    assert edge_weight(g, s1, s3) is None
     assert handles.b1p.root == handles.b2m.root
     assert handles.b2p.root == handles.b3m.root
 
@@ -199,14 +219,14 @@ def test_build_H_edge_weight_audit():
     b = build_H(FOUR_COPIES, SMALL)
     g, c = b.graph, SMALL
     for i in range(3):
-        assert g.edge_weight(b.tvert[i], b.tbar[i]) == c.tau - c.lam
-        assert g.edge_weight(b.fvert[i], b.fbar[i]) == c.tau - c.lam
+        assert edge_weight(g, b.tvert[i], b.tbar[i]) == c.tau - c.lam
+        assert edge_weight(g, b.fvert[i], b.fbar[i]) == c.tau - c.lam
         for hub in (b.tvert[i], b.fvert[i]):
-            assert g.edge_weight(b.vx[i], hub) == c.lam
-            assert g.edge_weight(b.vbar[i], hub) == c.lam
+            assert edge_weight(g, b.vx[i], hub) == c.lam
+            assert edge_weight(g, b.vbar[i], hub) == c.lam
     for j, clause in enumerate(FOUR_COPIES.clauses):
         for v in clause:
-            assert g.edge_weight(b.vx[v - 1], b.cvert[j]) == c.lam
+            assert edge_weight(g, b.vx[v - 1], b.cvert[j]) == c.lam
     seq = b.seq
     assert seq.b1p.attach_weights == [c.gamma + 1] + [c.tau - c.lam] * 3
     assert seq.b3m.attach_weights == [c.gamma + 1] + [c.tau - c.lam] * 3
@@ -215,9 +235,9 @@ def test_build_H_edge_weight_audit():
     assert set(b.bl.attach_weights) == {c.tau - c.gamma - 1}
     assert set(b.br.attach_weights) == {c.tau - c.gamma - 1}
     for x, y in zip(b.x_ids, b.y_ids):
-        assert g.edge_weight(x, y) == 2 * c.gamma + 2
+        assert edge_weight(g, x, y) == 2 * c.gamma + 2
     for u, xs in b.pad_assign.items():
-        assert all(g.edge_weight(u, x) == 1 for x in xs)
+        assert all(edge_weight(g, u, x) == 1 for x in xs)
 
 
 def test_build_H_rejects_lax_formula():

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from naewidth import serialize
 from naewidth.errors import ValidationError
 from naewidth.formula import parse_nae_dimacs, random_strict_formula
-from naewidth.red1 import PROFILES, SMALL, build_H
+from naewidth.cli import run
+from naewidth.red1 import PROFILES, SMALL, Constants, build_H
 from naewidth.red2 import build_partitioned, path_mapping_from_order
-from naewidth.red3 import build_Gstar, caterpillar_layout, group_all, hybrid_from_layout
+from naewidth.red3 import (build_Gstar, caterpillar_layout, ensure_divisible, group_all,
+                           hybrid_from_layout)
 from naewidth.tree import Tree, path
-from naewidth.wgraph import WeightedGraph
+from naewidth.wgraph import ROLES, WeightedGraph
 from naewidth.widths import linear_layout_from_order
 
-from conftest import NON_BIJECTIVE_PLACEMENTS, random_weighted_graph
+from conftest import (NON_BIJECTIVE_PLACEMENTS, path_graph, random_weighted_graph,
+                      reference_gstar_doc, reference_graph_doc, reference_hbuild_doc,
+                      reference_partitioned_doc)
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -102,6 +106,126 @@ def test_gstar_round_trip():
     back = serialize.gstar_from_doc(doc)
     assert back.n == star.n
     assert serialize.gstar_doc(back) == doc
+
+
+TINY = "custom:12,1,2,1,1"  # a = b = 1: step 3 keeps the weights, and G* has 2|V(G)| vertices
+PROFILE_CONSTANTS = {"small": SMALL, TINY: Constants(tau=12, gamma=1, lam=2, a=1, b=1)}
+
+
+@given(n=st.sampled_from([3, 6, 9]), seed=st.integers(0, 10 ** 6),
+       profile=st.sampled_from(sorted(PROFILE_CONSTANTS)))
+@settings(max_examples=30, deadline=None)
+def test_step_writers_write_the_reference_encoding(n, seed, profile):
+    """For a random strict formula, every step writer's text is canonical_json
+    of the reference record dicts in conftest: step 1; step 2 written around
+    the step-1 meta and spliced around the step-1 text; step 3 both ways,
+    its base carrying H's weights times the step-3 scale (3 at small)."""
+    c = PROFILE_CONSTANTS[profile]
+    build = build_H(random_strict_formula(n, random.Random(seed)), c)
+    meta = serialize._hbuild_meta(build)
+    step1 = serialize.hbuild_text(build)
+    assert step1 == serialize.canonical_json(reference_hbuild_doc(build))
+    gs = build_partitioned(build.graph)
+    step2 = serialize.canonical_json(reference_partitioned_doc(gs, meta))
+    assert serialize.partitioned_text(gs, base_meta=meta) == step2
+    assert serialize.partitioned_text(gs, base=step1) == step2
+    gs, scale = ensure_divisible(gs, c)
+    assert scale == (3 if profile == "small" else 1)
+    star = build_Gstar(gs, c)
+    step3 = serialize.canonical_json(reference_gstar_doc(star, meta, scale))
+    assert serialize.gstar_text(star, base_meta=meta, weight_scale=scale) == step3
+    assert serialize.gstar_text(star, weight_scale=scale, base=step1) == step3
+
+
+@pytest.fixture(scope="module")
+def writer_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("writers")
+    return {name: str(root / f"{name}.json") for name in ("H", "step2", "step3")}
+
+
+def _reduce_texts(files, h, profile):
+    """The step-2 and step-3 texts `reduce step2` and `reduce step3` write
+    for H, and the reference encodings of both."""
+    c = PROFILE_CONSTANTS[profile]
+    with open(files["H"], "w") as fh:
+        fh.write(serialize.canonical_json(reference_graph_doc(h)))
+    assert run(["reduce", "step2", "-i", files["H"], "-o", files["step2"]]) == 0
+    assert run(["reduce", "step3", "--profile", profile, "-i", files["step2"],
+                "-o", files["step3"]]) == 0
+    gs = build_partitioned(h)
+    gs3, scale = ensure_divisible(gs, c)
+    written = [open(files[step]).read() for step in ("step2", "step3")]
+    return written, [serialize.canonical_json(reference_partitioned_doc(gs)),
+                     serialize.canonical_json(reference_gstar_doc(build_Gstar(gs3, c), None, scale))]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduce_writes_the_reference_encoding(writer_files, data):
+    """`reduce step2` and `reduce step3` on a random weighted graph of 2 to 5
+    vertices, labelled by arbitrary text (non-ASCII, quotes, backslashes,
+    control characters), write canonical_json of the reference documents.
+    A path through all vertices keeps each one on an edge, as step 3 needs."""
+    n = data.draw(st.integers(2, 5))
+    h = WeightedGraph()
+    for _ in range(n):
+        h.add_vertex(data.draw(st.text(max_size=8)), data.draw(st.sampled_from(ROLES)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    chosen += [(u, u + 1) for u in range(n - 1) if (u, u + 1) not in chosen]
+    for u, v in data.draw(st.permutations(chosen)):
+        h.add_edge(*data.draw(st.permutations((u, v))), data.draw(st.integers(1, 40)))
+    written, reference = _reduce_texts(writer_files, h, data.draw(st.sampled_from(
+        sorted(PROFILE_CONSTANTS))))
+    assert written == reference
+
+
+def _disjoint_edges(w):
+    h = WeightedGraph()
+    h.add_vertices("abcd")
+    h.add_edge(0, 1, w)
+    h.add_edge(2, 3, w)
+    return h
+
+
+@pytest.mark.parametrize("h, profile, listed", [
+    (path_graph([3]), "small", (True, True)),
+    (path_graph([3, 3]), TINY, (True, True)),
+    (_disjoint_edges(37), TINY, (False, False)),  # 148 G-vertices, 4·37·37 dummy edges > 5000
+    (path_graph([80]), TINY, (False, False)),     # 160 G-vertices > 150
+], ids=["both-listed", "tiny-both-listed", "too-many-edges", "too-many-vertices"])
+def test_writers_list_explicit_edges_below_the_limits(writer_files, h, profile, listed):
+    """Both sides of the explicit-edge limits: a step-2 or step-3 document
+    lists its edges only up to 150 vertices and 5000 edges, and `reduce`
+    writes the reference encoding either way."""
+    written, reference = _reduce_texts(writer_files, h, profile)
+    assert written == reference
+    assert tuple("edges" in json.loads(text) for text in written) == listed
+
+
+def _keys_reversed(value):
+    if isinstance(value, dict):
+        return {key: _keys_reversed(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_keys_reversed(item) for item in value]
+    return value
+
+
+def test_step_loaders_take_any_key_order():
+    """The loaders compare values, not text: the step documents of the
+    four-copies formula at small, with every object's keys reversed, load as
+    the originals do."""
+    build = build_H(FOUR_COPIES, SMALL)
+    gs, scale = ensure_divisible(build_partitioned(build.graph), SMALL)
+    step1 = serialize.hbuild_text(build)
+    texts = [step1, serialize.partitioned_text(build_partitioned(build.graph), base=step1),
+             serialize.gstar_text(build_Gstar(gs, SMALL), weight_scale=scale, base=step1)]
+    loaders = [serialize.hbuild_from_doc, serialize.partitioned_from_doc, serialize.gstar_from_doc]
+    for text, load in zip(texts, loaders):
+        reordered = _keys_reversed(json.loads(text))
+        assert list(reordered) != list(json.loads(text))
+        assert serialize.canonical_json(reordered) == text
+        load(reordered)
 
 
 def test_order_round_trip():
