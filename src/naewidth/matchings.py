@@ -18,6 +18,10 @@ The compatibility graph is then built bit-parallel from per-endpoint
 candidate masks (San Segundo et al., Comput. Oper. Res. 2011): O(m) big-int
 ORs over m-bit masks, no oracle calls for mim, and for sim one call per pair
 of distinct endpoints on the same side, at most C(k_A,2) + C(k_B,2).
+
+Cost of a sweep, the cuts of every edge of a tree or tree mapping over one
+n-vertex graph: it wraps its oracle once in pair_memo, so it makes at most
+C(n,2) oracle calls in all, not Σ|A|·|B| plus the conflict pairs per cut.
 """
 
 from __future__ import annotations
@@ -151,6 +155,22 @@ def cut_value(adjacent, side_a, side_b, kind: str, threshold=None,
         masks = compatibility_masks(adjacent, cut_edges(adjacent, x, y), in_x, in_y)
         results.append(max_clique(masks, threshold=threshold, budget=budget, stats=stats))
     return min(results)
+
+
+def pair_memo(adjacent):
+    """The oracle `adjacent`, asked at most once per unordered pair.  Each
+    answer is kept as a bool: the G* and (G, S) oracles answer None for a
+    non-edge, which would read as not yet asked.  One memo serves one
+    sweep, so it holds at most C(n,2) entries."""
+    known = {}
+
+    def memo(x, y):
+        key = (x, y) if x < y else (y, x)
+        value = known.get(key)
+        if value is None:
+            value = known[key] = bool(adjacent(x, y))
+        return value
+    return memo
 
 
 def adjacency_from_sets(adj_sets):

@@ -125,17 +125,20 @@ def build_bottleneck(g: WeightedGraph, terminals, c: Constants, name: str = "B",
     g.roles += roles
     adj = g.adj
     adj += [[] for _ in labels]
-    # the edges in add_edge's order, without its per-edge checks: each spine
-    # edge a_i b_i with its link b_i a_(i+1), then the terminal edges
+    # the edges without add_edge's checks, each list in ascending order: a_i's
+    # terminal (an older vertex), then the spine edges a_i b_i and links
+    # b_i a_(i+1); only a shared root can precede a_k's terminal
+    for a, (v, w) in zip(spine_a, terminals):
+        adj[a].append((v, w))
+        adj[v].append((a, w))
     for i, (a, b) in enumerate(zip(spine_a, spine_b)):
         adj[a].append((b, tau))
         adj[b].append((a, tau))
         if i + 1 < k:
             adj[b].append((spine_a[i + 1], link))
             adj[spine_a[i + 1]].append((b, link))
-    for a, (v, w) in zip(spine_a, terminals):
-        adj[a].append((v, w))
-        adj[v].append((a, w))
+    if shared_root is not None:
+        adj[spine_a[-1]].sort()
     return BottleneckHandle(
         spine_a=spine_a,
         spine_b=spine_b,
@@ -298,14 +301,9 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
 
     x_ids = list(g.add_vertices((f"x{j}" for j in range(p)), "pad_x"))
     y_ids = list(g.add_vertices((f"y{j}" for j in range(p)), "pad_y"))
-    attach = tau - gamma - 1
-    bl = build_bottleneck(g, [(v, attach) for v in x_ids], c, "BL")
-    br = build_bottleneck(g, [(v, attach) for v in y_ids], c, "BR")
-    adj, pair = g.adj, 2 * gamma + 2  # positive weights on fresh vertex pairs
-    for xj, yj in zip(x_ids, y_ids):
-        adj[xj].append((yj, pair))
-        adj[yj].append((xj, pair))
-
+    # edges in ascending neighbour order per list: the pad edges to H', then
+    # the x-y pairs, then the BL and BR spines, whose ids come after y_ids
+    adj = g.adj
     pad_assign = {}
     ptr = 0
     for v in range(hprime_n):
@@ -316,6 +314,13 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
             adj[v] += [(xj, 1) for xj in mine]
             for xj in mine:
                 adj[xj].append((v, 1))
+    pair = 2 * gamma + 2  # positive weights on fresh vertex pairs
+    for xj, yj in zip(x_ids, y_ids):
+        adj[xj].append((yj, pair))
+        adj[yj].append((xj, pair))
+    attach = tau - gamma - 1
+    bl = build_bottleneck(g, [(v, attach) for v in x_ids], c, "BL")
+    br = build_bottleneck(g, [(v, attach) for v in y_ids], c, "BR")
 
     return HBuild(
         graph=g, constants=c, formula=f, num_vars=n, num_clauses=m,

@@ -18,7 +18,7 @@ import copy
 import itertools
 
 from .errors import ValidationError
-from .matchings import DEFAULT_BUDGET, cut_value
+from .matchings import DEFAULT_BUDGET, cut_value, pair_memo
 from .tree import Tree, path
 from .wgraph import WeightedGraph
 
@@ -40,7 +40,7 @@ class PartitionedGraph:
         nxt = 0
         for u in h.vertex_ids():
             part_start = nxt
-            for v, w in sorted(h.adj[u]):
+            for v, w in h.adj[u]:
                 self.block_pairs.append((u, v))
                 self.block_start.append(nxt)
                 nxt += w
@@ -209,12 +209,14 @@ def mapping_cut(gs, mapping: TreeMapping, edge):
 
 def mapping_value(gs, mapping: TreeMapping, kind: str, threshold=None,
                   budget: int = DEFAULT_BUDGET):
-    """Max cut value over the mapping's tree edges.  Returns (value, exact)."""
+    """Max cut value over the mapping's tree edges.  Returns (value, exact).
+    The sweep asks gs's oracle at most once per G-vertex pair (pair_memo)."""
+    adjacent = pair_memo(gs.adjacent)
     best = 0
     exact = True
     for _, parts_b in mapping.sides():
         side_a, side_b = _parts_cut(gs, mapping, parts_b)
-        value, is_exact = cut_value(gs.adjacent, side_a, side_b, kind,
+        value, is_exact = cut_value(adjacent, side_a, side_b, kind,
                                     threshold=threshold, budget=budget)
         if value > best:
             best = value

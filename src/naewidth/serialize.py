@@ -109,7 +109,7 @@ _EDGES_END = '],"format_version":'  # the first "]" of a weighted graph's text e
 def _edge_rows(g: WeightedGraph, scale=1):
     """(u, v, weight·scale) of every edge, u < v, in ascending order."""
     for u, lst in enumerate(g.adj):
-        for v, w in sorted(lst):
+        for v, w in lst:
             if u < v:
                 yield u, v, w * scale
 
@@ -150,13 +150,16 @@ def weighted_graph_from_doc(doc, scale=1) -> WeightedGraph:
             if type(rec["label"]) is not str or rec["role"] not in ROLES:
                 raise ValidationError(f"vertex {i} needs a string label and a known role")
             g.add_vertex(rec["label"], rec["role"])
+        edges = []
         for rec in doc["edges"]:
             u, v, w = rec["u"], rec["v"], rec["weight"]
             if not (type(u) is type(v) is type(w) is int and 0 <= u < g.n and 0 <= v < g.n):
                 raise ValidationError(f"edge ({u!r}, {v!r}, {w!r}) is not integers on known ids")
             if w % scale:
                 raise ValidationError(f"edge weight {w} is not a multiple of the scale {scale}")
-            g.add_edge(u, v, w // scale)
+            edges.append((min(u, v), max(u, v), w // scale))
+        for u, v, w in sorted(edges):  # ascending, so add_edge always appends
+            g.add_edge(u, v, w)
         g.check_simple()
         return g
 

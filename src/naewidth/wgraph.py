@@ -10,6 +10,8 @@ tree edge e at v's node, v's edges across the cut of e weigh at most t.
 
 from __future__ import annotations
 
+import bisect
+
 from .errors import BudgetExceededError, ValidationError
 from .tree import Tree
 
@@ -25,8 +27,11 @@ class WeightedGraph:
     """Undirected graph with positive integer edge weights and dense ids.
 
     Vertices are 0..n-1 with a label and a role tag; adjacency is stored as
-    per-vertex lists of (neighbor, weight).  Builders never add duplicate
-    edges; check_simple() audits that, plus symmetry and positivity.
+    per-vertex lists of (neighbor, weight), each kept ascending: add_edge
+    inserts in order, and builders that fill lists directly append in
+    ascending order.  So the edges come out in (u, v) order with no sort.
+    Builders never add duplicate edges; check_simple() audits that, plus
+    symmetry and positivity.
     """
 
     __slots__ = ("labels", "roles", "adj")
@@ -62,10 +67,11 @@ class WeightedGraph:
             raise ValidationError(f"self-loop at vertex {u}")
         if w < 1:
             raise ValidationError(f"edge weight {w} < 1 on ({u}, {v})")
-        self.adj[u].append((v, w))
-        self.adj[v].append((u, w))
+        bisect.insort(self.adj[u], (v, w))
+        bisect.insort(self.adj[v], (u, w))
 
     def edges(self):
+        """(u, v, weight) of every edge, u < v, in ascending order."""
         for u, lst in enumerate(self.adj):
             for v, w in lst:
                 if u < v:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
-from .matchings import DEFAULT_BUDGET, cut_value
+from .matchings import DEFAULT_BUDGET, cut_value, pair_memo
 from .tree import Tree, path
 
 EXACT_CAP = 12
@@ -69,7 +69,9 @@ def linear_layout_from_order(order) -> TreeLayout:
 
 def tree_cut_values(adjacent, vertices, tree: Tree, kind: str, budget: int = DEFAULT_BUDGET):
     """Cut value of every tree edge, keyed by the edge: the vertices placed
-    off the edge's far side against those placed on it."""
+    off the edge's far side against those placed on it.  The sweep asks the
+    oracle at most once per vertex pair (pair_memo)."""
+    adjacent, vertices = pair_memo(adjacent), list(vertices)
     out = {}
     for edge, far in tree.sides():
         rest = [v for v in vertices if v not in far]
@@ -79,6 +81,7 @@ def tree_cut_values(adjacent, vertices, tree: Tree, kind: str, budget: int = DEF
 
 def layout_value(adjacent, vertices, layout: TreeLayout, kind: str, budget: int = DEFAULT_BUDGET):
     """Max cut value over all tree edges of the layout."""
+    vertices = list(vertices)
     if set(layout.leaf_vertex.values()) != set(vertices):
         raise ValidationError("layout leaves do not match the vertex set")
     cuts = tree_cut_values(adjacent, vertices, layout, kind, budget=budget)

@@ -103,8 +103,8 @@ def brute_compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b
 
 def brute_bottleneck(g: WeightedGraph, terminals, c, name="B", shared_root=None):
     """Reference for red1.build_bottleneck: the spine vertices, then one
-    add_edge call per edge, spine before terminals, which fixes the order of
-    every adjacency list.  Returns (spine_a, spine_b)."""
+    add_edge call per edge, which keeps every adjacency list ascending.
+    Returns (spine_a, spine_b)."""
     k = len(terminals)
     spine_a, spine_b = [], []
     for i in range(1, k + 1):

@@ -91,7 +91,7 @@ def test_build_bottleneck_k3_spine_weights():
 def test_build_bottleneck_adjacency_is_the_edge_by_edge_order(k, shared):
     """build_bottleneck fills the adjacency lists directly; they hold the
     entries, labels and roles that adding the edges one at a time gives, in
-    the same order, also on a shared root that already has an edge."""
+    the same ascending order, also on a shared root that already has an edge."""
     built = []
     for build in (build_bottleneck, brute_bottleneck):
         g = WeightedGraph()

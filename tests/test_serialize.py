@@ -39,6 +39,40 @@ def test_weighted_graph_round_trip(seed, n):
     assert serialize.weighted_graph_doc(back) == doc
 
 
+def assert_ascending(g):
+    assert all(x < y for lst in g.adj for (x, _), (y, _) in zip(lst, lst[1:]))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("profile", [SMALL, PROFILES["paper"], Constants(12, 1, 2, 1, 1)],
+                         ids=["small", "paper", "custom:12,1,2,1,1"])
+def test_build_H_adjacency_is_ascending(profile, n):
+    assert_ascending(build_H(random_strict_formula(n, random.Random(n)), profile).graph)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_added_and_loaded_adjacency_is_ascending(seed, n):
+    """add_edge in any order, and a document with its edge records shuffled
+    and turned around, give strictly ascending adjacency lists."""
+    rng = random.Random(seed)
+    edges = list(random_weighted_graph(rng, n, p=0.5).edges())
+    rng.shuffle(edges)
+    g = WeightedGraph()
+    g.add_vertices([f"v{i}" for i in range(n)])
+    for u, v, w in edges:
+        g.add_edge(*rng.sample((u, v), 2), w)
+    assert_ascending(g)
+    doc = serialize.weighted_graph_doc(g)
+    rng.shuffle(doc["edges"])
+    for rec in doc["edges"]:
+        if rng.random() < 0.5:
+            rec["u"], rec["v"] = rec["v"], rec["u"]
+    back = serialize.weighted_graph_from_doc(doc)
+    assert_ascending(back)
+    assert back.adj == g.adj
+
+
 def test_weighted_graph_doc_rejects_sparse_ids():
     doc = {"format_version": 1, "kind": "weighted_graph",
            "vertices": [{"id": 1, "label": "", "role": "plain"}], "edges": []}

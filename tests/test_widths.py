@@ -1,10 +1,18 @@
 import itertools
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naewidth.errors import CapExceededError, ValidationError
-from naewidth.red2 import cut_value, mapping_value, path_mapping_from_order
+from naewidth.red1 import SMALL
+from naewidth.red2 import (TreeMapping, build_partitioned, cut_value, mapping_cut, mapping_value,
+                           path_mapping_from_order)
+from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_from_layout,
+                           hybrid_to_tree_mapping)
+from naewidth.tree import Tree
 from naewidth.widths import (
     EXACT_CAP,
     TreeLayout,
@@ -12,10 +20,11 @@ from naewidth.widths import (
     exact_width,
     layout_value,
     linear_layout_from_order,
+    tree_cut_values,
 )
 
 from conftest import (adj_fn, adjacency_sets, brute_exact_width, brute_mim, brute_uim,
-                      double_factorial, random_graph_adj)
+                      double_factorial, path_graph, random_graph_adj)
 
 
 def complete_graph(n):
@@ -66,6 +75,7 @@ def test_layout_value_p4_order_layout():
                    for _, side in layout.sides())
     assert expected == 1
     assert layout_value(fn, range(4), layout, "mim") == 1
+    assert layout_value(fn, (v for v in range(4)), layout, "mim") == 1
 
 
 def test_uim_examples():
@@ -245,3 +255,83 @@ def test_unknown_kind_is_a_validation_error():
     for call in calls:
         with pytest.raises(ValidationError, match="unknown cut kind"):
             call()
+
+
+class CountingOracle:
+    """An adjacency oracle that records every vertex pair it is asked."""
+
+    def __init__(self, adjacent):
+        self.adjacent = adjacent
+        self.asked = []
+
+    def __call__(self, x, y):
+        self.asked.append(frozenset((x, y)))
+        return self.adjacent(x, y)
+
+
+def assert_sweeps_ask_each_pair_once(adjacent, part_vertices, tree, mapping, kind, thresholds):
+    """tree_cut_values and mapping_value ask the oracle for each vertex pair
+    at most once, for exactly the pairs that one raw cut_value per cut asks
+    for, and give the raw values; mapping_value also stops at the same edge."""
+    vertices = sorted(tree.placement)
+    pairs = len(vertices) * (len(vertices) - 1) // 2
+
+    def check(memo, raw):
+        assert len(memo.asked) == len(set(memo.asked)) <= pairs
+        assert set(memo.asked) == set(raw.asked)
+
+    memo, raw = CountingOracle(adjacent), CountingOracle(adjacent)
+    got = tree_cut_values(memo, iter(vertices), tree, kind)  # one pass over the vertices
+    assert got == {edge: cut_value(raw, [v for v in vertices if v not in far], far, kind)[0]
+                   for edge, far in tree.sides()}
+    check(memo, raw)
+
+    for threshold in thresholds:
+        memo, raw = CountingOracle(adjacent), CountingOracle(adjacent)
+        got = mapping_value(SimpleNamespace(part_vertices=part_vertices, adjacent=memo),
+                            mapping, kind, threshold=threshold)
+        parts = SimpleNamespace(part_vertices=part_vertices, adjacent=raw)
+        best, exact = 0, True
+        for edge in mapping.edges():
+            value, is_exact = cut_value(raw, *mapping_cut(parts, mapping, edge), kind,
+                                        threshold=threshold)
+            best, exact = max(best, value), exact and is_exact
+            if threshold is not None and best >= threshold:
+                exact = False
+                break
+        assert got == (best, exact)
+        check(memo, raw)
+
+
+@st.composite
+def graphs_on_trees(draw):
+    """A graph on n <= 8 vertices, and a tree on n nodes with one vertex each."""
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    tree_adj = {0: []}
+    for node in range(1, n):
+        parent = draw(st.integers(0, node - 1))
+        tree_adj[node] = [parent]
+        tree_adj[parent].append(node)
+    order = draw(st.permutations(range(n)))
+    return adjacency_sets(n, [e for e, k in zip(pairs, keep) if k]), tree_adj, order
+
+
+@given(graphs_on_trees(), st.sampled_from(("mim", "sim", "omim")), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_sweeps_ask_each_pair_once_on_random_graphs(case, kind, threshold):
+    adj, tree_adj, order = case
+    tree = Tree(tree_adj, {v: node for node, v in enumerate(order)})
+    mapping = TreeMapping(tree_adj, dict(enumerate(order)))
+    assert_sweeps_ask_each_pair_once(adj_fn(adj), lambda u: [u], tree, mapping, kind,
+                                     (None, threshold))
+
+
+@pytest.mark.parametrize("kind", ["mim", "sim", "omim"])
+def test_sweeps_ask_each_pair_once_on_the_path3_gstar(kind):
+    star = build_Gstar(build_partitioned(path_graph([3])), SMALL)
+    hybrid = hybrid_from_layout(caterpillar_layout(star, sorted(star.parts())))
+    mapping = hybrid_to_tree_mapping(star, group_all(star, hybrid))
+    assert_sweeps_ask_each_pair_once(star.adjacent, star.part_vertices, hybrid, mapping, kind,
+                                     (None, 2))
