@@ -60,9 +60,10 @@ def main():
 
     t0 = time.time()
     gs = build_partitioned(g)
+    built = time.time() - t0
     print(f"step 2: (G, S) has {gs.n} vertices, "
           f"{gs.num_matching_edges()} matching edges, {gs.num_dummy_edges()} dummy edges, "
-          f"built in {time.time() - t0:.2f}s")
+          f"built in {built:.2f}s")
 
     t0 = time.time()
     gs3, scale = ensure_divisible(gs, c)

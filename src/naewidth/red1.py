@@ -60,12 +60,6 @@ def s_edge_weight(c: Constants) -> int:
     return (c.tau + c.gamma) // 2 + 1
 
 
-def alpha_threshold(c: Constants) -> int:
-    """Sim-value threshold under which gadget relocation is guaranteed:
-    ceil((b-1) / (6*tau)) - 1.  Equals tau + gamma - 1 on the full-scale profile."""
-    return -(-(c.b - 1) // (6 * c.tau)) - 1
-
-
 @dataclass
 class BottleneckHandle:
     """Spine ids and attachment data of one embedded bottleneck.

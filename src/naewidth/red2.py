@@ -6,9 +6,9 @@ I(u, v) of size w(uv); matching edges pair I(u, v) with I(v, u) position by
 position, and dummy bicliques join blocks of disjoint H-edges.  G is kept
 implicit (one block table + adjacency oracle): real instances have far too
 many dummy edges to materialize.  Step 3 scales H's weights by a on the table
-(its scale; every start and size times a), so H is never copied.  Validation
-is arithmetic over the blocks, O(|E(H)|), since |V(G)| = 2·W(H) reaches tens
-of millions at the paper profile.
+(its scale; every start and size times a), so H is never copied.  The table
+is laid out, and audited by laying it out again, in O(|E(H)|): |V(G)| = 2·W(H)
+reaches tens of millions at the paper profile.
 """
 
 from __future__ import annotations
@@ -26,26 +26,15 @@ from .wgraph import WeightedGraph
 class PartitionedGraph:
     """Implicit (G, S) over H with its weights times scale: a block table.
 
-    Blocks are laid out in ascending (u, v), so every part S(u) is a
-    contiguous id range and a block is found by bisection.  adjacent(p, q)
-    returns "matching", "dummy", or None in O(log #blocks).
+    Blocks are laid out in ascending (u, v), the order of H.adj, so every
+    part S(u) is a contiguous id range and a block is found by bisection.
+    adjacent(p, q) returns "matching", "dummy", or None in O(log #blocks).
     """
 
     def __init__(self, h: WeightedGraph):
         self.H = h
         self.scale = 1
-        self.block_pairs = []   # strictly ascending (u, v) with uv in E(H)
-        self.block_start = []   # parallel to block_pairs
-        self.part_range = {}
-        nxt = 0
-        for u in h.vertex_ids():
-            part_start = nxt
-            for v, w in h.adj[u]:
-                self.block_pairs.append((u, v))
-                self.block_start.append(nxt)
-                nxt += w
-            self.part_range[u] = (part_start, nxt)
-        self.n = nxt
+        self.block_pairs, self.block_start, self.part_range, self.n = block_layout(h)
 
     def scaled(self, factor):
         """The (G, S) of H's weights times factor by arithmetic: every start,
@@ -145,37 +134,32 @@ class PartitionedGraph:
                             yield min(p, q), max(p, q), "dummy"
 
     def validate(self) -> None:
-        """Audit of the block layout in O(|E(H)|), H's weights times scale: one
-        block per entry of H.adj in ascending (u, v), contiguous from 0, each
-        inside S(u) (|S(u)| = d_u) with a twin (v, u) of equal positive weight.
-        So S(u) spans u's blocks, block_range finds each one, and
-        matching_partner is an involution that matches every G-vertex."""
-        h, pairs, parts, scale = self.H, self.block_pairs, self.part_range, self.scale
-        weight = {(u, v): w * scale for u in h.vertex_ids() for v, w in h.adj[u]}
-        if self.n != 2 * scale * h.total_weight():
-            raise ValidationError("|V(G)| != 2 * scale * total weight of H")
-        if (pairs != sorted(weight) or len(pairs) != len(self.block_start)
-                or len(weight) != sum(map(len, h.adj))):
-            raise ValidationError("blocks do not list each edge of H once per direction in order")
-        degrees = {u: scale * h.vertex_weight(u) for u in range(h.n)}
-        if {u: b - a for u, (a, b) in parts.items()} != degrees:
-            raise ValidationError("part sizes differ from the weighted degrees of H")
-        nxt = 0
-        for (u, v), start in zip(pairs, self.block_start):
-            if start != nxt:
-                raise ValidationError(f"block I({u},{v}) is out of place in the layout")
-            w = weight[(u, v)]
-            nxt += w
-            if u == v or weight.get((v, u)) != w or not parts[u][0] <= start < nxt <= parts[u][1]:
-                raise ValidationError(f"I({u},{v}) has no twin of its weight or lies outside S({u})")
+        """O(|E(H)|) audit: H passes check_simple and the table is its layout at
+        scale, so block_range finds each block and matching_partner pairs V(G)."""
+        self.H.check_simple()
+        if (self.block_pairs, self.block_start, self.part_range, self.n) != block_layout(
+                self.H, self.scale):
+            raise ValidationError("the block table is not the layout of H's weights times scale")
+
+
+def block_layout(h: WeightedGraph, scale=1):
+    """(block_pairs, block_start, part_range, n) of H's weights times scale:
+    one block I(u, v) per entry of H.adj, in its order, from G-vertex 0."""
+    pairs, starts, parts, nxt = [], [], {}, 0
+    for u, lst in enumerate(h.adj):
+        part_start = nxt
+        for v, w in lst:
+            pairs.append((u, v))
+            starts.append(nxt)
+            nxt += w * scale
+        parts[u] = (part_start, nxt)
+    return pairs, starts, parts, nxt
 
 
 def build_partitioned(h: WeightedGraph) -> PartitionedGraph:
-    """Construct (G, S) from a positively-weighted graph; validate() refuses
-    a non-simple H."""
-    gs = PartitionedGraph(h)
-    gs.validate()
-    return gs
+    """(G, S) of an H that passes check_simple: a fresh table is its layout."""
+    h.check_simple()
+    return PartitionedGraph(h)
 
 
 class TreeMapping(Tree):

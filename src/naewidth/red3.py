@@ -20,6 +20,7 @@ to a tree mapping of (G*, S*), which projects back to one of (G, S).
 from __future__ import annotations
 
 import bisect
+import itertools
 
 from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET
@@ -123,8 +124,16 @@ def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
     return gadget
 
 
+def _first_indivisible(gs: PartitionedGraph, a):
+    """Owner of the first block a does not divide, or None: blocks start at 0,
+    so it is the first to end on no multiple of a (one C-level pass)."""
+    ends = itertools.chain(itertools.islice(gs.block_start, 1, None), (gs.n,))
+    k = next(itertools.compress(itertools.count(), map(a.__rmod__, ends)), None)
+    return None if k is None else gs.block_pairs[k][0]
+
+
 class Gstar:
-    """Implicit G*: the gadget registry plus an O(1) adjacency oracle.
+    """Implicit G*: gadgets made on demand plus an O(1) adjacency oracle.
 
     Gadgets occupy contiguous id ranges in ascending owner order, 2b ids per
     G-vertex of their part, so G*-vertex x lies in the gadget of the owner
@@ -135,11 +144,21 @@ class Gstar:
 
     def __init__(self, gs: PartitionedGraph, c: Constants):
         validate_constants(c)
-        self.GS = gs
-        self.constants = c
+        # build_gadget refuses the least faulty owner, as building every gadget would
+        empty = gs.H.adj.index([]) if [] in gs.H.adj else None
+        faulty = [u for u in (_first_indivisible(gs, c.a), empty) if u is not None]
+        if faulty:
+            build_gadget(gs, min(faulty), c)
+        self.GS, self.constants = gs, c
         self.span = 2 * c.b  # G*-vertices per G-vertex
         self.n = self.span * gs.n
-        self.gadgets = {u: build_gadget(gs, u, c) for u in gs.parts()}
+        self._gadgets = {}
+
+    def gadget(self, u) -> Gadget:
+        """The gadget of owner u, made on the first call and kept."""
+        if u not in self._gadgets:
+            self._gadgets[u] = Gadget(self.GS, u, self.constants.b, self.constants.a)
+        return self._gadgets[u]
 
     def owner_of(self, vid):
         if not 0 <= vid < self.n:
@@ -150,16 +169,16 @@ class Gstar:
     def locate(self, vid):
         """(owner, copy, position, tag, original G-vertex or None)."""
         u = self.owner_of(vid)
-        gadget = self.gadgets[u]
+        gadget = self.gadget(u)
         copy, pos = gadget.locate(vid)
         return (u, copy, pos) + gadget.entry(pos)
 
     def part_vertices(self, u):
-        gadget = self.gadgets[u]
-        return range(gadget.base, gadget.base + gadget.size)
+        start, end = self.GS.part_range[u]
+        return range(self.span * start, self.span * end)
 
     def parts(self):
-        return list(self.gadgets)
+        return self.GS.parts()
 
     def adjacent(self, x, y):
         """Edge kind between two G*-vertices ("path", "cross", "matching",
@@ -167,9 +186,12 @@ class Gstar:
         if x == y:
             return None
         ux, uy = self.owner_of(x), self.owner_of(y)
+        try:  # a hit is one dict lookup per end: this is the oracle's hot path
+            gadget_x, gadget_y = self._gadgets[ux], self._gadgets[uy]
+        except KeyError:
+            gadget_x, gadget_y = self.gadget(ux), self.gadget(uy)
         if ux == uy:
-            return self.gadgets[ux].adjacent(x, y)
-        gadget_x, gadget_y = self.gadgets[ux], self.gadgets[uy]
+            return gadget_x.adjacent(x, y)
         _, gx = gadget_x.entry(gadget_x.locate(x)[1])
         _, gy = gadget_y.entry(gadget_y.locate(y)[1])
         if gx is None or gy is None:
@@ -185,7 +207,7 @@ def ensure_divisible(gs: PartitionedGraph, c: Constants):
     """(G, S) with a dividing every block size, and the factor: (gs, 1) if a
     does already, else (gs.scaled(a), a).  Step-1 graphs carry unit-grain
     weights (gamma+1 links, weight-1 padding); balancing thresholds scale too."""
-    if all(w * gs.scale % c.a == 0 for _, _, w in gs.H.edges()):
+    if _first_indivisible(gs, c.a) is None:
         return gs, 1
     return gs.scaled(c.a), c.a
 
@@ -261,7 +283,7 @@ def find_default_edge(star: Gstar, ht: Tree, u):
     """Either ("node", t) with preimage V(G(u))), or ("edge", (x, y)) with a
     whole copy of P_u on both sides; deterministic BFS scan from the
     minimum-id node."""
-    gadget = star.gadgets[u]
+    gadget = star.gadget(u)
     whole, held = set(star.part_vertices(u)), _held(ht)
     for node in sorted(ht.tree_adj):
         if held[node] == whole:
@@ -292,7 +314,7 @@ def group_gadget(star: Gstar, ht: Tree, u) -> Tree:
     a subcubic hybrid tree and (by exact recomputation in tests) its per-edge
     sim values never increase.
     """
-    if u not in star.gadgets:
+    if u not in star.GS.part_range:
         raise ValidationError(f"G* has no gadget of owner {u}")
     kind, where = find_default_edge(star, ht, u)
     if kind == "node":
@@ -314,7 +336,7 @@ def group_all(star: Gstar, ht: Tree) -> Tree:
 def hybrid_to_tree_mapping(star: Gstar, ht: Tree) -> TreeMapping:
     """Contract part-next-to-empty edges until every node holds one part."""
     owners = gadget_nodes(ht, star)
-    if len(owners) != len(star.gadgets):
+    if len(owners) != len(star.GS.part_range):
         raise ValidationError("a node holds a strict partial preimage; grouping incomplete")
     owner_at = {node: owners.get(node) for node in ht.tree_adj}
 

@@ -20,7 +20,7 @@ import contextlib
 import itertools
 import json
 from json.encoder import encode_basestring_ascii as _string
-from operator import eq, itemgetter
+from operator import eq, itemgetter, sub
 
 from .errors import ValidationError
 from .formula import NaeFormula
@@ -283,13 +283,15 @@ def hbuild_from_doc(doc, scale=1) -> HBuild:
 # -- step-2 partitioned graphs ----------------------------------------------
 
 def _part_rows(gs: PartitionedGraph):
-    return ((u, end - start, start) for u, (start, end) in sorted(gs.part_range.items()))
+    owners = sorted(gs.part_range)
+    starts, ends = zip(*map(gs.part_range.__getitem__, owners)) if owners else ((), ())
+    return zip(owners, map(sub, ends, starts), starts)
 
 
 def _block_rows(gs: PartitionedGraph):
-    starts = gs.block_start
+    starts, pairs = gs.block_start, gs.block_pairs
     ends = itertools.chain(itertools.islice(starts, 1, None), (gs.n,))
-    return ((end - start, start, u, v) for (u, v), start, end in zip(gs.block_pairs, starts, ends))
+    return zip(map(sub, ends, starts), starts, map(itemgetter(0), pairs), map(itemgetter(1), pairs))
 
 
 def _partitioned_edge_rows(gs: PartitionedGraph):
@@ -346,7 +348,10 @@ def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
 # -- step-3 gadget graphs ----------------------------------------------------
 
 def _gadget_rows(star: Gstar):
-    return ((g.base, g.copies, u) for u, g in sorted(star.gadgets.items()))
+    """(2b·start(S(u)), b, u) per owner u: where its gadget starts, its copies."""
+    owners = sorted(star.GS.part_range)
+    starts = map(itemgetter(0), map(star.GS.part_range.__getitem__, owners))
+    return zip(map(star.span.__mul__, starts), itertools.repeat(star.constants.b), owners)
 
 
 def _gstar_edge_rows(star: Gstar):
@@ -392,7 +397,7 @@ def gstar_from_doc(doc) -> Gstar:
         if not (doc.keys() == (keys if rows is None else keys | {"edges"})
                 and doc["constants"] == _constants_doc(c) and _typed(doc["constants"])
                 and type(doc["num_vertices"]) is int and doc["num_vertices"] == star.n
-                and _same_records(doc["gadgets"], _GADGET, _gadget_rows(star), len(star.gadgets))
+                and _same_records(doc["gadgets"], _GADGET, _gadget_rows(star), star.GS.H.n)
                 and (rows is None or _same_records(doc["edges"], _KIND_EDGE, rows, len(rows)))):
             raise ValidationError("step-3 document is not the rebuild of its base graph")
         return star
@@ -445,17 +450,6 @@ def _tree_from_doc(doc, kind, key, node_at, flag=None):
         adj[x].append(y)
         adj[y].append(x)
     return adj, dict(pairs)
-
-
-def balancing_tree_doc(bt: Tree):
-    return _tree_doc("balancing_tree", bt, "placement", bt.placement)
-
-
-def balancing_tree_from_doc(doc) -> Tree:
-    adj, placement = _tree_from_doc(doc, "balancing_tree", "placement", 1)
-    if sorted(placement.values()) != sorted(adj):
-        raise ValidationError("placement is not a bijection onto the tree nodes")
-    return Tree(adj, placement)
 
 
 def tree_mapping_doc(m: TreeMapping):

@@ -90,18 +90,24 @@ class WeightedGraph:
         return sum(w for _, w in self.adj[v])
 
     def check_simple(self) -> None:
-        """O(|E|) audit: no self-loop, duplicate, one-sided edge or weight below 1."""
-        weights = [dict(lst) for lst in self.adj]
+        """O(|E|) audit: no self-loop, duplicate, one-sided edge, weight below 1
+        or adjacency list out of ascending order."""
+        n = len(self.adj)
+        weights = list(map(dict, self.adj))
         for u, lst in enumerate(self.adj):
             if len(weights[u]) != len(lst):
                 raise ValidationError(f"duplicate edge at {u}")
+            prev = -1
             for v, w in lst:
                 if v == u:
                     raise ValidationError(f"self-loop at {u}")
                 if w < 1:
                     raise ValidationError(f"non-positive weight on ({u}, {v})")
-                if weights[v].get(u) != w:
+                if not 0 <= v < n or weights[v].get(u) != w:
                     raise ValidationError(f"asymmetric edge ({u}, {v})")
+                if v < prev:
+                    raise ValidationError(f"adjacency list of {u} is not ascending")
+                prev = v
 
 
 def check_balancing_order(g, order, t):

@@ -122,6 +122,12 @@ def brute_bottleneck(g: WeightedGraph, terminals, c, name="B", shared_root=None)
     return spine_a, spine_b
 
 
+def alpha_threshold(c) -> int:
+    """Sim-value threshold under which gadget relocation is guaranteed:
+    ceil((b-1) / (6*tau)) - 1.  Equals tau + gamma - 1 on the full-scale profile."""
+    return -(-(c.b - 1) // (6 * c.tau)) - 1
+
+
 def brute_dummy_edges(h):
     """Reference for PartitionedGraph.num_dummy_edges: the pairwise count,
     4·w1·w2 for each unordered pair of vertex-disjoint H-edges."""
@@ -243,7 +249,7 @@ def brute_gstar_ids(star):
     summing gadget sizes, b·2|S(u)| with |S(u)| the weighted degree of u in
     H times the scale of (G, S), over the owners in ascending order."""
     bases, n = {}, 0
-    for u in sorted(star.gadgets):
+    for u in star.GS.H.vertex_ids():
         bases[u] = n
         n += star.constants.b * 2 * star.GS.scale * star.GS.H.vertex_weight(u)
     return bases, n
@@ -254,7 +260,8 @@ def brute_validate_gstar(star):
     every P_u through Gadget.entry and check its length, that its originals
     cover S(u), and that the tags alternate original/subdivision before the
     appended vertex."""
-    for u, gadget in star.gadgets.items():
+    for u in star.parts():
+        gadget = star.gadget(u)
         if gadget.plen != 2 * len(star.GS.part_vertices(u)):
             raise ValidationError(f"|V(P_{u})| != 2|S({u})|")
         path = [gadget.entry(pos) for pos in range(gadget.plen)]
@@ -328,8 +335,8 @@ def reference_gstar_doc(star, base_meta=None, weight_scale=1):
         "constants": serialize._constants_doc(star.constants),
         "weight_scale": weight_scale,
         "num_vertices": star.n,
-        "gadgets": [{"owner": u, "base": g.base, "copies": g.copies}
-                    for u, g in sorted(star.gadgets.items())],
+        "gadgets": [{"owner": g.owner, "base": g.base, "copies": g.copies}
+                    for g in map(star.gadget, star.parts())],
     }
     if star.n <= serialize.EXPLICIT_EDGE_VERTEX_LIMIT:
         edges = [{"u": x, "v": y, "kind": star.adjacent(x, y)}
@@ -338,6 +345,21 @@ def reference_gstar_doc(star, base_meta=None, weight_scale=1):
         if len(edges) <= serialize.EXPLICIT_EDGE_LIMIT:
             doc["edges"] = edges
     return doc
+
+
+def balancing_tree_doc(bt: Tree):
+    """The document of a balancing tree: a tree whose placement maps V(H)
+    onto the nodes, written as serialize writes the other tree documents."""
+    return serialize._tree_doc("balancing_tree", bt, "placement", bt.placement)
+
+
+def balancing_tree_from_doc(doc) -> Tree:
+    """The balancing tree of a balancing_tree_doc document; refuses a
+    placement that is no bijection onto the nodes."""
+    adj, placement = serialize._tree_from_doc(doc, "balancing_tree", "placement", 1)
+    if sorted(placement.values()) != sorted(adj):
+        raise ValidationError("placement is not a bijection onto the tree nodes")
+    return Tree(adj, placement)
 
 
 def naive_balancing_orders(g, t):
@@ -498,6 +520,19 @@ NON_BIJECTIVE_PLACEMENTS = {
     "empty-node": ({0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}, {0: 0, 1: 1, 2: 2}),
     "missing-vertex": ({0: [1], 1: [0, 2], 2: [1]}, {0: 0, 2: 2}),
 }
+
+
+# faults of H, each made in the adjacency lists of path_graph([2, 3]), and
+# the message WeightedGraph.check_simple refuses it with
+SIMPLE_FAULTS = [
+    (lambda adj: adj[1].append((1, 2)), "self-loop"),
+    (lambda adj: (adj[0].append((1, 2)), adj[1].append((0, 2))), "duplicate edge"),
+    (lambda adj: (adj[0].append((2, 0)), adj[2].append((0, 0))), "non-positive weight"),
+    (lambda adj: adj[2].append((0, 4)), "asymmetric edge"),
+    (lambda adj: adj.__setitem__(2, [(1, 4)]), "asymmetric edge"),
+    (lambda adj: adj[2].append((5, 3)), "asymmetric edge"),
+    (lambda adj: adj[1].reverse(), "not ascending"),
+]
 
 
 def path_graph(weights) -> WeightedGraph:

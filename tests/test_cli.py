@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naewidth
-from naewidth import red2, serialize
+from naewidth import red2, red3, serialize
 from naewidth.cli import run
-from naewidth.formula import parse_nae_dimacs
+from naewidth.formula import brute_force_nae, emit_nae_dimacs, parse_nae_dimacs, random_strict_formula
 from naewidth.tree import Tree
 from naewidth.wgraph import ROLES, WeightedGraph, check_balancing_order
 
@@ -1461,7 +1462,7 @@ def test_gadget_document_version_1_exits_3(toy_gstar, step_docs, tmp_path, capsy
     star = serialize.gstar_from_doc(doc)
     doc["format_version"] = 1
     for rec in doc["gadgets"]:
-        gadget = star.gadgets[rec["owner"]]
+        gadget = star.gadget(rec["owner"])
         rec["path"] = [{"tag": tag, "gvid": gv}
                        for tag, gv in map(gadget.entry, range(gadget.plen))]
     old = tmp_path / "v1.json"
@@ -1499,6 +1500,30 @@ def test_reduce_lays_out_one_partitioned_graph(cnf_file, tmp_path, monkeypatch):
     built.clear()
     serialize.gstar_from_doc(step3)
     assert len(built) == 1
+
+
+def test_reduce_all_makes_no_gadget(tmp_path, monkeypatch):
+    """`reduce all --profile small` on the seeded n=6 formula (2,173
+    H-vertices) and loading its step-3 document make no Gadget object: the
+    gadget rows are arithmetic on the block table."""
+    made = []
+    init = red3.Gadget.__init__
+
+    def counted(self, *args):
+        made.append(args[1])
+        init(self, *args)
+
+    rng = random.Random(0)
+    f = random_strict_formula(6, rng)
+    while brute_force_nae(f) is None:
+        f = random_strict_formula(6, rng)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(emit_nae_dimacs(f))
+    monkeypatch.setattr(red3.Gadget, "__init__", counted)
+    prefix = str(tmp_path / "r")
+    assert run(["reduce", "all", "--profile", "small", "-i", str(cnf), "-o", prefix]) == 0
+    star = serialize.gstar_from_doc(json.loads(open(prefix + ".step3.json").read()))
+    assert len(star.parts()) == 2173 and made == []
 
 
 def test_reduce_step3_paper_profile(paper_docs):

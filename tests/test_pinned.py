@@ -16,7 +16,7 @@ from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_fr
 from naewidth.tree import path
 from naewidth.widths import exact_width, linear_layout_from_order
 
-from conftest import adj_fn, adjacency_sets, path_graph, solve_balancing_tree, star_graph
+from conftest import adj_fn, adjacency_sets, balancing_tree_doc, path_graph, solve_balancing_tree, star_graph
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -42,8 +42,8 @@ def library_docs():
     grouped = group_all(star, ht)
     g7 = adjacency_sets(7, G7_EDGES)
     return {
-        "balancing_tree/path": serialize.balancing_tree_doc(path([2, 0, 3, 1])),
-        "balancing_tree/star": serialize.balancing_tree_doc(
+        "balancing_tree/path": balancing_tree_doc(path([2, 0, 3, 1])),
+        "balancing_tree/star": balancing_tree_doc(
             solve_balancing_tree(star_graph([2, 2, 2, 2]), 3)),
         "tree_mapping/path": serialize.tree_mapping_doc(path_mapping_from_order(gs, [2, 0, 1])),
         "tree_mapping/contracted": serialize.tree_mapping_doc(

@@ -8,7 +8,6 @@ from naewidth.red1 import (
     PAPER,
     SMALL,
     Constants,
-    alpha_threshold,
     build_bottleneck,
     build_bottleneck_sequence,
     build_H,
@@ -24,7 +23,7 @@ from naewidth.wgraph import (
     enumerate_balancing_orders,
 )
 
-from conftest import brute_bottleneck, edge_weight, naive_balancing_orders
+from conftest import alpha_threshold, brute_bottleneck, edge_weight, naive_balancing_orders
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -65,7 +64,7 @@ def test_s_edge_weight():
 
 
 def test_alpha_threshold_full_scale_profile():
-    assert alpha_threshold(PAPER) == PAPER.tau + PAPER.gamma - 1
+    assert alpha_threshold(PAPER) == PAPER.tau + PAPER.gamma - 1 == 1214
 
 
 def test_build_bottleneck_k1():

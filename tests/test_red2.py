@@ -18,7 +18,7 @@ from naewidth.red2 import (
 )
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, brute_validate, edge_weight, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph
+from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, brute_validate, edge_weight, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -154,8 +154,31 @@ def duplicate_edge(h, rng):
     return PartitionedGraph(g)
 
 
+def unsorted_adjacency(h, rng):
+    """A vertex lists its neighbours in descending order.  When no vertex has
+    two, an edge first joins the first ends of two disjoint H-edges."""
+    g = copy_of(h)
+    if max(map(len, g.adj)) < 2:
+        (u, _, _), (x, _, _) = list(h.edges())[:2]
+        g.add_edge(u, x, 1)
+    max(g.adj, key=len).reverse()
+    return PartitionedGraph(g)
+
+
 TAMPERS = [n_off_by_one, shifted_block_start, twisted_twins, shifted_part, grown_part,
-           swapped_block_pairs, dropped_last_block, self_loop_block, duplicate_edge]
+           swapped_block_pairs, dropped_last_block, self_loop_block, duplicate_edge,
+           unsorted_adjacency]
+
+
+@pytest.mark.parametrize("fault, message", SIMPLE_FAULTS)
+def test_build_partitioned_refuses_each_fault_of_h(fault, message):
+    """build_partitioned audits only H, and refuses every fault check_simple
+    refuses, with its message; validate refuses the table laid out anyway."""
+    h = path_graph([2, 3])
+    fault(h.adj)
+    for build in (build_partitioned, lambda h: PartitionedGraph(h).validate()):
+        with pytest.raises(ValidationError, match=message):
+            build(h)
 
 
 def test_validate_matches_per_vertex_walk(rng):

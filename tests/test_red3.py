@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naewidth import serialize
 from naewidth.errors import ValidationError
 from naewidth.red1 import SMALL, Constants, validate_constants
 from naewidth.red2 import TreeMapping, build_partitioned, cut_value, mapping_value
@@ -10,6 +13,7 @@ from naewidth.red3 import (
     build_Gstar,
     build_gadget,
     caterpillar_layout,
+    ensure_divisible,
     find_default_edge,
     gadget_nodes,
     group_all,
@@ -139,7 +143,7 @@ def test_arithmetic_ids_match_the_accumulated_layout(rng):
         star = build_Gstar(gs, c)
         bases, n = brute_gstar_ids(star)
         assert star.n == n
-        assert {u: gadget.base for u, gadget in star.gadgets.items()} == bases
+        assert {u: star.gadget(u).base for u in star.parts()} == bases
         paths = {u: brute_Pu(gs, u, c) for u in bases}
         located = [(u, copy, pos) + paths[u][pos] for u in sorted(bases)
                    for copy in range(c.b) for pos in range(len(paths[u]))]
@@ -151,6 +155,46 @@ def test_isolated_vertex_has_no_gadget():
     h.add_vertex("w")
     with pytest.raises(ValidationError, match=r"2\|S"):
         build_Gstar(build_partitioned(h), SMALL)
+
+
+def test_build_Gstar_refuses_a_block_a_does_not_divide():
+    with pytest.raises(ValidationError, match="divisible"):
+        build_Gstar(build_partitioned(single_edge_h(4)), SMALL)
+
+
+def eager_refusal(gs, c):
+    """The message build_gadget refuses the least owner with, or None."""
+    for u in gs.parts():
+        try:
+            build_gadget(gs, u, c)
+        except ValidationError as exc:
+            return str(exc)
+    return None
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([A1, SMALL]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_gadgets_made_on_demand_are_the_eager_ones(hyp_rng, c, divisible):
+    """build_Gstar refuses a table iff build_gadget refuses an owner, with the
+    least such owner's message, and ensure_divisible scales iff a block is
+    indivisible.  Otherwise every gadget G* makes on demand equals
+    build_gadget's field by field, is made once, and the gadget rows of the
+    document are the eager gadgets' (base, copies, owner)."""
+    h = random_weighted_graph(hyp_rng, hyp_rng.randint(1, 7), p=0.5, max_w=4)
+    gs = build_partitioned(scale_weights(h, c.a) if divisible else h)
+    refusal = eager_refusal(gs, c)
+    assert (ensure_divisible(gs, c)[1] == 1) == all(w % c.a == 0 for _, _, w in gs.H.edges())
+    if refusal is not None:
+        with pytest.raises(ValidationError) as exc:
+            build_Gstar(gs, c)
+        assert str(exc.value) == refusal
+        return
+    star = build_Gstar(gs, c)
+    for u in reversed(star.parts()):
+        assert vars(star.gadget(u)) == vars(build_gadget(gs, u, c))
+        assert star.gadget(u) is star.gadget(u)
+    eager = [build_gadget(gs, u, c) for u in gs.parts()]
+    assert list(serialize._gadget_rows(star)) == [(g.base, g.copies, g.owner) for g in eager]
 
 
 def test_gadget_b1_is_plain_path():
@@ -166,7 +210,7 @@ def test_gadget_adjacency_matches_literal_rule():
     for h in (star9(), single_edge_h(3)):
         for b in range(1, 5):
             star = build_Gstar(build_partitioned(h), Constants(36, 3, 6, 3, b))
-            for gadget in star.gadgets.values():
+            for gadget in map(star.gadget, star.parts()):
                 expected = literal_gadget_edges(gadget)
                 for x, y in itertools.permutations(range(gadget.size), 2):
                     kind = expected.get((min(x, y), max(x, y)))
@@ -269,7 +313,7 @@ def test_split_every_copy_forces_large_sim():
     c5 = Constants(36, 3, 6, 1, 5)  # plen = 4, b = 5 > 1 * 4
     gs = build_partitioned(single_edge_h(2))
     star = build_Gstar(gs, c5)
-    gadget = star.gadgets[0]
+    gadget = star.gadget(0)
     side_a = [gadget.vid(c, p) for c in range(gadget.copies) for p in (0, 1)]
     side_b = [gadget.vid(c, p) for c in range(gadget.copies) for p in (2, 3)]
     witness = [(gadget.vid(c, 1), gadget.vid(c, 2)) for c in range(gadget.copies)]
@@ -284,7 +328,7 @@ def test_tripartition_forces_large_sim():
     c9 = Constants(36, 3, 6, 1, 9)  # plen = 4, b = 9 > ceil(3/2) * 4 for t = 1
     gs = build_partitioned(single_edge_h(2))
     star = build_Gstar(gs, c9)
-    gadget = star.gadgets[0]
+    gadget = star.gadget(0)
     # every copy meets all three classes
     part_a = [gadget.vid(c, p) for c in range(gadget.copies) for p in (0, 1)]
     part_b = [gadget.vid(c, 2) for c in range(gadget.copies)]
@@ -298,8 +342,6 @@ def test_tripartition_forces_large_sim():
 
 
 def test_ensure_divisible():
-    from naewidth.red3 import ensure_divisible
-
     gs = build_partitioned(single_edge_h(3))
     same, factor = ensure_divisible(gs, SMALL)
     assert factor == 1 and same is gs
@@ -342,7 +384,7 @@ def test_find_default_edge_two_gadget_caterpillar():
     kind, (x, y) = find_default_edge(star, ht, 0)
     assert kind == "edge"
     side_b = set(ht.side(x, y))
-    gadget = star.gadgets[0]
+    gadget = star.gadget(0)
     copies = [set(gadget.copy_vertices(i)) for i in range(gadget.copies)]
     assert any(cp <= side_b for cp in copies)
     assert any(not (cp & side_b) for cp in copies)

@@ -17,7 +17,8 @@ from naewidth.tree import Tree, path
 from naewidth.wgraph import ROLES, WeightedGraph
 from naewidth.widths import linear_layout_from_order
 
-from conftest import (NON_BIJECTIVE_PLACEMENTS, path_graph, random_weighted_graph,
+from conftest import (NON_BIJECTIVE_PLACEMENTS, balancing_tree_doc, balancing_tree_from_doc,
+                      path_graph, random_weighted_graph,
                       reference_gstar_doc, reference_graph_doc, reference_hbuild_doc,
                       reference_partitioned_doc)
 
@@ -289,26 +290,26 @@ def test_linear_layout_round_trip_quantified(order):
 @settings(max_examples=25)
 def test_balancing_tree_round_trip_quantified(order):
     bt = path(order)
-    doc = serialize.balancing_tree_doc(bt)
-    back = serialize.balancing_tree_from_doc(json.loads(json.dumps(doc)))
+    doc = balancing_tree_doc(bt)
+    back = balancing_tree_from_doc(json.loads(json.dumps(doc)))
     assert back.placement == bt.placement
-    assert serialize.balancing_tree_doc(back) == doc
+    assert balancing_tree_doc(back) == doc
 
 
 def test_balancing_tree_round_trip():
     bt = path([2, 0, 1])
-    doc = serialize.balancing_tree_doc(bt)
-    back = serialize.balancing_tree_from_doc(doc)
+    doc = balancing_tree_doc(bt)
+    back = balancing_tree_from_doc(doc)
     assert back.tree_adj.keys() == bt.tree_adj.keys()
     assert back.placement == bt.placement
-    assert serialize.balancing_tree_doc(back) == doc
+    assert balancing_tree_doc(back) == doc
 
 
 @pytest.mark.parametrize("case", NON_BIJECTIVE_PLACEMENTS)
 def test_balancing_tree_doc_refuses_a_non_bijective_placement(case):
-    doc = serialize.balancing_tree_doc(Tree(*NON_BIJECTIVE_PLACEMENTS[case]))
+    doc = balancing_tree_doc(Tree(*NON_BIJECTIVE_PLACEMENTS[case]))
     with pytest.raises(ValidationError, match="bijection"):
-        serialize.balancing_tree_from_doc(json.loads(json.dumps(doc)))
+        balancing_tree_from_doc(json.loads(json.dumps(doc)))
 
 
 def test_tree_mapping_round_trip():

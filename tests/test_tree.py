@@ -11,7 +11,7 @@ from naewidth.red3 import build_Gstar, caterpillar_layout, group_gadget, hybrid_
 from naewidth.tree import Tree, path
 from naewidth.widths import TreeLayout, enumerate_leaf_trees
 
-from conftest import brute_sides, enumerate_labeled_trees, path_graph
+from conftest import balancing_tree_doc, balancing_tree_from_doc, brute_sides, enumerate_labeled_trees, path_graph
 
 
 def assert_sides_match(tree):
@@ -76,8 +76,8 @@ def closed_into_triangle(doc):
 
 @pytest.mark.parametrize("build", [
     lambda: Tree(TRIANGLE, {0: 0, 1: 1, 2: 2}),
-    lambda: serialize.balancing_tree_from_doc(
-        closed_into_triangle(serialize.balancing_tree_doc(path([0, 1, 2])))),
+    lambda: balancing_tree_from_doc(
+        closed_into_triangle(balancing_tree_doc(path([0, 1, 2])))),
     lambda: TreeMapping(tree_adj=TRIANGLE, part_at={0: 0, 1: 1, 2: 2}),
     lambda: TreeLayout(tree_adj=TRIANGLE_WITH_LEAVES, leaf_vertex={3: 0, 4: 1, 5: 2}),
     lambda: serialize.hybrid_tree_from_doc(

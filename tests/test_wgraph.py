@@ -16,9 +16,9 @@ from naewidth.wgraph import (
     solve_balancing_order,
 )
 
-from conftest import (NON_BIJECTIVE_PLACEMENTS, enumerate_labeled_trees, naive_balancing_orders,
-                      path_graph, random_weighted_graph, scale_weights, solve_balancing_tree,
-                      star_graph)
+from conftest import (NON_BIJECTIVE_PLACEMENTS, SIMPLE_FAULTS, enumerate_labeled_trees,
+                      naive_balancing_orders, path_graph, random_weighted_graph, scale_weights,
+                      solve_balancing_tree, star_graph)
 
 
 def triangle(w):
@@ -221,13 +221,7 @@ def test_scale_weights_preserves_balancing(rng):
             solve_balancing_order(scaled, 3 * t) is None)
 
 
-@pytest.mark.parametrize("fault, message", [
-    (lambda adj: adj[1].append((1, 2)), "self-loop"),
-    (lambda adj: (adj[0].append((1, 2)), adj[1].append((0, 2))), "duplicate edge"),
-    (lambda adj: (adj[0].append((2, 0)), adj[2].append((0, 0))), "non-positive weight"),
-    (lambda adj: adj[2].append((0, 4)), "asymmetric edge"),
-    (lambda adj: adj.__setitem__(2, [(1, 4)]), "asymmetric edge"),
-])
+@pytest.mark.parametrize("fault, message", SIMPLE_FAULTS)
 def test_check_simple_refuses_each_fault(fault, message):
     g = path_graph([2, 3])
     g.check_simple()
