@@ -140,7 +140,7 @@ def _cmd_reduce(args):
         doc = _load(args.input)
         h, meta = serialize.weighted_graph_from_doc(doc), doc.get("meta")
     if args.step in ("step2", "all"):
-        gs = red2.build_partitioned(h)
+        gs = red2.PartitionedGraph(h)
         texts["step2"] = serialize.partitioned_text(gs, base_meta=meta, base=base)
     elif args.step == "step3":
         doc = _load(args.input)

@@ -4,10 +4,11 @@ graph (G, S) whose cut matchings mirror H's weighted degrees.
 Every vertex u of H becomes an independent part S(u) split into blocks
 I(u, v) of size w(uv); matching edges pair I(u, v) with I(v, u) position by
 position, and dummy bicliques join blocks of disjoint H-edges.  G is kept
-implicit (one block table + adjacency oracle): real instances have far too
-many dummy edges to materialize.  Step 3 scales H's weights by a on the table
-(its scale; every start and size times a), so H is never copied.  The table
-is laid out, and audited by laying it out again, in O(|E(H)|): |V(G)| = 2·W(H)
+implicit, one block table: real instances have far too many dummy edges to
+materialize, and adjacency (one bisection per vertex) and the edge counts are
+arithmetic on the table.  Step 3 scales H's weights by a on the table (its
+scale; every start and size times a), so H is never copied.  The table is laid
+out, and audited by laying it out again, in O(|E(H)|): |V(G)| = 2·W(H)
 reaches tens of millions at the paper profile.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import copy
-import itertools
+from operator import mul, sub
 
 from .errors import ValidationError
 from .matchings import DEFAULT_BUDGET, cut_value, pair_memo
@@ -47,12 +48,15 @@ class PartitionedGraph:
         out.part_range = {u: (a * factor, b * factor) for u, (a, b) in self.part_range.items()}
         return out
 
-    def block_of(self, p):
-        """(u, v) block containing G-vertex p."""
+    def _block(self, p):
+        """Index of the block containing G-vertex p."""
         if not 0 <= p < self.n:
             raise ValidationError(f"G-vertex {p} out of range")
-        k = bisect.bisect_right(self.block_start, p) - 1
-        return self.block_pairs[k]
+        return bisect.bisect_right(self.block_start, p) - 1
+
+    def block_of(self, p):
+        """(u, v) block containing G-vertex p."""
+        return self.block_pairs[self._block(p)]
 
     def owner(self, p):
         return self.block_of(p)[0]
@@ -68,10 +72,6 @@ class PartitionedGraph:
             raise KeyError((u, v))
         return range(self.block_start[k], self.block_end(k))
 
-    def block_position(self, p):
-        k = bisect.bisect_right(self.block_start, p) - 1
-        return p - self.block_start[k]
-
     def part_vertices(self, u):
         start, end = self.part_range[u]
         return range(start, end)
@@ -83,55 +83,30 @@ class PartitionedGraph:
         """Edge kind between two G-vertices, or None."""
         if p == q:
             return None
-        (u, v) = self.block_of(p)
-        (x, y) = self.block_of(q)
+        k, l = self._block(p), self._block(q)
+        (u, v), (x, y) = self.block_pairs[k], self.block_pairs[l]
         if (x, y) == (v, u):
-            if self.block_position(p) == self.block_position(q):
-                return "matching"
-            return None
-        if u != x and u != y and v != x and v != y:
-            return "dummy"
-        return None
+            return "matching" if p - self.block_start[k] == q - self.block_start[l] else None
+        return "dummy" if u != x and u != y and v != x and v != y else None
 
     def matching_partner(self, p):
-        u, v = self.block_of(p)
-        return self.block_range(v, u)[self.block_position(p)]
+        k = self._block(p)
+        u, v = self.block_pairs[k]
+        return self.block_range(v, u)[p - self.block_start[k]]
 
     def num_matching_edges(self):
-        return self.scale * self.H.total_weight()
+        return self.n // 2
 
     def num_dummy_edges(self):
-        """4·Σ w_e·w_f over unordered pairs of vertex-disjoint H-edges, in O(|E(H)|).
-
-        Closed form 2·[(W² − Σ w_e²) − Σ_v (d_v² − Σ_{e∋v} w_e²)], W the total
-        weight and d_v the weighted degree: ordered pairs of distinct edges
-        less those sharing a vertex (H is simple, so they share at most one).
-        Every edge meets two vertices, which leaves 2·(W² + Σ w_e² − Σ_v d_v²)
-        for H's weights times scale.
-        """
-        h = self.H
-        squares = sum(w * w for _, _, w in h.edges())
-        degree_squares = sum(h.vertex_weight(v) ** 2 for v in h.vertex_ids())
-        return 2 * self.scale ** 2 * (h.total_weight() ** 2 + squares - degree_squares)
-
-    def num_edges(self):
-        return self.num_matching_edges() + self.num_dummy_edges()
-
-    def edge_iter(self):
-        """Explicit (p, q, kind) edges; only sensible for small instances."""
-        for p in range(self.n):
-            q = self.matching_partner(p)
-            if p < q:
-                yield p, q, "matching"
-        edges = list(self.H.edges())
-        for (a, b, _), (x, y, _) in itertools.combinations(edges, 2):
-            if len({a, b, x, y}) != 4:
-                continue
-            for bu, bv in ((a, b), (b, a)):
-                for bx, by in ((x, y), (y, x)):
-                    for p in self.block_range(bu, bv):
-                        for q in self.block_range(bx, by):
-                            yield min(p, q), max(p, q), "dummy"
+        """Pairs of G-vertices in blocks of vertex-disjoint H-edges, by arithmetic on
+        the table: of the n² ordered pairs, Σ_z (2·|S(z)|)² meet at an H-vertex z
+        (S(z) and its twin blocks), counting the 2·Σ|I|² on one H-edge twice.  This
+        is 2·scale²·(W² + Σ w_e² − Σ_v d_v²), W the total weight, d_v the degrees."""
+        starts = self.block_start
+        blocks = list(map(sub, starts[1:] + [self.n], starts))
+        parts = [b - a for a, b in self.part_range.values()]
+        return (self.n ** 2 + 2 * sum(map(mul, blocks, blocks))
+                - 4 * sum(map(mul, parts, parts))) // 2
 
     def validate(self) -> None:
         """O(|E(H)|) audit: H passes check_simple and the table is its layout at

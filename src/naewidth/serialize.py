@@ -25,7 +25,7 @@ from operator import eq, itemgetter, sub
 from .errors import ValidationError
 from .formula import NaeFormula
 from .red1 import BottleneckHandle, Constants, HBuild, build_H, validate_constants
-from .red2 import PartitionedGraph, TreeMapping, build_partitioned
+from .red2 import PartitionedGraph, TreeMapping
 from .red3 import Gstar, build_Gstar, ensure_divisible
 from .tree import Tree
 from .wgraph import ROLES, WeightedGraph
@@ -126,10 +126,6 @@ def weighted_graph_text(g: WeightedGraph, meta=None, scale=1) -> str:
             f'{meta},"vertices":[{vertices}]}}\n')
 
 
-def weighted_graph_doc(g: WeightedGraph, meta=None, scale=1):
-    return json.loads(weighted_graph_text(g, meta, scale))
-
-
 def _is_graph(doc, g: WeightedGraph, scale, keys=_GRAPH_KEYS):
     return (doc.keys() == keys
             and _same_records(doc["vertices"], _VERTEX, zip(range(g.n), g.labels, g.roles), g.n)
@@ -162,19 +158,6 @@ def weighted_graph_from_doc(doc, scale=1) -> WeightedGraph:
             g.add_edge(u, v, w)
         g.check_simple()
         return g
-
-
-def graph_doc(adj_sets, labels=None):
-    """Unweighted graph document from {vertex: set(neighbors)} adjacency."""
-    n = len(adj_sets)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "graph",
-        "vertices": [{"id": v, "label": labels[v] if labels else "", "role": "plain"}
-                     for v in range(n)],
-        "edges": [{"u": u, "v": v} for u in range(n) for v in sorted(adj_sets[u])
-                  if u < v],
-    }
 
 
 def graph_from_doc(doc):
@@ -294,11 +277,14 @@ def _block_rows(gs: PartitionedGraph):
     return zip(map(sub, ends, starts), starts, map(itemgetter(0), pairs), map(itemgetter(1), pairs))
 
 
-def _partitioned_edge_rows(gs: PartitionedGraph):
-    """(kind, p, q) of every edge of G if it is small enough to list, else None."""
-    if gs.n <= EXPLICIT_EDGE_VERTEX_LIMIT and gs.num_edges() <= EXPLICIT_EDGE_LIMIT:
-        return [(kind, p, q) for p, q, kind in sorted(gs.edge_iter())]
-    return None
+def _explicit_edge_rows(graph):
+    """(kind, x, y) of every edge of a step-2 or step-3 graph, read off its
+    adjacency oracle, if it is small enough to list, else None."""
+    if graph.n > EXPLICIT_EDGE_VERTEX_LIMIT:
+        return None
+    rows = [(kind, x, y) for x in range(graph.n) for y in range(x + 1, graph.n)
+            if (kind := graph.adjacent(x, y))]
+    return rows if len(rows) <= EXPLICIT_EDGE_LIMIT else None
 
 
 def partitioned_text(gs: PartitionedGraph, base_meta=None, base=None) -> str:
@@ -307,7 +293,7 @@ def partitioned_text(gs: PartitionedGraph, base_meta=None, base=None) -> str:
     weighted_graph_text or hbuild_text writes it), else written here."""
     if base is None:
         base = weighted_graph_text(gs.H, base_meta, gs.scale)
-    rows = _partitioned_edge_rows(gs)
+    rows = _explicit_edge_rows(gs)
     edges = "" if rows is None else f',"edges":[{_records(_KIND_EDGE, rows)}]'
     return (f'{{"base":{base[:-1]},"blocks":[{_records(_BLOCK, _block_rows(gs))}],'
             f'"edge_rule":"blocks-v1"{edges},"format_version":{FORMAT_VERSION},'
@@ -326,12 +312,12 @@ def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
     with _malformed("partitioned_graph"):
         _expect(doc, "partitioned_graph")
         base = doc["base"]
-        gs = build_partitioned(weighted_graph_from_doc(base, scale))
+        gs = PartitionedGraph(weighted_graph_from_doc(base, scale))
         if c is not None:
             gs, factor = ensure_divisible(gs, c)
             if factor != scale:
                 raise ValidationError(f"weight_scale {scale} is not the factor step 3 picks for H")
-        rows = _partitioned_edge_rows(gs)
+        rows = _explicit_edge_rows(gs)
         keys = {"format_version", "kind", "base", "num_vertices", "parts", "blocks", "edge_rule"}
         # a step-1 base was compared record by record when read
         if not (("meta" in base or _is_graph(base, gs.H, scale))
@@ -354,15 +340,6 @@ def _gadget_rows(star: Gstar):
     return zip(map(star.span.__mul__, starts), itertools.repeat(star.constants.b), owners)
 
 
-def _gstar_edge_rows(star: Gstar):
-    """(kind, x, y) of every edge of G* if it is small enough to list, else None."""
-    if star.n > EXPLICIT_EDGE_VERTEX_LIMIT:
-        return None
-    rows = [(kind, x, y) for x in range(star.n) for y in range(x + 1, star.n)
-            if (kind := star.adjacent(x, y))]
-    return rows if len(rows) <= EXPLICIT_EDGE_LIMIT else None
-
-
 def gstar_text(star: Gstar, base_meta=None, weight_scale: int = 1, base=None) -> str:
     """The canonical text of the step-3 document of star.  base, if given, is
     the text of the unscaled base graph's document: its vertex and meta text
@@ -371,7 +348,7 @@ def gstar_text(star: Gstar, base_meta=None, weight_scale: int = 1, base=None) ->
     gs = star.GS
     if base is not None:
         base = _edges_text(gs.H, gs.scale) + base[base.index(_EDGES_END):]
-    rows = _gstar_edge_rows(star)
+    rows = _explicit_edge_rows(star)
     edges = "" if rows is None else f',"edges":[{_records(_KIND_EDGE, rows)}]'
     return (f'{{"base":{partitioned_text(gs, base_meta, base)[:-1]},'
             f'"constants":{_json(_constants_doc(star.constants))}{edges},'
@@ -391,7 +368,7 @@ def gstar_from_doc(doc) -> Gstar:
         if type(scale) is not int or scale < 1:
             raise ValidationError(f"weight_scale {scale!r} is not a positive integer")
         star = build_Gstar(partitioned_from_doc(doc["base"], scale, c), c)
-        rows = _gstar_edge_rows(star)
+        rows = _explicit_edge_rows(star)
         keys = {"format_version", "kind", "base", "constants", "weight_scale", "num_vertices",
                 "gadgets"}
         if not (doc.keys() == (keys if rows is None else keys | {"edges"})

@@ -22,7 +22,7 @@ from naewidth.formula import brute_force_nae, emit_nae_dimacs, parse_nae_dimacs,
 from naewidth.tree import Tree
 from naewidth.wgraph import ROLES, WeightedGraph, check_balancing_order
 
-from conftest import adjacency_sets
+from conftest import adjacency_sets, graph_doc, weighted_graph_doc
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -41,7 +41,7 @@ def file_sha(path):
 
 def write_graph_doc(tmp_path, g, name="g.json"):
     path = tmp_path / name
-    path.write_text(serialize.canonical_json(serialize.weighted_graph_doc(g)))
+    path.write_text(serialize.canonical_json(weighted_graph_doc(g)))
     return str(path)
 
 
@@ -209,7 +209,7 @@ def test_width_exact_default_cap_is_12(tmp_path, capsys):
     for n, code in ((12, 0), (13, 3)):
         path = tmp_path / f"c{n}.json"
         path.write_text(serialize.canonical_json(
-            serialize.graph_doc({v: {(v - 1) % n, (v + 1) % n} for v in range(n)})))
+            graph_doc({v: {(v - 1) % n, (v + 1) % n} for v in range(n)})))
         capsys.readouterr()
         assert run(["width", "exact", "--kind", "mim", "-i", str(path)]) == code
         if code == 0:
@@ -225,7 +225,7 @@ def test_width_cap_cannot_raise_the_bound(tmp_path):
     raised cap fails here with a MemoryError instead of filling the host."""
     path = tmp_path / "c30.json"
     path.write_text(serialize.canonical_json(
-        serialize.graph_doc({v: {(v - 1) % 30, (v + 1) % 30} for v in range(30)})))
+        graph_doc({v: {(v - 1) % 30, (v + 1) % 30} for v in range(30)})))
     proc = subprocess.run(
         [sys.executable, "-m", "naewidth.cli", "width", "exact", "--kind", "mim",
          "--cap", "30", "-i", str(path)],
@@ -272,7 +272,7 @@ def _edge_faults():
         h.add_vertex(label)
     h.add_edge(0, 1, 2)
     h.add_edge(1, 2, 3)
-    doc = serialize.weighted_graph_doc(h)
+    doc = weighted_graph_doc(h)
     for extra in ({"u": 2, "v": 2, "weight": 1}, {"u": 1, "v": 0, "weight": 2},
                   {"u": 0, "v": 2, "weight": 0}):
         yield {**doc, "edges": doc["edges"] + [extra]}
@@ -318,7 +318,7 @@ def test_weighted_graph_fields_of_the_wrong_type_exit_3(tmp_path, capsys, field,
     h.add_vertex("u")
     h.add_vertex("v")
     h.add_edge(0, 1, 1)
-    doc = serialize.weighted_graph_doc(h)
+    doc = weighted_graph_doc(h)
     holder = {"weight": doc["edges"][0], "id": doc["vertices"][1], "label": doc["vertices"][0]}
     holder[field][field] = value
     path = tmp_path / "h.json"
@@ -1071,12 +1071,12 @@ def _draw_graph_doc(data, weighted):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
     if not weighted:
-        return serialize.graph_doc(adjacency_sets(n, edges))
+        return graph_doc(adjacency_sets(n, edges))
     g = WeightedGraph()
     g.add_vertices(map(str, range(n)))
     for u, v in edges:
         g.add_edge(u, v, data.draw(st.integers(1, 5)))
-    return serialize.weighted_graph_doc(g)
+    return weighted_graph_doc(g)
 
 
 def _maybe_mutate(data, doc):

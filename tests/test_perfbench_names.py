@@ -1,16 +1,26 @@
-"""The library names the benchmark workloads call still exist.
+"""The library names the benchmark calls still exist.
 
 perfbench runs outside this suite, so a change that deletes or renames a
-function, or a keyword parameter, that perfbench/workloads.py uses would
-otherwise show only there.  The file is parsed with ast, not imported.
+function, a method or a keyword parameter that perfbench uses would
+otherwise show only there.  The files are parsed with ast, not imported.
 """
 
+import argparse
 import ast
+import hashlib
 import importlib
 import inspect
+import io
+import random
+import subprocess
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+# instances and classes of the stdlib types whose methods perfbench calls
+STDLIB = ("", b"", [], {}, set(), io.TextIOWrapper, io.StringIO(), random.Random(),
+          argparse.ArgumentParser(), Path(), subprocess.CompletedProcess([], 0),
+          hashlib.sha256())
 
 
 def module_aliases(tree):
@@ -48,3 +58,85 @@ def test_workload_names_and_keywords_exist():
             for kw in node.keywords:
                 assert kw.arg in params, f"{module.__name__}.{name} has no parameter {kw.arg!r}"
     assert names and calls, (len(names), calls)
+
+
+def parsed(paths):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def imported_modules(tree):
+    """Local names of the modules a file imports: every plain import, and
+    every name imported from the naewidth package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "naewidth":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def root_name(node):
+    """The name an attribute, call or subscript chain starts from, if any."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def called_attributes(tree):
+    """{name: source} of the attributes a file calls (x.m(...)) or passes on
+    to a call (f(x.m)), read off an object rather than an imported module."""
+    modules = imported_modules(tree)
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            for attr in (node.func, *node.args, *(kw.value for kw in node.keywords)):
+                if isinstance(attr, ast.Attribute) and root_name(attr) not in modules:
+                    names[attr.attr] = ast.unparse(attr)
+    return names
+
+
+def defined_names(tree):
+    """Functions, classes, class-level fields and assigned attributes a file
+    defines, and the argparse destinations of the --options it names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith("--")):
+            names.add(node.value[2:].replace("-", "_"))
+    return names
+
+
+def class_attributes(tree):
+    """Methods, class-level fields and self.x attributes of a file's classes."""
+    names = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.add(item.target.id)
+        names.update(node.attr for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return names
+
+
+def test_perfbench_methods_exist_on_library_classes():
+    """Every attribute perfbench calls or passes on that perfbench does not
+    define itself and no stdlib type it uses has (gs.num_dummy_edges,
+    gs.validate, gadget.adjacent, ...) is an attribute of a naewidth class."""
+    bench = parsed(sorted((ROOT / "perfbench").glob("*.py")))
+    library = set().union(*map(class_attributes, parsed(sorted((ROOT / "src" / "naewidth").glob(
+        "*.py")))))
+    known = set().union(*map(defined_names, bench), *map(dir, STDLIB))
+    called = {name: source for tree in bench for name, source in called_attributes(tree).items()}
+    missing = {source for name, source in called.items() if name not in known | library}
+    assert not missing, f"perfbench calls names no naewidth class has: {sorted(missing)}"
+    assert {"num_dummy_edges", "validate", "adjacent"} <= called.keys() & library

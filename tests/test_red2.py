@@ -1,12 +1,15 @@
+import collections
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naewidth import serialize
 from naewidth.errors import BudgetExceededError, ValidationError
 from naewidth.formula import parse_nae_dimacs
-from naewidth.red1 import PAPER, SMALL, build_H
+from naewidth.red1 import PAPER, SMALL, Constants, build_H
 from naewidth.red2 import (
     PartitionedGraph,
     TreeMapping,
@@ -16,9 +19,10 @@ from naewidth.red2 import (
     mapping_value,
     path_mapping_from_order,
 )
+from naewidth.red3 import build_Gstar
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_mim, brute_sim, brute_validate, edge_weight, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph
+from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_edge_iter, brute_mim, brute_sim, brute_validate, edge_weight, oracle_check, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -59,7 +63,7 @@ def test_build_two_disjoint_edges():
     assert gs.n == 8
     assert gs.num_matching_edges() == 4
     assert gs.num_dummy_edges() == 16 == brute_dummy_edges(gs.H)
-    kinds = [kind for _, _, kind in gs.edge_iter()]
+    kinds = [kind for _, _, kind in brute_edge_iter(gs)]
     assert kinds.count("matching") == 4 and kinds.count("dummy") == 16
 
 
@@ -260,6 +264,58 @@ def test_oracle_spot_check(rng):
     if h.num_edges() >= 2:
         gs = build_partitioned(h)
         sample_oracle_check(gs, rng, samples=3000)
+
+
+def _listed(n, rows):
+    """The explicit edge rows of a graph of n vertices whose edges rows()
+    lists: within the vertex limit and then the row limit, else None."""
+    if n > serialize.EXPLICIT_EDGE_VERTEX_LIMIT:
+        return None
+    rows = rows()
+    return rows if len(rows) <= serialize.EXPLICIT_EDGE_LIMIT else None
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_counts_oracle_and_edge_rows_agree(data):
+    """On a random H (at most 8 vertices, weights at most 4) and on its table
+    scaled by 3: the edge counts are the kinds adjacent returns over all
+    G-vertex pairs, adjacent follows the first-principles rule on every pair,
+    the explicit step-2 edge rows are brute_edge_iter's edges, and the
+    explicit step-3 edge rows are the G* oracle's over all pairs."""
+    n = data.draw(st.integers(2, 8))
+    h = WeightedGraph()
+    h.add_vertices(map(str, range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True))):
+        h.add_edge(u, v, data.draw(st.integers(1, 4)))
+    base = PartitionedGraph(h)
+    for gs in (base, base.scaled(3)):
+        every = list(itertools.combinations(range(gs.n), 2))
+        kinds = collections.Counter(gs.adjacent(p, q) for p, q in every)
+        assert (kinds["matching"], kinds["dummy"]) == (gs.num_matching_edges(),
+                                                       gs.num_dummy_edges())
+        oracle_check(gs, every)
+        assert serialize._explicit_edge_rows(gs) == _listed(gs.n, lambda: [
+            (kind, p, q) for p, q, kind in sorted(brute_edge_iter(gs))])
+    if all(h.adj):  # G* needs every part non-empty
+        star = build_Gstar(base.scaled(3), Constants(36, 3, 6, 3, 1))
+        assert serialize._explicit_edge_rows(star) == _listed(star.n, lambda: [
+            (kind, x, y) for x, y in itertools.combinations(range(star.n), 2)
+            if (kind := star.adjacent(x, y))])
+
+
+def test_oracle_boundaries():
+    """An out-of-range G-vertex is refused by name, p before q; a vertex is
+    not adjacent to itself; the matching partner of |V(G)| is refused."""
+    gs = build_partitioned(path_graph([2, 3]))
+    for p, q, bad in ((-1, 0, -1), (gs.n, 0, gs.n), (0, -1, -1), (0, gs.n, gs.n),
+                      (-1, gs.n, -1), (gs.n, -1, gs.n)):
+        with pytest.raises(ValidationError, match=re.escape(f"G-vertex {bad} out of range")):
+            gs.adjacent(p, q)
+    assert all(gs.adjacent(p, p) is None for p in range(gs.n))
+    with pytest.raises(ValidationError):
+        gs.matching_partner(gs.n)
 
 
 def test_cut_value_trivial_cases():

@@ -18,9 +18,9 @@ from naewidth.wgraph import ROLES, WeightedGraph
 from naewidth.widths import linear_layout_from_order
 
 from conftest import (NON_BIJECTIVE_PLACEMENTS, balancing_tree_doc, balancing_tree_from_doc,
-                      path_graph, random_weighted_graph,
+                      graph_doc, path_graph, random_weighted_graph,
                       reference_gstar_doc, reference_graph_doc, reference_hbuild_doc,
-                      reference_partitioned_doc)
+                      reference_partitioned_doc, weighted_graph_doc)
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -34,10 +34,10 @@ def graph_equal(a, b):
 @settings(max_examples=40, deadline=None)
 def test_weighted_graph_round_trip(seed, n):
     g = random_weighted_graph(random.Random(seed), n, p=0.5)
-    doc = serialize.weighted_graph_doc(g)
+    doc = weighted_graph_doc(g)
     back = serialize.weighted_graph_from_doc(doc)
     assert graph_equal(g, back)
-    assert serialize.weighted_graph_doc(back) == doc
+    assert weighted_graph_doc(back) == doc
 
 
 def assert_ascending(g):
@@ -64,7 +64,7 @@ def test_added_and_loaded_adjacency_is_ascending(seed, n):
     for u, v, w in edges:
         g.add_edge(*rng.sample((u, v), 2), w)
     assert_ascending(g)
-    doc = serialize.weighted_graph_doc(g)
+    doc = weighted_graph_doc(g)
     rng.shuffle(doc["edges"])
     for rec in doc["edges"]:
         if rng.random() < 0.5:
@@ -238,6 +238,34 @@ def test_writers_list_explicit_edges_below_the_limits(writer_files, h, profile, 
     assert tuple("edges" in json.loads(text) for text in written) == listed
 
 
+def test_step_documents_audit_h_once(tmp_path, monkeypatch):
+    """Reading a step-2 or step-3 document, or the input of `reduce step2`,
+    runs check_simple on H once when the base is a plain weighted graph (in
+    weighted_graph_from_doc) and never when it is a step-1 document, whose H
+    is the rebuild of its formula."""
+    build = build_H(FOUR_COPIES, SMALL)
+    calls = []
+    check_simple = WeightedGraph.check_simple
+    monkeypatch.setattr(WeightedGraph, "check_simple", lambda g: calls.append(g) or check_simple(g))
+    for text, audits in ((serialize.weighted_graph_text(build.graph), 1),
+                         (serialize.hbuild_text(build), 0)):
+        h_path, g_path, star_path = (str(tmp_path / name) for name in ("h", "g", "star"))
+        with open(h_path, "w") as fh:
+            fh.write(text)
+        for argv, load, path in (
+                (["reduce", "step2", "-i", h_path, "-o", g_path], serialize.partitioned_from_doc,
+                 g_path),
+                (["reduce", "step3", "--profile", "small", "-i", g_path, "-o", star_path],
+                 serialize.gstar_from_doc, star_path)):
+            calls.clear()
+            assert run(argv) == 0 and len(calls) == audits
+            with open(path) as fh:
+                doc = json.load(fh)
+            calls.clear()
+            load(doc)
+            assert len(calls) == audits
+
+
 def _keys_reversed(value):
     if isinstance(value, dict):
         return {key: _keys_reversed(value[key]) for key in reversed(list(value))}
@@ -350,7 +378,7 @@ def test_hybrid_tree_round_trip():
 
 def test_unweighted_graph_doc_round_trip():
     adj = {0: {1, 2}, 1: {0}, 2: {0}, 3: set()}
-    doc = serialize.graph_doc(adj)
+    doc = graph_doc(adj)
     assert all("weight" not in e for e in doc["edges"])
     assert serialize.graph_from_doc(json.loads(json.dumps(doc))) == adj
     # weighted documents are accepted too, weights ignored
@@ -358,7 +386,7 @@ def test_unweighted_graph_doc_round_trip():
     for i in range(3):
         g.add_vertex(str(i))
     g.add_edge(0, 2, 7)
-    wdoc = serialize.weighted_graph_doc(g)
+    wdoc = weighted_graph_doc(g)
     assert serialize.graph_from_doc(wdoc) == {0: {2}, 1: set(), 2: {0}}
 
 
