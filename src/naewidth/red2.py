@@ -19,7 +19,8 @@ import copy
 from operator import mul, sub
 
 from .errors import ValidationError
-from .matchings import DEFAULT_BUDGET, cut_value, pair_memo
+from .matchings import DEFAULT_BUDGET, AdjacencyCache
+from .matchings import cut_value  # re-exported: callers take S-cut values from red2
 from .tree import Tree, path
 from .wgraph import WeightedGraph
 
@@ -80,10 +81,10 @@ class PartitionedGraph:
         return sorted(self.part_range)
 
     def adjacent(self, p, q):
-        """Edge kind between two G-vertices, or None."""
+        """Edge kind between two G-vertices, or None (also for p == q)."""
+        k, l = self._block(p), self._block(q)
         if p == q:
             return None
-        k, l = self._block(p), self._block(q)
         (u, v), (x, y) = self.block_pairs[k], self.block_pairs[l]
         if (x, y) == (v, u):
             return "matching" if p - self.block_start[k] == q - self.block_start[l] else None
@@ -152,8 +153,10 @@ class TreeMapping(Tree):
         self.is_path = is_path
 
 
-def _parts_cut(gs, mapping: TreeMapping, parts_b):
-    """The S-cut (A, B) of G with the parts in parts_b on side B."""
+def mapping_cut(gs, mapping: TreeMapping, edge):
+    """The S-cut (A, B) of G induced by a tree edge of the mapping: the parts
+    on the edge's far side make up B."""
+    parts_b = mapping.side(*edge)
     side_a, side_b = [], []
     for u in mapping.part_at.values():
         target = side_b if u in parts_b else side_a
@@ -161,22 +164,22 @@ def _parts_cut(gs, mapping: TreeMapping, parts_b):
     return side_a, side_b
 
 
-def mapping_cut(gs, mapping: TreeMapping, edge):
-    """The S-cut (A, B) of G induced by a tree edge of the mapping."""
-    return _parts_cut(gs, mapping, mapping.side(*edge))
-
-
 def mapping_value(gs, mapping: TreeMapping, kind: str, threshold=None,
                   budget: int = DEFAULT_BUDGET):
     """Max cut value over the mapping's tree edges.  Returns (value, exact).
-    The sweep asks gs's oracle at most once per G-vertex pair (pair_memo)."""
-    adjacent = pair_memo(gs.adjacent)
+    The sweep runs on one AdjacencyCache of the parts' G-vertices, a cut's
+    side B the OR of its parts' masks, so it asks gs's oracle at most once
+    per G-vertex pair."""
+    parts = {u: list(gs.part_vertices(u)) for u in mapping.part_at.values()}
+    cache = AdjacencyCache(gs.adjacent, [p for vertices in parts.values() for p in vertices])
+    part_mask = {u: cache.mask(vertices) for u, vertices in parts.items()}
+    everything = sum(part_mask.values())
     best = 0
     exact = True
     for _, parts_b in mapping.sides():
-        side_a, side_b = _parts_cut(gs, mapping, parts_b)
-        value, is_exact = cut_value(adjacent, side_a, side_b, kind,
-                                    threshold=threshold, budget=budget)
+        side_b = sum(map(part_mask.__getitem__, parts_b))
+        value, is_exact = cache.cut_value(everything ^ side_b, side_b, kind,
+                                          threshold=threshold, budget=budget)
         if value > best:
             best = value
         exact = exact and is_exact

@@ -182,10 +182,10 @@ class Gstar:
 
     def adjacent(self, x, y):
         """Edge kind between two G*-vertices ("path", "cross", "matching",
-        "dummy"), or None."""
+        "dummy"), or None (also for x == y)."""
+        ux, uy = self.owner_of(x), self.owner_of(y)
         if x == y:
             return None
-        ux, uy = self.owner_of(x), self.owner_of(y)
         try:  # a hit is one dict lookup per end: this is the oracle's hot path
             gadget_x, gadget_y = self._gadgets[ux], self._gadgets[uy]
         except KeyError:

@@ -279,8 +279,11 @@ def _block_rows(gs: PartitionedGraph):
 
 def _explicit_edge_rows(graph):
     """(kind, x, y) of every edge of a step-2 or step-3 graph, read off its
-    adjacency oracle, if it is small enough to list, else None."""
-    if graph.n > EXPLICIT_EDGE_VERTEX_LIMIT:
+    adjacency oracle, if it is small enough to list, else None.  A step-2
+    graph's edge count is arithmetic on its table, so it is checked first."""
+    if graph.n > EXPLICIT_EDGE_VERTEX_LIMIT or (
+            isinstance(graph, PartitionedGraph)
+            and graph.num_matching_edges() + graph.num_dummy_edges() > EXPLICIT_EDGE_LIMIT):
         return None
     rows = [(kind, x, y) for x in range(graph.n) for y in range(x + 1, graph.n)
             if (kind := graph.adjacent(x, y))]

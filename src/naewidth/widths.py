@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
-from .matchings import DEFAULT_BUDGET, cut_value, pair_memo
+from .matchings import DEFAULT_BUDGET, AdjacencyCache
 from .tree import Tree, path
 
 EXACT_CAP = 12
@@ -69,13 +69,15 @@ def linear_layout_from_order(order) -> TreeLayout:
 
 def tree_cut_values(adjacent, vertices, tree: Tree, kind: str, budget: int = DEFAULT_BUDGET):
     """Cut value of every tree edge, keyed by the edge: the vertices placed
-    off the edge's far side against those placed on it.  The sweep asks the
-    oracle at most once per vertex pair (pair_memo)."""
-    adjacent, vertices = pair_memo(adjacent), list(vertices)
+    off the edge's far side against those placed on it.  The sweep runs on
+    one AdjacencyCache, so it asks the oracle at most once per vertex pair."""
+    vertices = set(vertices)
+    cache = AdjacencyCache(adjacent, vertices | tree.placement.keys())
+    everything = cache.mask(vertices)
     out = {}
     for edge, far in tree.sides():
-        rest = [v for v in vertices if v not in far]
-        out[edge], _ = cut_value(adjacent, rest, far, kind, budget=budget)
+        side_b = cache.mask(far)
+        out[edge], _ = cache.cut_value(everything & ~side_b, side_b, kind, budget=budget)
     return out
 
 
@@ -123,19 +125,18 @@ def enumerate_leaf_trees(num_leaves: int):
 
 
 def _cut_table(adjacent, verts, kind, budget, stats=None):
-    """Cut value for every vertex-subset bitmask (symmetric in complement)."""
-    n = len(verts)
-    full = (1 << n) - 1
+    """Cut value for every vertex-subset bitmask (symmetric in complement),
+    over one AdjacencyCache of the sorted verts: its index masks are the
+    table's, and it asks the oracle at most once per vertex pair."""
+    cache = AdjacencyCache(adjacent, verts)
+    full = (1 << len(verts)) - 1
     table = [0] * (full + 1)
     for mask in range(full + 1):
         comp = full ^ mask
         if comp < mask:
             table[mask] = table[comp]
-            continue
-        side_a = [verts[i] for i in range(n) if mask >> i & 1]
-        side_b = [verts[i] for i in range(n) if comp >> i & 1]
-        table[mask], _ = cut_value(adjacent, side_a, side_b, kind, budget=budget,
-                                   stats=stats)
+        else:
+            table[mask], _ = cache.cut_value(mask, comp, kind, budget=budget, stats=stats)
     return table
 
 

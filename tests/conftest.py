@@ -19,11 +19,11 @@ import pytest
 from naewidth import serialize
 from naewidth.errors import CapExceededError, ValidationError
 from naewidth.formula import eval_nae
-from naewidth.matchings import DEFAULT_BUDGET
+from naewidth.matchings import cut_value
 from naewidth.red1 import validate_constants
 from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph, check_balancing_order, check_balancing_tree
-from naewidth.widths import TreeLayout, _cut_table, enumerate_leaf_trees
+from naewidth.widths import TreeLayout, enumerate_leaf_trees
 
 
 def adjacency_sets(n, edges):
@@ -325,10 +325,6 @@ def graph_doc(adj_sets, labels=None):
     }
 
 
-# test_pinned.py, left as its pins were made, reads both writers off serialize
-serialize.graph_doc, serialize.weighted_graph_doc = graph_doc, weighted_graph_doc
-
-
 def reference_graph_doc(g: WeightedGraph, meta=None, scale=1):
     """Reference for serialize.weighted_graph_text: the document as record
     dicts, whose canonical_json the writer's text must equal."""
@@ -492,6 +488,23 @@ def _leaf_tree_sides(n):
     return tuple(out)
 
 
+def raw_cut_table(adjacent, verts, kind, stats=None):
+    """Reference for widths._cut_table: one cut_value on the raw oracle per
+    cut of the vertex-index bitmasks, a cut's complement taking its value."""
+    n = len(verts)
+    full = (1 << n) - 1
+    table = [0] * (full + 1)
+    for mask in range(full + 1):
+        comp = full ^ mask
+        if comp < mask:
+            table[mask] = table[comp]
+        else:
+            table[mask], _ = cut_value(adjacent, [verts[i] for i in range(n) if mask >> i & 1],
+                                       [verts[i] for i in range(n) if comp >> i & 1], kind,
+                                       stats=stats)
+    return table
+
+
 def brute_exact_width(adjacent, vertices, kind):
     """Reference for exact_width on general layouts: scan all (2L-5)!!
     ternary trees of enumerate_leaf_trees and keep the first optimal one
@@ -499,7 +512,7 @@ def brute_exact_width(adjacent, vertices, kind):
     vertex-index bitmasks)."""
     verts = sorted(set(vertices))
     n = len(verts)
-    table = _cut_table(adjacent, verts, kind, DEFAULT_BUDGET)
+    table = raw_cut_table(adjacent, verts, kind)
     full = (1 << n) - 1
     best = None
     for idx, masks in enumerate(_leaf_tree_sides(n)):

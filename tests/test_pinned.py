@@ -16,7 +16,8 @@ from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_fr
 from naewidth.tree import path
 from naewidth.widths import exact_width, linear_layout_from_order
 
-from conftest import adj_fn, adjacency_sets, balancing_tree_doc, path_graph, solve_balancing_tree, star_graph
+from conftest import (adj_fn, adjacency_sets, balancing_tree_doc, graph_doc, path_graph,
+                      solve_balancing_tree, star_graph, weighted_graph_doc)
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -80,7 +81,7 @@ def test_tree_document_bytes_pinned():
 
 def cli_outputs(tmp_path, capsys):
     g7 = tmp_path / "g7.json"
-    g7.write_text(serialize.canonical_json(serialize.graph_doc(adjacency_sets(7, G7_EDGES))))
+    g7.write_text(serialize.canonical_json(graph_doc(adjacency_sets(7, G7_EDGES))))
     out = {}
     for name, extra in (("mim", []), ("sim", []), ("omim", []), ("mim-linear", ["--linear"]),
                         ("omim-linear", ["--linear"])):
@@ -88,7 +89,7 @@ def cli_outputs(tmp_path, capsys):
         out[f"width/{name}"] = capsys.readouterr().out
 
     h = tmp_path / "h.json"
-    h.write_text(serialize.canonical_json(serialize.weighted_graph_doc(path_graph([3]))))
+    h.write_text(serialize.canonical_json(weighted_graph_doc(path_graph([3]))))
     g, gstar = str(tmp_path / "g.json"), str(tmp_path / "gstar.json")
     assert run(["reduce", "step2", "-i", str(h), "-o", g]) == 0
     assert run(["reduce", "step3", "--profile", "small", "-i", g, "-o", gstar]) == 0

@@ -318,6 +318,16 @@ def test_oracle_boundaries():
         gs.matching_partner(gs.n)
 
 
+def test_oracle_checks_the_range_before_a_self_pair():
+    """An out-of-range self pair is refused like any other out-of-range pair."""
+    gs = build_partitioned(path_graph([2, 3]))
+    assert gs.n == 10
+    for bad in (10, -7):
+        with pytest.raises(ValidationError, match=re.escape(f"G-vertex {bad} out of range")):
+            gs.adjacent(bad, bad)
+    assert gs.adjacent(9, 9) is None
+
+
 def test_cut_value_trivial_cases():
     gs = build_partitioned(single_edge(3))
     value, exact = cut_value(gs.adjacent, [0], [3], "mim")

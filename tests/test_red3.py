@@ -263,6 +263,15 @@ def test_gstar_single_edge_counts():
     assert dummy == []
 
 
+def test_gstar_oracle_checks_the_range_before_a_self_pair():
+    star = build_Gstar(build_partitioned(path_graph([3, 3])), SMALL)
+    assert star.n == 72
+    for bad in (72, -1):
+        with pytest.raises(ValidationError, match=f"G\\*-vertex {bad} out of range"):
+            star.adjacent(bad, bad)
+    assert star.adjacent(71, 71) is None
+
+
 def test_gstar_intergadget_edges_original_only():
     gs = build_partitioned(star9())
     star = build_Gstar(gs, SMALL)

@@ -10,7 +10,7 @@ from naewidth.errors import ValidationError
 from naewidth.formula import parse_nae_dimacs, random_strict_formula
 from naewidth.cli import run
 from naewidth.red1 import PROFILES, SMALL, Constants, build_H
-from naewidth.red2 import build_partitioned, path_mapping_from_order
+from naewidth.red2 import PartitionedGraph, build_partitioned, path_mapping_from_order
 from naewidth.red3 import (build_Gstar, caterpillar_layout, ensure_divisible, group_all,
                            hybrid_from_layout)
 from naewidth.tree import Tree, path
@@ -236,6 +236,22 @@ def test_writers_list_explicit_edges_below_the_limits(writer_files, h, profile, 
     written, reference = _reduce_texts(writer_files, h, profile)
     assert written == reference
     assert tuple("edges" in json.loads(text) for text in written) == listed
+
+
+def test_step2_edge_limit_is_checked_before_asking_the_oracle(monkeypatch):
+    """A step-2 graph whose table counts more than 5000 edges is written and
+    loaded without one oracle call: two disjoint weight-37 H-edges give 148
+    G-vertices and 74 + 4·37² = 5550 edges."""
+    gs = build_partitioned(_disjoint_edges(37))
+    assert (gs.n, gs.num_matching_edges() + gs.num_dummy_edges()) == (148, 5550)
+    calls = []
+    adjacent = PartitionedGraph.adjacent
+    monkeypatch.setattr(PartitionedGraph, "adjacent",
+                        lambda g, p, q: calls.append((p, q)) or adjacent(g, p, q))
+    text = serialize.partitioned_text(gs)
+    back = serialize.partitioned_from_doc(json.loads(text))
+    assert "edges" not in json.loads(text) and back.n == gs.n
+    assert calls == []
 
 
 def test_step_documents_audit_h_once(tmp_path, monkeypatch):

@@ -16,6 +16,8 @@ from naewidth.tree import Tree
 from naewidth.widths import (
     EXACT_CAP,
     TreeLayout,
+    _general_exact,
+    _linear_exact,
     enumerate_leaf_trees,
     exact_width,
     layout_value,
@@ -24,7 +26,7 @@ from naewidth.widths import (
 )
 
 from conftest import (adj_fn, adjacency_sets, brute_exact_width, brute_mim, brute_uim,
-                      double_factorial, path_graph, random_graph_adj)
+                      double_factorial, path_graph, random_graph_adj, raw_cut_table)
 
 
 def complete_graph(n):
@@ -335,3 +337,46 @@ def test_sweeps_ask_each_pair_once_on_the_path3_gstar(kind):
     mapping = hybrid_to_tree_mapping(star, group_all(star, hybrid))
     assert_sweeps_ask_each_pair_once(star.adjacent, star.part_vertices, hybrid, mapping, kind,
                                      (None, 2))
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph on n <= 8 distinct vertex labels from 0..49, as adjacency sets."""
+    labels = sorted(draw(st.sets(st.integers(0, 49), min_size=1, max_size=8)))
+    pairs = list(itertools.combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = {v: set() for v in labels}
+    for (u, v), k in zip(pairs, keep):
+        if k:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+@given(labelled_graphs(), st.sampled_from(("mim", "sim", "omim")), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_exact_width_matches_a_per_cut_table(adj, kind, linear):
+    """exact_width gives the value, witness and search node count of the
+    same DP over a table of one raw cut_value per cut."""
+    fn, verts = adj_fn(adj), sorted(adj)
+    stats, raw_stats = {"nodes": 0}, {"nodes": 0}
+    value, layout = exact_width(fn, reversed(verts), kind, linear=linear, stats=stats)
+    table = raw_cut_table(fn, verts, kind, stats=raw_stats)
+    if linear:
+        ref_value, order = _linear_exact(table, len(verts))
+        assert layout.leaf_order == [verts[i] for i in order]
+    else:
+        ref_value, tree_adj = _general_exact(table, len(verts))
+        assert list(layout.tree_adj.items()) == list(tree_adj.items())
+        assert layout.leaf_vertex == dict(enumerate(verts))
+    assert value == ref_value and stats == raw_stats
+
+
+def test_exact_width_asks_each_vertex_pair_once(rng):
+    for n in range(1, 11):
+        fn = adj_fn(random_graph_adj(rng, n, p=rng.random()))
+        for kind in ("mim", "sim", "omim"):
+            for linear in (False, True):
+                oracle = CountingOracle(fn)
+                exact_width(oracle, range(n), kind, linear=linear)
+                assert len(oracle.asked) == len(set(oracle.asked)) == n * (n - 1) // 2
