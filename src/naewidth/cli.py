@@ -1,9 +1,10 @@
 """Command-line surface tying the pipeline together.
 
 Exit codes: 0/1 carry decision answers, 2 is a usage error, 3 a validation
-failure, 4 an exhausted search budget.  Witnesses and reports go to stdout,
-diagnostics to stderr as JSON.  All outputs are deterministic; --seed only
-affects the test-data generators.
+failure, 4 an exhausted search budget or a RecursionError or MemoryError
+(diagnostic type "resource"), so no crash reads as a NO.  Witnesses and
+reports go to stdout, diagnostics to stderr as JSON.  All outputs are
+deterministic; --seed only affects the test-data generators.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _load(path):
         text = fh.read()
     try:
         return json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
-    except ValueError as exc:  # also an integer beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # also too deep, or too long an integer
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -397,6 +398,9 @@ def run(argv) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         _diag(str(exc), type="io")
         return EXIT_VALIDATION
+    except (RecursionError, MemoryError) as exc:
+        _diag(f"{type(exc).__name__}: {exc}", type="resource")
+        return EXIT_BUDGET
 
 
 def main():

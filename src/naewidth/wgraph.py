@@ -1,6 +1,6 @@
 """Edge-weighted graph core plus the linear and tree degree-balancing
-problems: witness checkers for orders and trees, and an exact pruned search
-for balancing orders.
+problems: witness checkers for orders and trees, and an exact prefix-set
+search for balancing orders that exact linear widths share.
 
 A *t-balancing order* places the vertices so that every vertex has weighted
 backward and forward degree at most t.  A *t-balancing tree* is any Tree
@@ -11,6 +11,7 @@ tree edge e at v's node, v's edges across the cut of e weigh at most t.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 
 from .errors import BudgetExceededError, ValidationError
 from .tree import Tree
@@ -212,78 +213,91 @@ def _alive(adj, committed, t, placed_mask):
     return len(ready) == unplaced
 
 
-def _extensions(g, t, budget, limit):
-    """DFS over prefix extensions, vertices tried in ascending id.
+DEAD_SET_CAP = 1 << 16
 
-    Pruning is exact, so the enumeration visits exactly the t-balancing
-    orders.  A placement is refused when the placed vertex's left weight (now
-    final) or committed right weight (total - left) exceeds t, when any
-    unplaced vertex's accumulated left weight already exceeds t, or when
-    _alive proves the prefix dead.  The search is one loop over an explicit
-    stack holding the next vertex id to try per depth.  Yields each solution
-    and stops after `limit` solutions if given.
+
+def prefix_orders(n, place, take_back, budget):
+    """Orders of 0..n-1 in lexicographic order, by one explicit-stack DFS
+    over prefix extensions in ascending vertex id.
+
+    place(v, mask) puts v after the prefix set mask: None refuses v there,
+    changes nothing and marks nothing; False calls the new set dead, which
+    place must decide from the set alone; True goes on from it.
+    take_back(v, mask) undoes a False or True.  A set called dead, or whose
+    subtree yielded no order, is dead whatever order reaches it; up to
+    DEAD_SET_CAP of them are never entered again.  budget bounds the
+    placements tried; the search runs only as far as its orders are read.
     """
-    adj = g.adj
-    n = len(adj)
-    total = [sum(w for _, w in lst) for lst in adj]
-    if any(tw > 2 * t for tw in total):
-        return
-    committed = [0] * n
-    placed = []
-    next_id = [0]
+    dead, placed = set(), []
+    stack = [[0, 0]]  # per depth: the next vertex id to try, orders found on entry
     mask = nodes = found = 0
-    while next_id:
+    while True:
         if len(placed) == n:
             found += 1
             yield list(placed)
-            vi = n
-        else:
-            vi = next_id[-1]
-            while vi < n and mask >> vi & 1:
-                vi += 1
+        vi = stack[-1][0]
+        while vi < n and (mask >> vi & 1 or mask | 1 << vi in dead):
+            vi += 1
         if vi < n:
-            next_id[-1] = vi + 1
+            stack[-1][0] = vi + 1
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"order search exceeded {budget} nodes")
-            left = committed[vi]
-            if left > t or total[vi] - left > t:
-                continue
-            dead = False
-            for u, w in adj[vi]:
-                if not mask >> u & 1:
-                    committed[u] += w
-                    if committed[u] > t:
-                        dead = True
-            mask |= 1 << vi
-            if not dead and _alive(adj, committed, t, mask):
+            alive = place(vi, mask)
+            if alive:
                 placed.append(vi)
-                next_id.append(0)
+                mask |= 1 << vi
+                stack.append([0, found])
                 continue
-        else:
-            next_id.pop()
+            if alive is None:
+                continue
+        else:  # every extension tried: take the last vertex back
+            alive = stack.pop()[1] < found
             if not placed:
                 return
             vi = placed.pop()
-        # take vi back: a refused placement or a finished subtree
-        mask ^= 1 << vi
-        for u, w in adj[vi]:
+            mask ^= 1 << vi
+        if not alive and len(dead) < DEAD_SET_CAP:
+            dead.add(mask | 1 << vi)
+        take_back(vi, mask)
+
+
+def _extensions(g, t, budget):
+    """The t-balancing orders by prefix_orders.  Placing v is refused when its
+    right weight (total - left) exceeds t; no order reaches that set with v
+    earlier, so remembering it would only fill the dead sets.  The new set is
+    dead when an unplaced vertex's left weight exceeds t or _alive refuses it."""
+    adj = g.adj
+    total = [sum(w for _, w in lst) for lst in adj]
+    if any(tw > 2 * t for tw in total):
+        return
+    committed = [0] * len(adj)
+
+    def place(v, mask):
+        if total[v] - committed[v] > t:
+            return None
+        for u, w in adj[v]:
+            if not mask >> u & 1:
+                committed[u] += w
+        return (all(committed[u] <= t for u, _ in adj[v] if not mask >> u & 1)
+                and _alive(adj, committed, t, mask | 1 << v))
+
+    def take_back(v, mask):
+        for u, w in adj[v]:
             if not mask >> u & 1:
                 committed[u] -= w
-        if limit is not None and found >= limit:
-            return
+
+    yield from prefix_orders(len(adj), place, take_back, budget)
 
 
 def solve_balancing_order(g, t, budget: int = DEFAULT_ORDER_BUDGET):
     """First t-balancing order in lexicographic vertex-id order, or None."""
-    for order in _extensions(g, t, budget, limit=1):
-        return order
-    return None
+    return next(_extensions(g, t, budget), None)
 
 
 def enumerate_balancing_orders(g, t, budget: int = DEFAULT_ORDER_BUDGET, limit=None):
-    """List the t-balancing orders found by the pruned DFS, up to `limit`."""
-    return list(_extensions(g, t, budget, limit))
+    """List the t-balancing orders in lexicographic order, up to `limit`."""
+    return list(islice(_extensions(g, t, budget), limit))
 
 
 def check_balancing_tree(g, bt: Tree, t):

@@ -3,11 +3,11 @@ layouts and exact-width oracles for graphs of at most EXACT_CAP vertices.
 
 General layouts are unrooted ternary trees with graph vertices on the
 leaves; linear layouts are rooted full binary caterpillars, equivalently a
-vertex order.  Exact widths run a subset DP over a table of every cut's
-value: over prefixes for vertex orders, over the clusters of a tree rooted
-at the last vertex for ternary trees.  enumerate_leaf_trees lists all
-(2L-5)!! ternary trees by leaf insertion; the DP's witness keeps its node
-numbering.
+vertex order.  Exact widths read a table of every cut's value: the
+prefix-set search of wgraph finds vertex orders, and a subset DP over the
+clusters of a tree rooted at the last vertex finds ternary trees.
+enumerate_leaf_trees lists all (2L-5)!! ternary trees by leaf insertion;
+the DP's witness keeps its node numbering.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from operator import itemgetter
 from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET, AdjacencyCache
 from .tree import Tree, path
+from .wgraph import prefix_orders
 
 EXACT_CAP = 12
 
@@ -142,33 +143,14 @@ def _cut_table(adjacent, verts, kind, budget, stats=None):
 
 def _linear_exact(table, n):
     """Min over vertex orders of the max cut value, plus the lexicographically
-    least optimal order, via a subset DP over suffix completions."""
-    full = (1 << n) - 1
-    singleton_base = max(table[1 << i] for i in range(n)) if n else 0
-    best_from = [0] * (full + 1)  # best achievable max over strict extensions
-    for mask in range(full - 1, -1, -1):
-        best = None
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            nxt = mask | 1 << i
-            cand = max(table[nxt], best_from[nxt])
-            if best is None or cand < best:
-                best = cand
-        best_from[mask] = best if best is not None else 0
-    width = max(singleton_base, best_from[0])
-    order_idx = []
-    mask = 0
-    for _ in range(n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            nxt = mask | 1 << i
-            if max(table[nxt], best_from[nxt]) <= width:
-                order_idx.append(i)
-                mask = nxt
-                break
-    return width, order_idx
+    least optimal order: the least bound, from the largest singleton cut up,
+    under which prefix_orders finds an order whose prefix cuts all fit."""
+    bound = max(table[1 << i] for i in range(n))
+    while True:
+        for order in prefix_orders(n, lambda v, mask: table[mask | 1 << v] <= bound,
+                                   lambda v, mask: None, float("inf")):
+            return bound, order
+        bound += 1
 
 
 def _halves(x):
@@ -231,7 +213,7 @@ def _general_exact(table, n):
 
 def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int = EXACT_CAP,
                 budget: int = DEFAULT_BUDGET, stats=None):
-    """Exact width by a subset DP over the cut table of all vertex subsets.
+    """Exact width from the cut table of all vertex subsets.
 
     Returns (value, witness TreeLayout).  The witness is deterministic: the
     lexicographically least optimal order for linear layouts, and otherwise
@@ -250,8 +232,7 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int = 
 
     if linear:
         width, order_idx = _linear_exact(table, n)
-        order = [verts[i] for i in order_idx]
-        return width, linear_layout_from_order(order)
+        return width, linear_layout_from_order([verts[i] for i in order_idx])
 
     width, adj = _general_exact(table, n)
     return width, TreeLayout(tree_adj=adj, leaf_vertex={i: verts[i] for i in range(n)})

@@ -505,6 +505,38 @@ def raw_cut_table(adjacent, verts, kind, stats=None):
     return table
 
 
+def suffix_dp_linear_exact(table, n):
+    """Reference for widths._linear_exact: min over vertex orders of the max
+    cut value, plus the lexicographically least optimal order, via a subset
+    DP over suffix completions."""
+    full = (1 << n) - 1
+    singleton_base = max(table[1 << i] for i in range(n)) if n else 0
+    best_from = [0] * (full + 1)  # best achievable max over strict extensions
+    for mask in range(full - 1, -1, -1):
+        best = None
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            nxt = mask | 1 << i
+            cand = max(table[nxt], best_from[nxt])
+            if best is None or cand < best:
+                best = cand
+        best_from[mask] = best if best is not None else 0
+    width = max(singleton_base, best_from[0])
+    order_idx = []
+    mask = 0
+    for _ in range(n):
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            nxt = mask | 1 << i
+            if max(table[nxt], best_from[nxt]) <= width:
+                order_idx.append(i)
+                mask = nxt
+                break
+    return width, order_idx
+
+
 def brute_exact_width(adjacent, vertices, kind):
     """Reference for exact_width on general layouts: scan all (2L-5)!!
     ternary trees of enumerate_leaf_trees and keep the first optimal one

@@ -370,6 +370,23 @@ def test_balance_solve_long_path_without_recursion(tmp_path):
     assert check_balancing_order(g, order, 2) == (True, None)
 
 
+def test_balance_solve_refutes_the_union_of_paths_and_a_triangle(tmp_path, capsys):
+    """Four unit 3-vertex paths beside a weight-2 triangle have no
+    2-balancing order: the order search proves each dead prefix set once, so
+    it answers NO well within 10^5 placements."""
+    g = WeightedGraph()
+    for _ in range(4):
+        a, b, c = g.add_vertices(["a", "b", "c"])
+        g.add_edge(a, b, 1)
+        g.add_edge(b, c, 1)
+    x, y, z = g.add_vertices(["x", "y", "z"])
+    for u, v in ((x, y), (y, z), (x, z)):
+        g.add_edge(u, v, 2)
+    path = write_graph_doc(tmp_path, g)
+    assert run(["balance", "solve", "-i", path, "--threshold", "2", "--budget", "100000"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"balanced": False}
+
+
 def test_layout_group_project_flow(cnf_file, tmp_path, capsys):
     # tiny 2-gadget instance driven end to end through the layout commands
     h = WeightedGraph()
@@ -1538,3 +1555,40 @@ def test_reduce_step3_paper_profile(paper_docs):
     # only at paper does the step-3 base carry H's weights times a (= 45)
     assert file_sha(g_path) == "7a057cafc21ccad91f1dc12f6ebf055197c00533a798378ae939866e823f4532"
     assert file_sha(star_path) == "fb1fce30646e34253caa6ab93e138be588aa85ce7ce8847ac025f7ae643e3a9d"
+
+
+def test_json_nested_too_deeply_is_a_validation_error(tmp_path):
+    """A document nested deeper than the JSON decoder's recursion guard is
+    refused as invalid JSON, not answered NO with a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = _run_quietly(["cutval", "--kind", "mim", "-i", str(deep), "--cut", str(deep)])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["type"] == "validation"
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_a_crash_exits_4_as_a_resource_budget(monkeypatch, error):
+    """A handler that runs out of stack or memory exits 4 with a JSON
+    diagnostic of type "resource", never 1 (the NO answer)."""
+    def crash(args):
+        raise error("out of it")
+
+    monkeypatch.setitem(naewidth.cli._HANDLERS, "cutval", crash)
+    code, out, err = _run_quietly(["cutval", "--kind", "mim", "-i", "g.json", "--cut", "c.json"])
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": f"{error.__name__}: out of it", "type": "resource"}
+
+
+def test_cutval_on_a_long_induced_matching_exits_4(tmp_path):
+    """The clique search recurses once per candidate edge, so the 1,200
+    edges of an induced matching across the cut overflow Python's stack.
+    That is a resource exit (4) with a JSON diagnostic, not a NO; it becomes
+    an answer once the clique search keeps its own stack."""
+    n = 1200
+    graph, cut = tmp_path / "g.json", tmp_path / "cut.json"
+    graph.write_text(json.dumps(graph_doc(adjacency_sets(2 * n, [(i, n + i) for i in range(n)]))))
+    cut.write_text(json.dumps({"A": list(range(n)), "B": list(range(n, 2 * n))}))
+    code, out, err = _run_quietly(["cutval", "--kind", "mim", "-i", str(graph), "--cut", str(cut)])
+    assert (code, out) == (4, "")
+    assert json.loads(err)["type"] == "resource"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naewidth import wgraph
 from naewidth.errors import BudgetExceededError, CapExceededError, ValidationError
 from naewidth.red1 import SMALL
 from naewidth.tree import Tree, path
@@ -248,12 +249,26 @@ def test_disconnected_graph_is_solvable():
     assert check_balancing_order(g, order, 3) == (True, None)
 
 
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=8),
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=10),
        st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_enumeration_exactness_property(n, t, hyp_rng):
+    """The search yields exactly the t-balancing orders in lexicographic
+    order, as the permutation scan lists them, and the solver answers with
+    the first."""
     seed = hyp_rng.randint(0, 10 ** 9)
     g = random_weighted_graph(random.Random(seed), n, p=0.5, max_w=5)
-    pruned = sorted(map(tuple, enumerate_balancing_orders(g, t)))
-    naive = sorted(map(tuple, naive_balancing_orders(g, t)))
-    assert pruned == naive
+    naive = naive_balancing_orders(g, t)
+    assert enumerate_balancing_orders(g, t) == naive
+    assert solve_balancing_order(g, t) == (naive[0] if naive else None)
+
+
+def test_dead_sets_change_no_order(rng, monkeypatch):
+    """With no room for dead sets the search yields the same orders."""
+    cases = [(random_weighted_graph(rng, rng.randint(2, 7), p=0.5, max_w=5), rng.randint(1, 10))
+             for _ in range(30)]
+    remembered = [enumerate_balancing_orders(g, t) for g, t in cases]
+    monkeypatch.setattr(wgraph, "DEAD_SET_CAP", 0)
+    assert [enumerate_balancing_orders(g, t) for g, t in cases] == remembered
+    assert [solve_balancing_order(g, t) for g, t in cases] == [
+        orders[0] if orders else None for orders in remembered]

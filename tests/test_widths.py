@@ -26,7 +26,8 @@ from naewidth.widths import (
 )
 
 from conftest import (adj_fn, adjacency_sets, brute_exact_width, brute_mim, brute_uim,
-                      double_factorial, path_graph, random_graph_adj, raw_cut_table)
+                      double_factorial, path_graph, random_graph_adj, raw_cut_table,
+                      suffix_dp_linear_exact)
 
 
 def complete_graph(n):
@@ -363,13 +364,36 @@ def test_exact_width_matches_a_per_cut_table(adj, kind, linear):
     value, layout = exact_width(fn, reversed(verts), kind, linear=linear, stats=stats)
     table = raw_cut_table(fn, verts, kind, stats=raw_stats)
     if linear:
-        ref_value, order = _linear_exact(table, len(verts))
+        ref_value, order = suffix_dp_linear_exact(table, len(verts))
         assert layout.leaf_order == [verts[i] for i in order]
     else:
         ref_value, tree_adj = _general_exact(table, len(verts))
         assert list(layout.tree_adj.items()) == list(tree_adj.items())
         assert layout.leaf_vertex == dict(enumerate(verts))
     assert value == ref_value and stats == raw_stats
+
+
+@st.composite
+def symmetric_cut_tables(draw):
+    """n <= 9 and a table of small values on every vertex-index bitmask, a
+    mask's complement taking its value and the empty cut 0."""
+    n = draw(st.integers(1, 9))
+    full = (1 << n) - 1
+    table = [0] * (full + 1)
+    top = draw(st.integers(0, 4))
+    for mask in range(1, full):
+        comp = full ^ mask
+        table[mask] = table[comp] if comp < mask else draw(st.integers(0, top))
+    return table, n
+
+
+@given(symmetric_cut_tables())
+@settings(max_examples=200, deadline=None)
+def test_linear_exact_equals_the_suffix_dp(case):
+    """The prefix-set search gives the value and least optimal order of the
+    subset DP over suffix completions."""
+    table, n = case
+    assert _linear_exact(table, n) == suffix_dp_linear_exact(table, n)
 
 
 def test_exact_width_asks_each_vertex_pair_once(rng):
