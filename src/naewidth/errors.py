@@ -6,11 +6,9 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValidationError):
-    """Syntax error in an input file; carries line/column context."""
+    """Syntax error in an input file; its message names the line and column."""
 
     def __init__(self, message, line=None, col=None):
-        self.line = line
-        self.col = col
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"

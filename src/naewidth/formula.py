@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, ParseError, ValidationError
 
-Assignment = tuple  # tuple[bool, ...], index i holds the value of variable i+1
-
 BRUTE_FORCE_CAP = 24
+SHUFFLE_TRIES = 10000  # random_strict_formula gives up after this many draws
 # brute_force_nae tests 2^_CHUNK_BITS assignments per big-integer operation
 _CHUNK_BITS = 16
 
@@ -189,17 +188,17 @@ def brute_force_nae(f: NaeFormula, cap: int = BRUTE_FORCE_CAP):
     return None
 
 
-def random_strict_formula(num_vars: int, rng: random.Random, max_tries: int = 10000) -> NaeFormula:
+def random_strict_formula(num_vars: int, rng: random.Random) -> NaeFormula:
     """Sample a strict 4-occurrence instance by shuffling variable tokens into
     triples and rejecting draws with a repeated variable inside a clause."""
     if num_vars % 3 != 0:
         raise ValidationError("strict instances need 3 | num_vars (3m = 4n)")
     tokens = [v for v in range(1, num_vars + 1) for _ in range(4)]
-    for _ in range(max_tries):
+    for _ in range(SHUFFLE_TRIES):
         rng.shuffle(tokens)
         clauses = [tuple(tokens[i:i + 3]) for i in range(0, len(tokens), 3)]
         if all(len(set(c)) == 3 for c in clauses):
             f = NaeFormula(num_vars=num_vars, clauses=tuple(clauses))
             validate_formula(f, strict=True)
             return f
-    raise RuntimeError(f"no valid shuffle found in {max_tries} tries")
+    raise RuntimeError(f"no valid shuffle found in {SHUFFLE_TRIES} tries")

@@ -83,9 +83,6 @@ class BottleneckHandle:
             out.extend((a, b))
         return out
 
-    def vertices(self):
-        return set(self.spine_a) | set(self.spine_b) | set(self.terminals)
-
 
 def build_bottleneck(g: WeightedGraph, terminals, c: Constants, name: str = "B",
                      shared_root=None) -> BottleneckHandle:
@@ -151,14 +148,6 @@ class SequenceHandles:
     b2m: BottleneckHandle
     b3m: BottleneckHandle
     terminal_sets: list  # [S1, S2, S3] as given
-
-    def vertices(self):
-        out = set(self.s)
-        for h in (self.b1p, self.b2p, self.b2m, self.b3m):
-            out |= h.vertices()
-        for s in self.terminal_sets:
-            out |= set(s)
-        return out
 
 
 def build_bottleneck_sequence(g: WeightedGraph, s1_terms, s2_terms, s3_terms,
@@ -228,7 +217,6 @@ class HBuild:
     cvert: list     # clause vertices
     seq: SequenceHandles
     hprime_n: int   # vertices 0..hprime_n-1 form H'
-    hprime_weights: list
     pad_assign: dict  # deficient H' vertex -> list of its X neighbors
     x_ids: list
     y_ids: list
@@ -319,7 +307,7 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
     return HBuild(
         graph=g, constants=c, formula=f, num_vars=n, num_clauses=m,
         vx=vx, vbar=vbar, tvert=tvert, tbar=tbar, fvert=fvert, fbar=fbar,
-        cvert=cvert, seq=seq, hprime_n=hprime_n, hprime_weights=hprime_weights,
+        cvert=cvert, seq=seq, hprime_n=hprime_n,
         pad_assign=pad_assign, x_ids=x_ids, y_ids=y_ids, bl=bl, br=br,
     )
 

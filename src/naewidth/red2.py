@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import bisect
 import copy
+import itertools
 from operator import mul, sub
 
 from .errors import ValidationError
-from .matchings import DEFAULT_BUDGET, AdjacencyCache
+from .matchings import AdjacencyCache
 from .matchings import cut_value  # re-exported: callers take S-cut values from red2
 from .tree import Tree, path
 from .wgraph import WeightedGraph
@@ -55,23 +56,11 @@ class PartitionedGraph:
             raise ValidationError(f"G-vertex {p} out of range")
         return bisect.bisect_right(self.block_start, p) - 1
 
-    def block_of(self, p):
-        """(u, v) block containing G-vertex p."""
-        return self.block_pairs[self._block(p)]
-
-    def owner(self, p):
-        return self.block_of(p)[0]
-
-    def block_end(self, k):
-        """End of block k: the next block's start, |V(G)| after the last block."""
-        return self.block_start[k + 1] if k + 1 < len(self.block_start) else self.n
-
-    def block_range(self, u, v):
-        """G-vertices of I(u, v); KeyError if uv is not an edge of H."""
-        k = bisect.bisect_left(self.block_pairs, (u, v))
-        if k == len(self.block_pairs) or self.block_pairs[k] != (u, v):
-            raise KeyError((u, v))
-        return range(self.block_start[k], self.block_end(k))
+    def block_sizes(self):
+        """Sizes of the blocks in table order, as one C-level map: block k
+        ends where block k + 1 starts, and the last block ends at |V(G)|."""
+        starts = self.block_start
+        return map(sub, itertools.chain(itertools.islice(starts, 1, None), (self.n,)), starts)
 
     def part_vertices(self, u):
         start, end = self.part_range[u]
@@ -90,11 +79,6 @@ class PartitionedGraph:
             return "matching" if p - self.block_start[k] == q - self.block_start[l] else None
         return "dummy" if u != x and u != y and v != x and v != y else None
 
-    def matching_partner(self, p):
-        k = self._block(p)
-        u, v = self.block_pairs[k]
-        return self.block_range(v, u)[p - self.block_start[k]]
-
     def num_matching_edges(self):
         return self.n // 2
 
@@ -103,15 +87,14 @@ class PartitionedGraph:
         the table: of the n² ordered pairs, Σ_z (2·|S(z)|)² meet at an H-vertex z
         (S(z) and its twin blocks), counting the 2·Σ|I|² on one H-edge twice.  This
         is 2·scale²·(W² + Σ w_e² − Σ_v d_v²), W the total weight, d_v the degrees."""
-        starts = self.block_start
-        blocks = list(map(sub, starts[1:] + [self.n], starts))
+        blocks = list(self.block_sizes())
         parts = [b - a for a, b in self.part_range.values()]
         return (self.n ** 2 + 2 * sum(map(mul, blocks, blocks))
                 - 4 * sum(map(mul, parts, parts))) // 2
 
     def validate(self) -> None:
         """O(|E(H)|) audit: H passes check_simple and the table is its layout at
-        scale, so block_range finds each block and matching_partner pairs V(G)."""
+        scale, so every block has a twin of its size."""
         self.H.check_simple()
         if (self.block_pairs, self.block_start, self.part_range, self.n) != block_layout(
                 self.H, self.scale):
@@ -164,8 +147,7 @@ def mapping_cut(gs, mapping: TreeMapping, edge):
     return side_a, side_b
 
 
-def mapping_value(gs, mapping: TreeMapping, kind: str, threshold=None,
-                  budget: int = DEFAULT_BUDGET):
+def mapping_value(gs, mapping: TreeMapping, kind: str, threshold=None):
     """Max cut value over the mapping's tree edges.  Returns (value, exact).
     The sweep runs on one AdjacencyCache of the parts' G-vertices, a cut's
     side B the OR of its parts' masks, so it asks gs's oracle at most once
@@ -178,8 +160,7 @@ def mapping_value(gs, mapping: TreeMapping, kind: str, threshold=None,
     exact = True
     for _, parts_b in mapping.sides():
         side_b = sum(map(part_mask.__getitem__, parts_b))
-        value, is_exact = cache.cut_value(everything ^ side_b, side_b, kind,
-                                          threshold=threshold, budget=budget)
+        value, is_exact = cache.cut_value(everything ^ side_b, side_b, kind, threshold=threshold)
         if value > best:
             best = value
         exact = exact and is_exact

@@ -23,7 +23,6 @@ import bisect
 import itertools
 
 from .errors import CapExceededError, ValidationError
-from .matchings import DEFAULT_BUDGET
 from .red1 import Constants, validate_constants
 from .red2 import PartitionedGraph, TreeMapping
 from .tree import Tree
@@ -44,7 +43,7 @@ class Gadget:
     """
 
     def __init__(self, gs: PartitionedGraph, owner, copies, a):
-        self.gs, self.owner, self.copies, self.a = gs, owner, copies, a
+        self.gs, self.copies, self.a = gs, copies, a
         self.start, self.end = gs.part_range[owner]
         self.first = bisect.bisect_left(gs.block_start, self.start)
         self.last = bisect.bisect_left(gs.block_start, self.end)
@@ -72,9 +71,6 @@ class Gadget:
         first = starts[k]
         width = ((starts[k + 1] if k + 1 < self.last else self.end) - first) // self.a
         return "original", first + chunk * width + (at - first) // self.a
-
-    def vid(self, copy, pos):
-        return self.base + copy * self.plen + pos
 
     def locate(self, vid):
         return divmod(vid - self.base, self.plen)
@@ -116,8 +112,8 @@ def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
     gadget = Gadget(gs, u, c.b, c.a)
     if gadget.plen == 0:
         raise ValidationError(f"S({u}) is empty, so |V(P_{u})| = 2|S({u})| = 0")
-    for k in range(gadget.first, gadget.last):
-        size = gs.block_end(k) - gs.block_start[k]
+    sizes = itertools.islice(gs.block_sizes(), gadget.first, gadget.last)
+    for k, size in enumerate(sizes, gadget.first):
         if size % c.a != 0:
             raise ValidationError(f"|I({u},{gs.block_pairs[k][1]})| = {size} "
                                   f"not divisible by a = {c.a}")
@@ -125,10 +121,9 @@ def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
 
 
 def _first_indivisible(gs: PartitionedGraph, a):
-    """Owner of the first block a does not divide, or None: blocks start at 0,
-    so it is the first to end on no multiple of a (one C-level pass)."""
-    ends = itertools.chain(itertools.islice(gs.block_start, 1, None), (gs.n,))
-    k = next(itertools.compress(itertools.count(), map(a.__rmod__, ends)), None)
+    """Owner of the first block whose size a does not divide, or None (one
+    C-level pass)."""
+    k = next(itertools.compress(itertools.count(), map(a.__rmod__, gs.block_sizes())), None)
     return None if k is None else gs.block_pairs[k][0]
 
 
@@ -165,13 +160,6 @@ class Gstar:
             raise ValidationError(f"G*-vertex {vid} out of range")
         gs = self.GS
         return gs.block_pairs[bisect.bisect_right(gs.block_start, vid // self.span) - 1][0]
-
-    def locate(self, vid):
-        """(owner, copy, position, tag, original G-vertex or None)."""
-        u = self.owner_of(vid)
-        gadget = self.gadget(u)
-        copy, pos = gadget.locate(vid)
-        return (u, copy, pos) + gadget.entry(pos)
 
     def part_vertices(self, u):
         start, end = self.GS.part_range[u]
@@ -269,9 +257,9 @@ def hybrid_cut_sides(ht: Tree, star: Gstar, edge):
     return [v for v in range(star.n) if v not in far], sorted(far)
 
 
-def hybrid_sim_values(ht: Tree, star: Gstar, budget: int = DEFAULT_BUDGET):
+def hybrid_sim_values(ht: Tree, star: Gstar):
     """Exact sim value per tree edge, keyed by the edge."""
-    return tree_cut_values(star.adjacent, range(star.n), ht, "sim", budget=budget)
+    return tree_cut_values(star.adjacent, range(star.n), ht, "sim")
 
 
 class DefaultEdgeNotFound(ValidationError):

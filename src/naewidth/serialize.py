@@ -74,11 +74,17 @@ def _same_records(records, record, rows, count):
 
 def _typed(value):
     """Whether every number in a parsed JSON object or list is an int, in one
-    C-level type pass per object or list inside it."""
-    items = list(value.values()) if type(value) is dict else value
-    types = set(map(type, items))
-    nested = [x for x in items if type(x) in (dict, list)] if types & {dict, list} else ()
-    return types <= {int, str, dict, list} and all(map(_typed, nested))
+    C-level type pass per object or list inside it, over an explicit stack."""
+    stack = [value]
+    while stack:
+        items = stack.pop()
+        items = list(items.values()) if type(items) is dict else items
+        types = set(map(type, items))
+        if not types <= {int, str, dict, list}:
+            return False
+        if types & {dict, list}:
+            stack += [x for x in items if type(x) in (dict, list)]
+    return True
 
 
 def _expect(doc, kind, version=FORMAT_VERSION):
@@ -272,9 +278,9 @@ def _part_rows(gs: PartitionedGraph):
 
 
 def _block_rows(gs: PartitionedGraph):
-    starts, pairs = gs.block_start, gs.block_pairs
-    ends = itertools.chain(itertools.islice(starts, 1, None), (gs.n,))
-    return zip(map(sub, ends, starts), starts, map(itemgetter(0), pairs), map(itemgetter(1), pairs))
+    pairs = gs.block_pairs
+    return zip(gs.block_sizes(), gs.block_start, map(itemgetter(0), pairs),
+               map(itemgetter(1), pairs))
 
 
 def _explicit_edge_rows(graph):
@@ -410,17 +416,13 @@ def _tree_from_doc(doc, kind, key, node_at, flag=None):
     `key` holds [a, b] integer pairs with the tree node at index `node_at`;
     `flag` names a required boolean field.
     """
-    _expect(doc, kind)
-    try:
+    with _malformed(kind):
+        _expect(doc, kind)
         nodes, edges, pairs = doc["nodes"], doc["edges"], doc[key]
-        well_typed = (all(type(x) is int for x in nodes)
-                      and all(len(p) == 2 and type(p[0]) is type(p[1]) is int
-                              for p in edges + pairs)
-                      and (flag is None or type(doc[flag]) is bool))
-    except (KeyError, TypeError):
-        well_typed = False
-    if not well_typed:
-        raise ValidationError(f"malformed {kind} document")
+        if not (all(type(x) is int for x in nodes)
+                and all(len(p) == 2 and type(p[0]) is type(p[1]) is int for p in edges + pairs)
+                and (flag is None or type(doc[flag]) is bool)):
+            raise ValidationError(f"malformed {kind} document")
     adj = {x: [] for x in nodes}
     if (len(adj) != len(nodes) or len(dict(pairs)) != len(pairs)
             or any(x not in adj or y not in adj for x, y in edges)

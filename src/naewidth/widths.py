@@ -47,7 +47,6 @@ class TreeLayout(Tree):
         super().__init__(tree_adj, {v: leaf for leaf, v in leaf_vertex.items()})
         self.leaf_vertex = leaf_vertex  # leaf node -> graph vertex
         self.linear = linear
-        self.leaf_order = [leaf_vertex[leaf] for leaf in sorted(leaf_vertex)] if linear else None
 
 
 def linear_layout_from_order(order) -> TreeLayout:
@@ -68,7 +67,7 @@ def linear_layout_from_order(order) -> TreeLayout:
     return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=True)
 
 
-def tree_cut_values(adjacent, vertices, tree: Tree, kind: str, budget: int = DEFAULT_BUDGET):
+def tree_cut_values(adjacent, vertices, tree: Tree, kind: str):
     """Cut value of every tree edge, keyed by the edge: the vertices placed
     off the edge's far side against those placed on it.  The sweep runs on
     one AdjacencyCache, so it asks the oracle at most once per vertex pair."""
@@ -78,16 +77,16 @@ def tree_cut_values(adjacent, vertices, tree: Tree, kind: str, budget: int = DEF
     out = {}
     for edge, far in tree.sides():
         side_b = cache.mask(far)
-        out[edge], _ = cache.cut_value(everything & ~side_b, side_b, kind, budget=budget)
+        out[edge], _ = cache.cut_value(everything & ~side_b, side_b, kind)
     return out
 
 
-def layout_value(adjacent, vertices, layout: TreeLayout, kind: str, budget: int = DEFAULT_BUDGET):
+def layout_value(adjacent, vertices, layout: TreeLayout, kind: str):
     """Max cut value over all tree edges of the layout."""
     vertices = list(vertices)
     if set(layout.leaf_vertex.values()) != set(vertices):
         raise ValidationError("layout leaves do not match the vertex set")
-    cuts = tree_cut_values(adjacent, vertices, layout, kind, budget=budget)
+    cuts = tree_cut_values(adjacent, vertices, layout, kind)
     return max(cuts.values(), default=0)
 
 

@@ -159,35 +159,55 @@ def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
     return out
 
 
+def table_blocks(gs):
+    """{(u, v): G-vertices of I(u, v)} read off the block table fields: block
+    k runs from its start to the next block's start, the last one to |V(G)|."""
+    starts = gs.block_start
+    return dict(zip(gs.block_pairs, map(range, starts, starts[1:] + [gs.n])))
+
+
+def part_owners(gs):
+    """{G-vertex: owner} read off part_range."""
+    return {p: u for u in gs.parts() for p in gs.part_vertices(u)}
+
+
+def matching_partners(gs):
+    """{p: q} of the matching edges: position i of I(u, v) with position i of
+    its twin block I(v, u)."""
+    blocks = table_blocks(gs)
+    return {p: q for (u, v), vertices in blocks.items() for p, q in zip(vertices, blocks[v, u])}
+
+
 def brute_validate(gs):
-    """Reference for PartitionedGraph.validate: the per-vertex walk, two
-    binary searches per matching_partner call over all 2·W(H) G-vertices,
-    H's weights times gs.scale.  Each vertex must lie in its own part, the
-    walk must meet the blocks in ascending (u, v), and a lookup that fails on
-    a broken layout counts as a failed audit."""
+    """Reference for PartitionedGraph.validate: a walk over all 2·W(H)
+    G-vertices, H's weights times gs.scale, with the blocks read off the table
+    fields.  The blocks must come once each, in ascending (u, v), from
+    G-vertex 0; each vertex must lie in its own part and be matched to the
+    vertex at its offset in the twin block; and a lookup that fails on a
+    broken layout counts as a failed audit."""
     scale = gs.scale
     if gs.n != 2 * scale * gs.H.total_weight():
         raise ValidationError("|V(G)| != 2 * scale * total weight of H")
+    blocks = table_blocks(gs)
+    if list(blocks) != sorted(gs.block_pairs) or gs.block_start[:1] not in ([], [0]):
+        raise ValidationError("the blocks are not each once, ascending, from G-vertex 0")
     try:
         covered = 0
         for u in gs.parts():
             start, end = gs.part_range[u]
             covered += end - start
-            blocks = sorted(gs.H.adj[u])
-            if sum(w * scale for _, w in blocks) != end - start:
+            edges = sorted(gs.H.adj[u])
+            if sum(w * scale for _, w in edges) != end - start:
                 raise ValidationError(f"S({u}) does not decompose into its blocks")
-            for v, w in blocks:
-                if len(gs.block_range(u, v)) != w * scale or len(gs.block_range(v, u)) != w * scale:
+            for v, w in edges:
+                if len(blocks[u, v]) != w * scale or len(blocks[v, u]) != w * scale:
                     raise ValidationError(f"|I({u},{v})| != w({u}{v}) or mismatched twin")
         if covered != gs.n:
             raise ValidationError("parts do not partition V(G)")
-        walk = [gs.block_of(p) for p in range(gs.n)]
-        if walk != sorted(walk):
-            raise ValidationError("the walk meets the blocks out of ascending order")
-        for u in gs.parts():
-            for p in gs.part_vertices(u):
-                q = gs.matching_partner(p)
-                if gs.owner(p) != u or gs.matching_partner(q) != p or gs.adjacent(p, q) != "matching":
+        owner = part_owners(gs)
+        for (u, v), vertices in blocks.items():
+            for p, q in zip(vertices, blocks[v, u]):
+                if owner.get(p) != u or gs.adjacent(p, q) != "matching":
                     raise ValidationError(f"matching pairing broken at {p}")
     except (IndexError, KeyError) as exc:
         raise ValidationError(f"block lookup failed: {exc!r}") from None
@@ -198,35 +218,35 @@ def brute_edge_iter(gs):
     edge, p < q, enumerated by structure, not asked of the oracle: position i
     of I(u, v) matched with position i of I(v, u) for each H-edge uv, then
     every block of each two vertex-disjoint H-edges joined to the other's."""
-    edges = list(gs.H.edges())
+    edges, blocks = list(gs.H.edges()), table_blocks(gs)
     for a, b, _ in edges:
-        for p, q in zip(gs.block_range(a, b), gs.block_range(b, a)):
+        for p, q in zip(blocks[a, b], blocks[b, a]):
             yield min(p, q), max(p, q), "matching"
     for (a, b, _), (x, y, _) in itertools.combinations(edges, 2):
         if len({a, b, x, y}) != 4:
             continue
         for bu, bv in ((a, b), (b, a)):
             for bx, by in ((x, y), (y, x)):
-                for p in gs.block_range(bu, bv):
-                    for q in gs.block_range(bx, by):
+                for p in blocks[bu, bv]:
+                    for q in blocks[bx, by]:
                         yield min(p, q), max(p, q), "dummy"
 
 
 def oracle_check(gs, pairs) -> None:
     """Check the (G, S) adjacency oracle against first principles on every
-    pair (p, q) of G-vertices given."""
+    pair (p, q) of G-vertices given, each vertex's block and offset in it
+    read off a walk over the table's blocks."""
+    at = [(pair, i) for pair, vertices in table_blocks(gs).items() for i in range(len(vertices))]
     for p, q in pairs:
         if p == q:
             continue
-        u, v = gs.block_of(p)
-        x, y = gs.block_of(q)
+        ((u, v), i), ((x, y), j) = at[p], at[q]
         kind = gs.adjacent(p, q)
         if u == x:
             if kind is not None:
                 raise ValidationError(f"S({u}) not independent: edge ({p},{q})")
         elif (x, y) == (v, u):
-            same = gs.block_range(u, v).index(p) == gs.block_range(x, y).index(q)
-            if kind != ("matching" if same else None):
+            if kind != ("matching" if i == j else None):
                 raise ValidationError(f"matching oracle wrong at ({p},{q})")
         elif {u, v} & {x, y}:
             if kind is not None:
@@ -249,14 +269,15 @@ def brute_Pu(gs, u, c):
     if u not in gs.part_range:
         raise ValidationError(f"{u} is not an H-vertex of the partition")
     neighbors = sorted(v for v, _ in gs.H.adj[u])
+    blocks = table_blocks(gs)
     for v in neighbors:
-        if len(gs.block_range(u, v)) % c.a != 0:
+        if len(blocks[u, v]) % c.a != 0:
             raise ValidationError(
-                f"|I({u},{v})| = {len(gs.block_range(u, v))} not divisible by a = {c.a}")
+                f"|I({u},{v})| = {len(blocks[u, v])} not divisible by a = {c.a}")
     originals = []
     for i in range(c.a):
         for v in neighbors:
-            block = gs.block_range(u, v)
+            block = blocks[u, v]
             chunk = len(block) // c.a
             originals.extend(block[i * chunk:(i + 1) * chunk])
     path = []
@@ -355,9 +376,8 @@ def reference_partitioned_doc(gs, base_meta=None):
         "parts": [{"owner": u, "start": gs.part_range[u][0],
                    "size": gs.part_range[u][1] - gs.part_range[u][0]}
                   for u in gs.parts()],
-        "blocks": [{"u": u, "v": v, "start": gs.block_start[k],
-                    "size": gs.block_end(k) - gs.block_start[k]}
-                   for k, (u, v) in enumerate(gs.block_pairs)],
+        "blocks": [{"u": u, "v": v, "start": vertices.start, "size": len(vertices)}
+                   for (u, v), vertices in table_blocks(gs).items()],
         "edge_rule": "blocks-v1",
     }
     if gs.n <= serialize.EXPLICIT_EDGE_VERTEX_LIMIT:
@@ -377,8 +397,8 @@ def reference_gstar_doc(star, base_meta=None, weight_scale=1):
         "constants": serialize._constants_doc(star.constants),
         "weight_scale": weight_scale,
         "num_vertices": star.n,
-        "gadgets": [{"owner": g.owner, "base": g.base, "copies": g.copies}
-                    for g in map(star.gadget, star.parts())],
+        "gadgets": [{"owner": u, "base": star.gadget(u).base, "copies": star.gadget(u).copies}
+                    for u in star.parts()],
     }
     if star.n <= serialize.EXPLICIT_EDGE_VERTEX_LIMIT:
         edges = [{"u": x, "v": y, "kind": star.adjacent(x, y)}

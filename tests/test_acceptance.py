@@ -21,7 +21,7 @@ from naewidth.red3 import build_Gstar, build_gadget, caterpillar_layout, find_de
 from naewidth.wgraph import WeightedGraph, check_balancing_order, enumerate_balancing_orders, solve_balancing_order
 from naewidth.widths import enumerate_leaf_trees, exact_width
 
-from conftest import brute_validate_gstar, double_factorial, path_graph, random_weighted_graph, sample_oracle_check, star_graph
+from conftest import brute_validate_gstar, double_factorial, matching_partners, part_owners, path_graph, random_weighted_graph, sample_oracle_check, star_graph, table_blocks
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -164,6 +164,7 @@ def test_partitioned_cut_structure():
         gs = build_partitioned(h)
         assert gs.n <= 60
         parts = gs.parts()
+        blocks, owner, partner = table_blocks(gs), part_owners(gs), matching_partners(gs)
         for r in range(1, len(parts)):
             for combo in itertools.combinations(parts, r):
                 parts_a = set(combo)
@@ -174,17 +175,16 @@ def test_partitioned_cut_structure():
                     for (x, y) in gs.block_pairs:
                         if x in parts_a:
                             continue
-                        p = gs.block_range(u, v)[0]
-                        q = gs.block_range(x, y)[0]
+                        p = blocks[u, v][0]
+                        q = blocks[x, y][0]
                         if gs.adjacent(p, q) != "dummy":
                             ok = ok and (u == y or v == x or v == y)
                 # matching-only semi-induced matchings are single-part covered
-                cands = [(p, gs.matching_partner(p)) for p in range(gs.n)
-                         if gs.owner(p) in parts_a
-                         and gs.owner(gs.matching_partner(p)) not in parts_a]
+                cands = [(p, partner[p]) for p in range(gs.n)
+                         if owner[p] in parts_a and owner[partner[p]] not in parts_a]
                 ok = ok and _matching_sets_single_part(gs, cands)
                 # no size-7 dummy-only matching anchored in a single part
-                side_b = [p for p in range(gs.n) if gs.owner(p) not in parts_a]
+                side_b = [p for p in range(gs.n) if owner[p] not in parts_a]
                 for u in sorted(parts_a):
                     side_a = list(gs.part_vertices(u))
                     value, exact = cut_value(
@@ -203,6 +203,7 @@ def _matching_sets_single_part(gs, cands):
         return True
 
     ok = True
+    owner = part_owners(gs)
 
     def rec(start, chosen):
         nonlocal ok
@@ -215,7 +216,7 @@ def _matching_sets_single_part(gs, cands):
                 chosen.pop()
         if not extended and chosen:
             covered = any(
-                all(gs.owner(p) == u or gs.owner(q) == u for p, q in chosen)
+                all(owner[p] == u or owner[q] == u for p, q in chosen)
                 for u in gs.parts())
             ok = ok and covered
 

@@ -18,9 +18,6 @@ ALLOWED = {
     "matchings.max_clique.expand",
     # called by the benchmark's width workload; leaves src/ with it
     "widths.enumerate_leaf_trees.rec",
-    # recurses through map, one level per nesting level, so never deeper
-    # than json.loads has already parsed the same document
-    "serialize._typed",
 }
 
 

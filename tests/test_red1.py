@@ -147,7 +147,10 @@ def test_sequence_rejects_overlapping_sets():
 def test_direct_order_is_tau_balancing():
     g, handles = sequence_fixture()
     order = direct_order_of_sequence(handles)
-    assert handles.vertices() == set(g.vertex_ids())
+    bottlenecks = (handles.b1p, handles.b2p, handles.b2m, handles.b3m)
+    fields = [handles.s, *handles.terminal_sets] + [h.spine_a + h.spine_b + h.terminals
+                                                    for h in bottlenecks]
+    assert set().union(*fields) == set(g.vertex_ids())
     assert check_balancing_order(g, order, SMALL.tau) == (True, None)
     assert check_balancing_order(g, list(reversed(order)), SMALL.tau) == (True, None)
     pos = {v: i for i, v in enumerate(order)}
@@ -206,7 +209,10 @@ def test_build_H_triangle_free():
 def test_build_H_padding_total_recomputed():
     b = build_H(FOUR_COPIES, SMALL)
     target = SMALL.tau + SMALL.gamma + 1
-    expected_p = sum(max(0, target - w) for w in b.hprime_weights)
+    # each H' vertex's weight counted over its edges inside H'
+    hprime_weights = [sum(w for u, w in b.graph.adj[v] if u < b.hprime_n)
+                      for v in range(b.hprime_n)]
+    expected_p = sum(max(0, target - w) for w in hprime_weights)
     assert len(b.x_ids) == expected_p
     # every X vertex has exactly one neighbor inside H'
     hprime = set(range(b.hprime_n))

@@ -22,7 +22,7 @@ from naewidth.red2 import (
 from naewidth.red3 import build_Gstar
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_edge_iter, brute_mim, brute_sim, brute_validate, edge_weight, oracle_check, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph
+from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_edge_iter, brute_mim, brute_sim, brute_validate, edge_weight, matching_partners, oracle_check, part_owners, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph, table_blocks
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -214,20 +214,12 @@ def test_scaled_table_is_the_layout_of_the_scaled_weights(rng):
             assert scaled.H is h and scaled.scale == f
             assert (scaled.block_pairs, scaled.block_start, scaled.part_range, scaled.n) == (
                 ref.block_pairs, ref.block_start, ref.part_range, ref.n)
-            assert all(scaled.block_range(u, v) == ref.block_range(u, v)
-                       for u, v in ref.block_pairs)
+            assert table_blocks(scaled) == table_blocks(ref)
             scaled.validate()
             if h not in four_copies:
                 brute_validate(scaled)
                 assert (scaled.num_matching_edges(), scaled.num_dummy_edges()) == (
                     ref.num_matching_edges(), brute_dummy_edges(ref.H))
-
-
-def test_block_range_of_a_non_edge_raises_key_error():
-    gs = build_partitioned(path_graph([2, 3]))
-    for pair in ((0, 2), (2, 0), (1, 1), (3, 0)):
-        with pytest.raises(KeyError):
-            gs.block_range(*pair)
 
 
 def test_isolated_vertex_owns_an_empty_part():
@@ -254,9 +246,10 @@ def test_vertex_count_identity(rng):
 def test_blocks_match_weights(rng):
     h = random_weighted_graph(rng, 5, p=0.7, max_w=4)
     gs = build_partitioned(h)
+    blocks = table_blocks(gs)
     for (u, v) in gs.block_pairs:
-        assert len(gs.block_range(u, v)) == edge_weight(h, u, v)
-        assert len(gs.block_range(v, u)) == edge_weight(h, u, v)
+        assert len(blocks[u, v]) == edge_weight(h, u, v)
+        assert len(blocks[v, u]) == edge_weight(h, u, v)
 
 
 def test_oracle_spot_check(rng):
@@ -307,15 +300,13 @@ def test_table_counts_oracle_and_edge_rows_agree(data):
 
 def test_oracle_boundaries():
     """An out-of-range G-vertex is refused by name, p before q; a vertex is
-    not adjacent to itself; the matching partner of |V(G)| is refused."""
+    not adjacent to itself."""
     gs = build_partitioned(path_graph([2, 3]))
     for p, q, bad in ((-1, 0, -1), (gs.n, 0, gs.n), (0, -1, -1), (0, gs.n, gs.n),
                       (-1, gs.n, -1), (gs.n, -1, gs.n)):
         with pytest.raises(ValidationError, match=re.escape(f"G-vertex {bad} out of range")):
             gs.adjacent(p, q)
     assert all(gs.adjacent(p, p) is None for p in range(gs.n))
-    with pytest.raises(ValidationError):
-        gs.matching_partner(gs.n)
 
 
 def test_oracle_checks_the_range_before_a_self_pair():
@@ -439,6 +430,7 @@ def test_missing_dummy_edge_forces_shared_endpoint(rng):
     # u=y or v=x or v=y -- exhaustive block-pair scan over all S-cuts
     for h in small_test_instances(rng):
         gs = build_partitioned(h)
+        blocks = table_blocks(gs)
         for parts_a in all_parts_bipartitions(gs):
             for (u, v) in gs.block_pairs:
                 if u not in parts_a:
@@ -446,8 +438,8 @@ def test_missing_dummy_edge_forces_shared_endpoint(rng):
                 for (x, y) in gs.block_pairs:
                     if x in parts_a:
                         continue
-                    p = gs.block_range(u, v)[0]
-                    q = gs.block_range(x, y)[0]
+                    p = blocks[u, v][0]
+                    q = blocks[x, y][0]
                     if gs.adjacent(p, q) != "dummy":
                         assert u == y or v == x or v == y
 
@@ -455,10 +447,10 @@ def test_missing_dummy_edge_forces_shared_endpoint(rng):
 def maximal_matching_only_sets(gs, side_a_parts):
     """All maximal semi-induced matchings using matching edges only."""
     parts_a = set(side_a_parts)
+    owner = part_owners(gs)
     cands = []
-    for p in range(gs.n):
-        q = gs.matching_partner(p)
-        if gs.owner(p) in parts_a and gs.owner(q) not in parts_a:
+    for p, q in sorted(matching_partners(gs).items()):
+        if owner[p] in parts_a and owner[q] not in parts_a:
             cands.append((p, q))
 
     def compatible(e, chosen):
@@ -488,8 +480,9 @@ def maximal_matching_only_sets(gs, side_a_parts):
 
 
 def covered_by_single_part(gs, edges):
+    owner = part_owners(gs)
     for u in gs.parts():
-        if all(gs.owner(p) == u or gs.owner(q) == u for p, q in edges):
+        if all(owner[p] == u or owner[q] == u for p, q in edges):
             return True
     return False
 
@@ -511,8 +504,9 @@ def test_no_large_single_part_dummy_matching(rng):
         gs = build_partitioned(h)
         if gs.n > 60:
             continue
+        owner = part_owners(gs)
         for parts_a in all_parts_bipartitions(gs):
-            side_b = [p for p in range(gs.n) if gs.owner(p) not in parts_a]
+            side_b = [p for p in range(gs.n) if owner[p] not in parts_a]
             for u in sorted(parts_a):
                 side_a = list(gs.part_vertices(u))
                 dummy_only = lambda p, q: gs.adjacent(p, q) == "dummy"

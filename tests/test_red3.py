@@ -26,7 +26,7 @@ from naewidth.red3 import (
 from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph
 
-from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, scale_weights, star_graph
+from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, scale_weights, star_graph, table_blocks
 
 A1 = Constants(36, 3, 6, 1, 3)  # a=1 keeps tiny blocks legal
 validate_constants(A1)
@@ -101,7 +101,7 @@ def test_build_Pu_star9_layout():
                for i in range(17))
     # chunk i holds the i-th slice of every block in neighbor order
     originals = [gv for tag, gv in path if tag == "original"]
-    blocks = [list(gs.block_range(0, v)) for v in (1, 2, 3)]
+    blocks = [list(table_blocks(gs)[0, v]) for v in (1, 2, 3)]
     expected = [blocks[j][i] for i in range(3) for j in range(3)]
     assert originals == expected
 
@@ -110,7 +110,7 @@ def test_build_Pu_a1_degenerate():
     gs = build_partitioned(single_edge_h(2))
     path = gadget_path(gs, 0, A1)
     assert len(path) == 4
-    assert [gv for tag, gv in path if tag == "original"] == list(gs.block_range(0, 1))
+    assert [gv for tag, gv in path if tag == "original"] == list(table_blocks(gs)[0, 1])
 
 
 def test_build_Pu_divisibility_error():
@@ -136,8 +136,9 @@ def test_entry_matches_listed_path(rng):
 
 
 def test_arithmetic_ids_match_the_accumulated_layout(rng):
-    """Every gadget base, |V(G*)| and the locate of every G*-vertex agree
-    with ids accumulated gadget by gadget and with the listed paths."""
+    """Every gadget base, |V(G*)| and the owner, copy, position and entry of
+    every G*-vertex, as Gstar.adjacent reads them, agree with ids accumulated
+    gadget by gadget and with the listed paths."""
     for c in (A1, SMALL) * 10:
         gs = build_partitioned(random_h_for(rng, c))
         star = build_Gstar(gs, c)
@@ -147,7 +148,10 @@ def test_arithmetic_ids_match_the_accumulated_layout(rng):
         paths = {u: brute_Pu(gs, u, c) for u in bases}
         located = [(u, copy, pos) + paths[u][pos] for u in sorted(bases)
                    for copy in range(c.b) for pos in range(len(paths[u]))]
-        assert [star.locate(x) for x in range(star.n)] == located
+        for x in range(star.n):
+            u = star.owner_of(x)
+            copy, pos = star.gadget(u).locate(x)
+            assert (u, copy, pos) + star.gadget(u).entry(pos) == located[x]
 
 
 def test_isolated_vertex_has_no_gadget():
@@ -194,7 +198,8 @@ def test_gadgets_made_on_demand_are_the_eager_ones(hyp_rng, c, divisible):
         assert vars(star.gadget(u)) == vars(build_gadget(gs, u, c))
         assert star.gadget(u) is star.gadget(u)
     eager = [build_gadget(gs, u, c) for u in gs.parts()]
-    assert list(serialize._gadget_rows(star)) == [(g.base, g.copies, g.owner) for g in eager]
+    assert list(serialize._gadget_rows(star)) == [(g.base, g.copies, u)
+                                                  for u, g in zip(gs.parts(), eager)]
 
 
 def test_gadget_b1_is_plain_path():
@@ -232,15 +237,16 @@ def test_gadget_appended_vertex_exclusions():
     gs = build_partitioned(star9())
     gadget = build_gadget(gs, 0, SMALL)
     last = gadget.plen - 1
-    x = gadget.vid(0, last)  # appended vertex of the first copy
+    first, second, third = map(gadget.copy_vertices, range(3))
+    x = first[last]  # appended vertex of the first copy
     # its Q_u successor stays adjacent (a path edge of Q_u), while the
     # successor of the *next* copy's appended vertex is excluded, as are the
     # other appended vertices and their path predecessors
-    assert gadget.adjacent(x, gadget.vid(1, 0))
-    assert not gadget.adjacent(x, gadget.vid(2, 0))
-    assert not gadget.adjacent(x, gadget.vid(1, last))
-    assert not gadget.adjacent(x, gadget.vid(1, last - 1))
-    assert gadget.adjacent(x, gadget.vid(1, last - 2))
+    assert gadget.adjacent(x, second[0])
+    assert not gadget.adjacent(x, third[0])
+    assert not gadget.adjacent(x, second[last])
+    assert not gadget.adjacent(x, second[last - 1])
+    assert gadget.adjacent(x, second[last - 2])
 
 
 def test_gstar_single_edge_counts():
@@ -275,23 +281,26 @@ def test_gstar_oracle_checks_the_range_before_a_self_pair():
 def test_gstar_intergadget_edges_original_only():
     gs = build_partitioned(star9())
     star = build_Gstar(gs, SMALL)
+
+    def tag(x):  # read as Gstar.adjacent reads it
+        gadget = star.gadget(star.owner_of(x))
+        return gadget.entry(gadget.locate(x)[1])[0]
+
     for u, v in itertools.combinations(star.parts(), 2):
         for x in star.part_vertices(u):
-            _, _, _, tag_x, _ = star.locate(x)
             for y in star.part_vertices(v):
                 if star.adjacent(x, y):
-                    _, _, _, tag_y, _ = star.locate(y)
-                    assert tag_x == "original" and tag_y == "original"
+                    assert tag(x) == "original" and tag(y) == "original"
 
 
 def test_caterpillar_layout_leaf_order():
     gs = build_partitioned(single_edge_h(3))
     star = build_Gstar(gs, SMALL)
     layout = caterpillar_layout(star, [0, 1])
-    assert layout.leaf_order == list(range(star.n))
+    assert [layout.leaf_vertex[x] for x in sorted(layout.leaf_vertex)] == list(range(star.n))
     layout = caterpillar_layout(star, [1, 0])
-    assert layout.leaf_order == (list(star.part_vertices(1))
-                                 + list(star.part_vertices(0)))
+    assert [layout.leaf_vertex[x] for x in sorted(layout.leaf_vertex)] == (
+        list(star.part_vertices(1)) + list(star.part_vertices(0)))
     with pytest.raises(ValidationError):
         caterpillar_layout(star, [0])
 
@@ -323,9 +332,10 @@ def test_split_every_copy_forces_large_sim():
     gs = build_partitioned(single_edge_h(2))
     star = build_Gstar(gs, c5)
     gadget = star.gadget(0)
-    side_a = [gadget.vid(c, p) for c in range(gadget.copies) for p in (0, 1)]
-    side_b = [gadget.vid(c, p) for c in range(gadget.copies) for p in (2, 3)]
-    witness = [(gadget.vid(c, 1), gadget.vid(c, 2)) for c in range(gadget.copies)]
+    copies = list(map(gadget.copy_vertices, range(gadget.copies)))
+    side_a = [copy[p] for copy in copies for p in (0, 1)]
+    side_b = [copy[p] for copy in copies for p in (2, 3)]
+    witness = [(copy[1], copy[2]) for copy in copies]
     for (a1, b1), (a2, b2) in itertools.combinations(witness, 2):
         assert not gadget.adjacent(a1, a2) and not gadget.adjacent(b1, b2)
         assert not gadget.adjacent(a1, b2) and not gadget.adjacent(a2, b1)
@@ -339,9 +349,10 @@ def test_tripartition_forces_large_sim():
     star = build_Gstar(gs, c9)
     gadget = star.gadget(0)
     # every copy meets all three classes
-    part_a = [gadget.vid(c, p) for c in range(gadget.copies) for p in (0, 1)]
-    part_b = [gadget.vid(c, 2) for c in range(gadget.copies)]
-    part_c = [gadget.vid(c, 3) for c in range(gadget.copies)]
+    copies = list(map(gadget.copy_vertices, range(gadget.copies)))
+    part_a = [copy[p] for copy in copies for p in (0, 1)]
+    part_b = [copy[2] for copy in copies]
+    part_c = [copy[3] for copy in copies]
     rest = {0: part_b + part_c, 1: part_a + part_c, 2: part_a + part_b}
     sims = []
     for i, part in enumerate((part_a, part_b, part_c)):
@@ -357,7 +368,7 @@ def test_ensure_divisible():
     gs4 = build_partitioned(single_edge_h(4))
     scaled, factor = ensure_divisible(gs4, SMALL)
     assert factor == SMALL.a
-    assert len(scaled.block_range(0, 1)) == 12
+    assert len(table_blocks(scaled)[0, 1]) == 12
     star = build_Gstar(scaled, SMALL)
     brute_validate_gstar(star)
     assert brute_gstar_ids(star)[1] == star.n

@@ -89,7 +89,7 @@ def test_hbuild_round_trip():
     assert back.constants == build.constants
     assert back.vx == build.vx and back.cvert == build.cvert
     assert back.pad_assign == build.pad_assign
-    assert back.hprime_weights == build.hprime_weights
+    assert back.hprime_n == build.hprime_n
     assert serialize.hbuild_doc(back) == doc
 
 
@@ -307,6 +307,16 @@ def test_step_loaders_take_any_key_order():
         load(reordered)
 
 
+def test_typed_answers_on_deep_nesting():
+    """The type check walks an explicit stack, so a document nested deeper
+    than the recursion limit gets an answer, not a RecursionError."""
+    deep, bad = {"a": 1}, {"a": 1.5}
+    for _ in range(5000):
+        deep, bad = [deep, "x"], [bad, "x"]
+    assert serialize._typed(deep) is True
+    assert serialize._typed(bad) is False
+
+
 def test_order_round_trip():
     order = [3, 1, 2, 0]
     assert serialize.order_from_doc(serialize.order_doc(order)) == order
@@ -326,7 +336,7 @@ def test_linear_layout_round_trip_quantified(order):
     layout = linear_layout_from_order(list(order))
     doc = serialize.tree_layout_doc(layout)
     back = serialize.tree_layout_from_doc(json.loads(json.dumps(doc)))
-    assert back.leaf_order == list(order)
+    assert [back.leaf_vertex[x] for x in sorted(back.leaf_vertex)] == list(order)
     assert serialize.tree_layout_doc(back) == doc
 
 
@@ -374,7 +384,6 @@ def test_tree_layout_round_trip():
     doc = serialize.tree_layout_doc(layout)
     back = serialize.tree_layout_from_doc(doc)
     assert back.leaf_vertex == layout.leaf_vertex
-    assert back.leaf_order == layout.leaf_order
     assert serialize.tree_layout_doc(back) == doc
 
 
