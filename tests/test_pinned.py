@@ -6,6 +6,7 @@ tree document, a width witness or a CLI output carries fails here.
 """
 
 import hashlib
+import json
 
 from naewidth import serialize
 from naewidth.cli import run
@@ -79,14 +80,20 @@ def test_tree_document_bytes_pinned():
     assert got == LIBRARY_SHA
 
 
-def cli_outputs(tmp_path, capsys):
+def width_outputs(tmp_path, capsys, names):
     g7 = tmp_path / "g7.json"
     g7.write_text(serialize.canonical_json(graph_doc(adjacency_sets(7, G7_EDGES))))
     out = {}
-    for name, extra in (("mim", []), ("sim", []), ("omim", []), ("mim-linear", ["--linear"]),
-                        ("omim-linear", ["--linear"])):
-        assert run(["width", "exact", "--kind", name.split("-")[0], "-i", str(g7)] + extra) == 0
+    for name in names:
+        kind, *linear = name.split("-")
+        assert run(["width", "exact", "--kind", kind, "-i", str(g7)]
+                   + ["--linear"] * len(linear)) == 0
         out[f"width/{name}"] = capsys.readouterr().out
+    return out
+
+
+def cli_outputs(tmp_path, capsys):
+    out = width_outputs(tmp_path, capsys, ("mim", "sim", "omim", "mim-linear", "omim-linear"))
 
     h = tmp_path / "h.json"
     h.write_text(serialize.canonical_json(weighted_graph_doc(path_graph([3]))))
@@ -143,3 +150,22 @@ CLI_SHA = {
 def test_cli_output_bytes_pinned(tmp_path, capsys):
     got = {name: sha(text) for name, text in cli_outputs(tmp_path, capsys).items()}
     assert got == CLI_SHA
+
+
+# The linear reports without nodes_explored, a count that follows which cut
+# values the order search asks for: their value and witness bytes alone.
+LINEAR_SHA = {
+    "width/mim-linear":
+        "360cb911edc931f3812b5f2eb21f546731955db2ad44ad6f7e797b227443e876",
+    "width/omim-linear":
+        "7643bc1ecfc1d2518956bee7e13980dd8a17646f135dcf6ff51b51969b93ac62",
+}
+
+
+def test_linear_width_values_and_witnesses_pinned(tmp_path, capsys):
+    got = {}
+    for name, text in width_outputs(tmp_path, capsys, ("mim-linear", "omim-linear")).items():
+        report = json.loads(text)
+        del report["nodes_explored"]
+        got[name] = doc_sha(report)
+    assert got == LINEAR_SHA
