@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     width.add_argument("action", choices=["exact"])
     width.add_argument("--kind", choices=["mim", "sim", "omim"], required=True)
     width.add_argument("--linear", action="store_true")
-    width.add_argument("--cap", type=int, default=widths.EXACT_CAP)
+    width.add_argument("--cap", type=int, help=f"lowers the vertex cap of {widths.EXACT_CAP}, "
+                       f"or {widths.LINEAR_CAP} with --linear")
     width.add_argument("--budget", type=int, default=matchings.DEFAULT_BUDGET)
     width.add_argument("-i", "--input", required=True)
 

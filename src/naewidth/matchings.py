@@ -28,10 +28,11 @@ omim at most C(k_A,2) + C(k_B,2), one per pair of distinct endpoints on a
 side.
 
 Cost of a sweep over one n-vertex graph (the cuts of every edge of a tree or
-tree mapping, and the exact-width table of all 2^(n-1) cuts): it builds one
-cache and gives each cut as index masks, so a row is nbr[a] & B, and it asks
-exactly the pairs that one cut_value per cut would ask, each once: at most
-C(n,2) oracle calls in all, not Σ|A|·|B| plus the conflict pairs per cut.
+tree mapping, the exact-width table of all 2^(n-1) cuts, and the prefix cuts
+a linear exact width tries): it builds one cache and gives each cut as index
+masks, so a row is nbr[a] & B, and it asks exactly the pairs that one
+cut_value per cut would ask, each once: at most C(n,2) oracle calls in all,
+not Σ|A|·|B| plus the conflict pairs per cut.
 Mim-width and its relatives are maxima of these cut values (M. Vatshelle,
 New width parameters of graphs, PhD thesis, Bergen 2012).
 """
@@ -267,7 +268,7 @@ def max_clique(masks, threshold=None, budget: int = DEFAULT_BUDGET, stats=None):
 
 
 def cut_value(adjacent, side_a, side_b, kind: str, threshold=None,
-              budget: int = DEFAULT_BUDGET, stats=None):
+              budget: int = DEFAULT_BUDGET):
     """Exact mim/sim/omim value of the cut (A, B).  Returns (value, exact);
     exact is False only when a threshold stopped a search early, and the
     value is then a lower bound.  The cache serves the side conflicts."""
@@ -277,7 +278,7 @@ def cut_value(adjacent, side_a, side_b, kind: str, threshold=None,
         raise ValidationError("cut sides overlap")
     cache = AdjacencyCache(adjacent, set_a | set_b)
     rows = cache.rows_of(cut_edges(adjacent, sorted(set_a), sorted(set_b)))
-    return cache.value(rows, kind, threshold=threshold, budget=budget, stats=stats)
+    return cache.value(rows, kind, threshold=threshold, budget=budget)
 
 
 def adjacency_from_sets(adj_sets):

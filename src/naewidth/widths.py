@@ -1,13 +1,15 @@
 """Branch-decomposition width machinery: mim/sim/omim values of tree
-layouts and exact-width oracles for graphs of at most EXACT_CAP vertices.
+layouts and exact-width oracles for graphs of at most EXACT_CAP vertices,
+or LINEAR_CAP for linear layouts.
 
 General layouts are unrooted ternary trees with graph vertices on the
 leaves; linear layouts are rooted full binary caterpillars, equivalently a
-vertex order.  Exact widths read a table of every cut's value: the
-prefix-set search of wgraph finds vertex orders, and a subset DP over the
-clusters of a tree rooted at the last vertex finds ternary trees.
-enumerate_leaf_trees lists all (2L-5)!! ternary trees by leaf insertion;
-the DP's witness keeps its node numbering.
+vertex order.  A subset DP over the clusters of a tree rooted at the last
+vertex finds ternary trees from a table of every cut's value.  The
+prefix-set search of wgraph finds vertex orders and values only the prefix
+cuts it tries, each with an early-exit threshold, so linear widths skip the
+2^(n-1) table.  enumerate_leaf_trees lists all (2L-5)!! ternary trees by
+leaf insertion; the DP's witness keeps its node numbering.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .tree import Tree, path
 from .wgraph import prefix_orders
 
 EXACT_CAP = 12
+# The smallest small-profile G* toy, of path([3]), answers within the default budget.
+LINEAR_CAP = 36
 
 
 class TreeLayout(Tree):
@@ -140,14 +144,17 @@ def _cut_table(adjacent, verts, kind, budget, stats=None):
     return table
 
 
-def _linear_exact(table, n):
+def _linear_exact(n, cut, budget):
     """Min over vertex orders of the max cut value, plus the lexicographically
     least optimal order: the least bound, from the largest singleton cut up,
-    under which prefix_orders finds an order whose prefix cuts all fit."""
-    bound = max(table[1 << i] for i in range(n))
+    under which prefix_orders finds an order whose prefix cuts all fit.
+    cut(mask, bound) is the value of the cut of mask when that is at most
+    bound, and any larger number otherwise; it is asked only of the sets the
+    search tries.  budget bounds each search's placements."""
+    bound = max(cut(1 << i, float("inf")) for i in range(n))
     while True:
-        for order in prefix_orders(n, lambda v, mask: table[mask | 1 << v] <= bound,
-                                   lambda v, mask: None, float("inf")):
+        for order in prefix_orders(n, lambda v, mask: cut(mask | 1 << v, bound) <= bound,
+                                   lambda v, mask: None, budget):
             return bound, order
         bound += 1
 
@@ -210,28 +217,45 @@ def _general_exact(table, n):
     return width, adj
 
 
-def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int = EXACT_CAP,
+def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int | None = None,
                 budget: int = DEFAULT_BUDGET, stats=None):
-    """Exact width from the cut table of all vertex subsets.
+    """Exact width of a graph of at most EXACT_CAP vertices, or LINEAR_CAP
+    for linear layouts; a cap can lower that bound, never raise it.
 
     Returns (value, witness TreeLayout).  The witness is deterministic: the
     lexicographically least optimal order for linear layouts, and otherwise
     the optimal ternary tree whose sorted tuple of splits (each the smaller
     of its two vertex-index bitmasks) is least, with the node ids of
-    enumerate_leaf_trees.
+    enumerate_leaf_trees.  General layouts read the cut table of all vertex
+    subsets.  Linear layouts value a cut when the order search first tries
+    it, with the threshold bound + 1, and again only when a larger bound
+    reaches the lower bound it stopped at; budget also bounds each search.
     """
     verts = sorted(set(vertices))
     n = len(verts)
-    cap = min(cap, EXACT_CAP)  # a cap can lower the bound, never raise it
+    limit = LINEAR_CAP if linear else EXACT_CAP
+    cap = limit if cap is None else min(cap, limit)
     if n > cap:
         raise CapExceededError(f"|V| = {n} exceeds exact-width cap {cap}")
     if n == 0:
         raise ValidationError("empty vertex set")
-    table = _cut_table(adjacent, verts, kind, budget, stats=stats)
 
     if linear:
-        width, order_idx = _linear_exact(table, n)
+        cache = AdjacencyCache(adjacent, verts)
+        full = (1 << n) - 1
+        memo = {}  # the lesser of a mask and its complement -> (value, exact)
+
+        def cut(mask, bound):
+            key = min(mask, full ^ mask)
+            value, exact = memo.get(key, (0, False))  # unvalued: at least 0
+            if not exact and value <= bound:
+                memo[key] = value, exact = cache.cut_value(
+                    key, full ^ key, kind, threshold=bound + 1, budget=budget, stats=stats)
+            return value
+
+        width, order_idx = _linear_exact(n, cut, budget)
         return width, linear_layout_from_order([verts[i] for i in order_idx])
 
+    table = _cut_table(adjacent, verts, kind, budget, stats=stats)
     width, adj = _general_exact(table, n)
     return width, TreeLayout(tree_adj=adj, leaf_vertex={i: verts[i] for i in range(n)})

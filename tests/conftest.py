@@ -19,7 +19,7 @@ import pytest
 from naewidth import serialize
 from naewidth.errors import CapExceededError, ValidationError
 from naewidth.formula import eval_nae
-from naewidth.matchings import cut_value
+from naewidth.matchings import AdjacencyCache
 from naewidth.red1 import validate_constants
 from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph, check_balancing_order, check_balancing_tree
@@ -509,8 +509,9 @@ def _leaf_tree_sides(n):
 
 
 def raw_cut_table(adjacent, verts, kind, stats=None):
-    """Reference for widths._cut_table: one cut_value on the raw oracle per
-    cut of the vertex-index bitmasks, a cut's complement taking its value."""
+    """Reference for widths._cut_table: one cut value per cut of the
+    vertex-index bitmasks, each on a fresh AdjacencyCache of the raw oracle,
+    a cut's complement taking its value."""
     n = len(verts)
     full = (1 << n) - 1
     table = [0] * (full + 1)
@@ -519,9 +520,8 @@ def raw_cut_table(adjacent, verts, kind, stats=None):
         if comp < mask:
             table[mask] = table[comp]
         else:
-            table[mask], _ = cut_value(adjacent, [verts[i] for i in range(n) if mask >> i & 1],
-                                       [verts[i] for i in range(n) if comp >> i & 1], kind,
-                                       stats=stats)
+            table[mask], _ = AdjacencyCache(adjacent, verts).cut_value(mask, comp, kind,
+                                                                      stats=stats)
     return table
 
 

@@ -19,10 +19,11 @@ import naewidth
 from naewidth import red2, red3, serialize
 from naewidth.cli import run
 from naewidth.formula import brute_force_nae, emit_nae_dimacs, parse_nae_dimacs, random_strict_formula
+from naewidth.red1 import Constants
 from naewidth.tree import Tree
 from naewidth.wgraph import ROLES, WeightedGraph, check_balancing_order
 
-from conftest import adjacency_sets, graph_doc, weighted_graph_doc
+from conftest import adjacency_sets, graph_doc, path_graph, weighted_graph_doc
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -216,6 +217,27 @@ def test_width_exact_default_cap_is_12(tmp_path, capsys):
             assert json.loads(capsys.readouterr().out)["value"] == 2
         else:
             assert json.loads(capsys.readouterr().err)["type"] == "validation"
+
+
+def test_linear_width_exact_above_the_general_cap(tmp_path, capsys):
+    """The 16-vertex G* of path([2]) at custom:12,1,2,1,2 answers --linear
+    under the default cap, and exits 4 on a tiny budget; a 37-cycle is above
+    the linear cap and exits 3."""
+    star = red3.build_Gstar(red2.build_partitioned(path_graph([2])), Constants(12, 1, 2, 1, 2))
+    gstar = tmp_path / "gstar.json"
+    gstar.write_text(serialize.canonical_json(graph_doc(
+        {x: {y for y in range(star.n) if star.adjacent(x, y)} for x in range(star.n)})))
+    argv = ["width", "exact", "--kind", "mim", "--linear", "-i", str(gstar)]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2
+    assert run(argv + ["--budget", "10"]) == 4
+    assert json.loads(capsys.readouterr().err)["type"] == "budget"
+    cycle = tmp_path / "c37.json"
+    cycle.write_text(serialize.canonical_json(
+        graph_doc({v: {(v - 1) % 37, (v + 1) % 37} for v in range(37)})))
+    assert run(["width", "exact", "--kind", "mim", "--linear", "-i", str(cycle)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "cap 36" in err["error"]
 
 
 def test_width_cap_cannot_raise_the_bound(tmp_path):

@@ -131,9 +131,9 @@ CLI_SHA = {
     "width/omim":
         "865e1eb57525a0773e10d0e156f6b6759c7f9684452fb5bfadf8601c75a1eafc",
     "width/mim-linear":
-        "403b290a9c39b3bc315c4a519ad9d0de8ccb37c1acea4f657000fea992cf5964",
+        "5deb3e5096d9da70a97510e22c2c5aeec1be05ee03ba68f4a4b021d3766238c8",
     "width/omim-linear":
-        "0d334e5f6902f003f796b82ea9db03137f4ae50e5bd3431b579d882e80136246",
+        "c20579ff527b41fe2cc6e36cde06345dceae14cab6014feb88a3f7e312745920",
     "witness/caterpillar":
         "eec1c3c8124fcd792b64cd60845dce4065758711fe32342d8dafc5135002166a",
     "layout/group":

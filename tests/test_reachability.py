@@ -15,8 +15,10 @@ ast, not imported.
    parsed command line (args) for none.
 2. Every defaulted parameter of a public function or method is set, by
    keyword or by position, by some call of that name; a call of a class is a
-   call of its __init__.  An argument that only passes on the caller's own
-   defaulted parameter sets it only if that one is set.
+   call of its __init__.  A call through a receiver whose class is inferred
+   as in 1 counts only for that class's methods.  An argument that only
+   passes on the caller's own defaulted parameter sets it only if that one
+   is set.
 
 Reads and calls inside a definition the guard flags do not count, so a
 chain of dead code is flagged whole.
@@ -148,7 +150,9 @@ class Program:
                 self.attrs.append((child.attr, kinds, stack))
             elif isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                self.calls.append((name, child, stack, fn))
+                kinds = (self._type(child.func.value, env)
+                         if isinstance(child.func, ast.Attribute) else None)
+                self.calls.append((name, kinds, child, stack, fn))
             self._visit(child, env, stack, cls, fn)
 
     def _define(self, module, tree):
@@ -161,7 +165,7 @@ class Program:
                 if not name.startswith("_"):
                     self.globals.append((f"{module}.{name}", name, id(node)))
             if isinstance(node, ast.FunctionDef):
-                self._define_params(f"{module}.{node.name}", node.name, node, False)
+                self._define_params(f"{module}.{node.name}", node.name, node, None)
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 self._define_class(module, node)
 
@@ -170,10 +174,10 @@ class Program:
         for item in cls.body:
             if isinstance(item, ast.FunctionDef):
                 if item.name == "__init__":
-                    self._define_params(prefix, cls.name, item, True)
+                    self._define_params(prefix, cls.name, item, cls.name)
                 elif not item.name.startswith("_"):
                     self.members.append((f"{prefix}.{item.name}", cls.name, item.name, id(item)))
-                    self._define_params(f"{prefix}.{item.name}", item.name, item, True)
+                    self._define_params(f"{prefix}.{item.name}", item.name, item, cls.name)
             elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                 self.members.append((f"{prefix}.{item.target.id}", cls.name, item.target.id, None))
         stored = {node.attr for node in ast.walk(cls)
@@ -183,11 +187,13 @@ class Program:
         self.members += [(f"{prefix}.{name}", cls.name, name, None)
                          for name in sorted(stored - known) if not name.startswith("_")]
 
-    def _define_params(self, qualified, name, fn, method):
-        names, positional = defaulted(fn, method)
+    def _define_params(self, qualified, name, fn, cls):
+        """Record fn's defaulted parameters; cls is a method's class, None for
+        a module function."""
+        names, positional = defaulted(fn, cls is not None)
         for param in names:
             index = positional.index(param) if param in positional else None
-            self.params[(id(fn), param)] = (f"{qualified}({param}=)", name, index, id(fn))
+            self.params[(id(fn), param)] = (f"{qualified}({param}=)", name, index, id(fn), cls)
 
     def unreached(self):
         """Qualified names of the definitions and parameters nothing reaches."""
@@ -206,10 +212,11 @@ class Program:
             found |= {qual for qual, cls, name, own in self.members
                       if not any(attr == name and (kinds is None or cls in kinds)
                                  and live(stack, own) for attr, kinds, stack in self.attrs)}
-            found |= {qual for (_, param), (qual, name, index, own) in self.params.items()
+            found |= {qual for (_, param), (qual, name, index, own, cls) in self.params.items()
                       if not any(self._sets(call, param, index, fn, dead)
-                                 for called, call, stack, fn in self.calls
-                                 if called == name and live(stack, own))}
+                                 for called, kinds, call, stack, fn in self.calls
+                                 if called == name and live(stack, own)
+                                 and (kinds is None or cls in kinds))}
             if found == dead:
                 return dead
             dead = found
@@ -250,12 +257,15 @@ def test_the_guard_sees_dead_members_fields_attributes_and_options(tmp_path):
         "    def dead(self):\n        return 0\n\n"
         "def f(a, b=1, c=LIMIT):\n    return a + b + c\n\n"
         "def g(a, c=2):\n    return f(a, c=c)\n\n"
-        "def make() -> E:\n    return E()\n")
+        "def make() -> E:\n    return E()\n\n"
+        "class K:\n    def go(self, fast=False):\n        return fast\n\n"
+        "def go(fast=False):\n    return fast\n")
     main = tmp_path / "main.py"
     main.write_text(
-        "from m import C, D, f, g, make\n\n"
+        "from m import C, D, K, f, g, go, make\n\n"
         "def run(args, c: C):\n    e = make()\n"
-        "    return c.used(), D(1, 2).used, e.used(), e.dead(), args.gone, f(1, 2), g(args.a)\n")
+        "    return c.used(), D(1, 2).used, e.used(), e.dead(), args.gone, f(1, 2), g(args.a)\n\n"
+        "def both():\n    return K().go(fast=True), go()\n")
     assert Program([module], [main]).unreached() == {
         "m.UNUSED", "m.D.dead", "m.C.gone", "m.C.dead", "m.C.helper", "m.C(y=)",
-        "m.f(c=)", "m.g(c=)"}
+        "m.f(c=)", "m.g(c=)", "m.go(fast=)"}

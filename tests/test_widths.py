@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naewidth.errors import CapExceededError, ValidationError
-from naewidth.red1 import SMALL
+from naewidth.matchings import DEFAULT_BUDGET
+from naewidth.red1 import SMALL, Constants
 from naewidth.red2 import (TreeMapping, build_partitioned, cut_value, mapping_cut, mapping_value,
                            path_mapping_from_order)
 from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_from_layout,
@@ -15,6 +16,7 @@ from naewidth.red3 import (build_Gstar, caterpillar_layout, group_all, hybrid_fr
 from naewidth.tree import Tree
 from naewidth.widths import (
     EXACT_CAP,
+    LINEAR_CAP,
     TreeLayout,
     _general_exact,
     _linear_exact,
@@ -198,6 +200,18 @@ def test_exact_width_general_witness_above_enumeration_sizes(rng):
         assert layout_value(fn, range(n), layout, "mim") == value
 
 
+@pytest.mark.parametrize("b, values", [(2, {"mim": 2, "sim": 2}), (3, {"mim": 3, "sim": 2})])
+def test_linear_exact_width_of_gadget_graphs_above_the_general_cap(b, values):
+    """G* of path([2]) at custom:12,1,2,1,b has 8b vertices: above EXACT_CAP
+    for b = 2 and 3, within LINEAR_CAP."""
+    star = build_Gstar(build_partitioned(path_graph([2])), Constants(12, 1, 2, 1, b))
+    assert EXACT_CAP < star.n == 8 * b <= LINEAR_CAP
+    for kind, expected in values.items():
+        value, layout = exact_width(star.adjacent, range(star.n), kind, linear=True)
+        assert value == expected
+        assert layout_value(star.adjacent, range(star.n), layout, kind) == value
+
+
 def test_width_chain_above_enumeration_sizes(rng):
     for n in (9, 10):
         fn = adj_fn(random_graph_adj(rng, n, p=0.5))
@@ -358,8 +372,9 @@ def labelled_graphs(draw):
 @given(labelled_graphs(), st.sampled_from(("mim", "sim", "omim")), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_exact_width_matches_a_per_cut_table(adj, kind, linear):
-    """exact_width gives the value, witness and search node count of the
-    same DP over a table of one raw cut_value per cut."""
+    """exact_width gives the value and witness of the same search over a
+    table of one cut value per cut, and for general layouts its node count
+    too; the linear search values only the cuts it tries."""
     fn, verts = adj_fn(adj), sorted(adj)
     stats, raw_stats = {"nodes": 0}, {"nodes": 0}
     value, layout = exact_width(fn, reversed(verts), kind, linear=linear, stats=stats)
@@ -371,7 +386,8 @@ def test_exact_width_matches_a_per_cut_table(adj, kind, linear):
         ref_value, tree_adj = _general_exact(table, len(verts))
         assert list(layout.tree_adj.items()) == list(tree_adj.items())
         assert layout.leaf_vertex == dict(enumerate(verts))
-    assert value == ref_value and stats == raw_stats
+        assert stats == raw_stats
+    assert value == ref_value
 
 
 @st.composite
@@ -394,7 +410,18 @@ def test_linear_exact_equals_the_suffix_dp(case):
     """The prefix-set search gives the value and least optimal order of the
     subset DP over suffix completions."""
     table, n = case
-    assert _linear_exact(table, n) == suffix_dp_linear_exact(table, n)
+    assert (_linear_exact(n, lambda mask, bound: table[mask], DEFAULT_BUDGET)
+            == suffix_dp_linear_exact(table, n))
+
+
+@given(symmetric_cut_tables())
+@settings(max_examples=200, deadline=None)
+def test_linear_exact_with_cut_values_cut_off_at_the_bound(case):
+    """A cut function that reports bound + 1 for every cut above the bound,
+    as a threshold search does, gives the suffix DP's answer too."""
+    table, n = case
+    assert (_linear_exact(n, lambda mask, bound: min(table[mask], bound + 1), DEFAULT_BUDGET)
+            == suffix_dp_linear_exact(table, n))
 
 
 def test_exact_width_asks_each_vertex_pair_once(rng):
