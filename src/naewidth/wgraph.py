@@ -242,7 +242,8 @@ def prefix_orders(n, place, take_back, budget):
             stack[-1][0] = vi + 1
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(f"order search exceeded {budget} nodes")
+                raise BudgetExceededError(f"order search exceeded {budget} nodes, with {len(dead)}"
+                                          f" of DEAD_SET_CAP = {DEAD_SET_CAP} dead sets")
             alive = place(vi, mask)
             if alive:
                 placed.append(vi)

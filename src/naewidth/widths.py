@@ -4,16 +4,17 @@ or LINEAR_CAP for linear layouts.
 
 General layouts are unrooted ternary trees with graph vertices on the
 leaves; linear layouts are rooted full binary caterpillars, equivalently a
-vertex order.  A subset DP over the clusters of a tree rooted at the last
-vertex finds ternary trees from a table of every cut's value.  The
-prefix-set search of wgraph finds vertex orders and values only the prefix
-cuts it tries, each with an early-exit threshold, so linear widths skip the
-2^(n-1) table.  enumerate_leaf_trees lists all (2L-5)!! ternary trees by
-leaf insertion; the DP's witness keeps its node numbering.
+vertex order.  Both exact widths read one memo of cut values: a subset DP
+over the clusters of a tree rooted at the last vertex finds ternary trees
+from all 2^(n-1) cuts, and the prefix-set search of wgraph finds vertex
+orders from the prefix cuts it tries, each with an early-exit threshold.
+enumerate_leaf_trees lists all (2L-5)!! ternary trees by leaf insertion;
+the DP's witness keeps its node numbering.
 """
 
 from __future__ import annotations
 
+from math import inf
 from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
@@ -128,22 +129,6 @@ def enumerate_leaf_trees(num_leaves: int):
         yield adj, list(range(num_leaves))
 
 
-def _cut_table(adjacent, verts, kind, budget, stats=None):
-    """Cut value for every vertex-subset bitmask (symmetric in complement),
-    over one AdjacencyCache of the sorted verts: its index masks are the
-    table's, and it asks the oracle at most once per vertex pair."""
-    cache = AdjacencyCache(adjacent, verts)
-    full = (1 << len(verts)) - 1
-    table = [0] * (full + 1)
-    for mask in range(full + 1):
-        comp = full ^ mask
-        if comp < mask:
-            table[mask] = table[comp]
-        else:
-            table[mask], _ = cache.cut_value(mask, comp, kind, budget=budget, stats=stats)
-    return table
-
-
 def _linear_exact(n, cut, budget):
     """Min over vertex orders of the max cut value, plus the lexicographically
     least optimal order: the least bound, from the largest singleton cut up,
@@ -151,7 +136,7 @@ def _linear_exact(n, cut, budget):
     cut(mask, bound) is the value of the cut of mask when that is at most
     bound, and any larger number otherwise; it is asked only of the sets the
     search tries.  budget bounds each search's placements."""
-    bound = max(cut(1 << i, float("inf")) for i in range(n))
+    bound = max(cut(1 << i, inf) for i in range(n))
     while True:
         for order in prefix_orders(n, lambda v, mask: cut(mask | 1 << v, bound) <= bound,
                                    lambda v, mask: None, budget):
@@ -169,10 +154,11 @@ def _halves(x):
         z = (z - 1) & rest
 
 
-def _general_exact(table, n):
+def _general_exact(n, cut):
     """Min over ternary trees of the max cut value, plus the optimal tree
     whose sorted split tuple is least, via a subset DP over the clusters of
-    the tree rooted at leaf n-1.
+    the tree rooted at leaf n-1.  cut(mask, bound) is as for _linear_exact,
+    asked with no bound of every cut 0..root, in ascending order.
 
     Every non-trivial split is then a cluster X of R = {0..n-2}, stored as
     its own mask.  g(X) is the least max cut value over binary trees on X
@@ -183,13 +169,13 @@ def _general_exact(table, n):
     with the node ids and adjacency order of enumerate_leaf_trees.
     """
     if n < 3:
-        return table[1], ({0: []} if n == 1 else {0: [1], 1: [0]})
+        return cut(1, inf), ({0: []} if n == 1 else {0: [1], 1: [0]})
     root = (1 << (n - 1)) - 1
-    g = table[:root + 1]
+    g = [cut(x, inf) for x in range(root + 1)]
     for x in range(1, root + 1):
         if x & (x - 1):
             g[x] = max(g[x], min(max(g[y], g[z]) for y, z in _halves(x)))
-    width = max(g[root], max(table[1 << i] for i in range(n)))
+    width = g[root]  # every leaf is a cluster of every tree, and leaf n-1's cut is R's
 
     lex = {}  # feasible cluster -> least sorted tuple of the clusters of size >= 2 below it
     for x in range(1, root + 1):
@@ -226,10 +212,10 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int | 
     lexicographically least optimal order for linear layouts, and otherwise
     the optimal ternary tree whose sorted tuple of splits (each the smaller
     of its two vertex-index bitmasks) is least, with the node ids of
-    enumerate_leaf_trees.  General layouts read the cut table of all vertex
-    subsets.  Linear layouts value a cut when the order search first tries
-    it, with the threshold bound + 1, and again only when a larger bound
-    reaches the lower bound it stopped at; budget also bounds each search.
+    enumerate_leaf_trees.  One memo serves both: general layouts value every
+    cut once, exactly; linear ones value a cut when the order search first
+    tries it, with the threshold bound + 1, and again only when a larger
+    bound reaches the lower bound it stopped at; budget bounds each search.
     """
     verts = sorted(set(vertices))
     n = len(verts)
@@ -240,22 +226,20 @@ def exact_width(adjacent, vertices, kind: str, linear: bool = False, cap: int | 
     if n == 0:
         raise ValidationError("empty vertex set")
 
+    cache = AdjacencyCache(adjacent, verts)
+    full = (1 << n) - 1
+    memo = {}  # the lesser of a mask and its complement -> (value, exact)
+
+    def cut(mask, bound):
+        key = min(mask, full ^ mask)
+        value, exact = memo.get(key, (0, False))  # unvalued: at least 0
+        if not exact and value <= bound:
+            memo[key] = value, exact = cache.cut_value(
+                key, full ^ key, kind, threshold=bound + 1, budget=budget, stats=stats)
+        return value
+
     if linear:
-        cache = AdjacencyCache(adjacent, verts)
-        full = (1 << n) - 1
-        memo = {}  # the lesser of a mask and its complement -> (value, exact)
-
-        def cut(mask, bound):
-            key = min(mask, full ^ mask)
-            value, exact = memo.get(key, (0, False))  # unvalued: at least 0
-            if not exact and value <= bound:
-                memo[key] = value, exact = cache.cut_value(
-                    key, full ^ key, kind, threshold=bound + 1, budget=budget, stats=stats)
-            return value
-
         width, order_idx = _linear_exact(n, cut, budget)
         return width, linear_layout_from_order([verts[i] for i in order_idx])
-
-    table = _cut_table(adjacent, verts, kind, budget, stats=stats)
-    width, adj = _general_exact(table, n)
+    width, adj = _general_exact(n, cut)
     return width, TreeLayout(tree_adj=adj, leaf_vertex={i: verts[i] for i in range(n)})

@@ -509,9 +509,9 @@ def _leaf_tree_sides(n):
 
 
 def raw_cut_table(adjacent, verts, kind, stats=None):
-    """Reference for widths._cut_table: one cut value per cut of the
-    vertex-index bitmasks, each on a fresh AdjacencyCache of the raw oracle,
-    a cut's complement taking its value."""
+    """Reference for the cut values widths.exact_width reads: one cut value
+    per cut of the vertex-index bitmasks, each on a fresh AdjacencyCache of
+    the raw oracle, a cut's complement taking its value."""
     n = len(verts)
     full = (1 << n) - 1
     table = [0] * (full + 1)

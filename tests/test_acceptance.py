@@ -15,11 +15,11 @@ from naewidth import serialize
 from naewidth.cli import run
 from naewidth.formula import brute_force_nae, eval_nae, parse_nae_dimacs, random_strict_formula
 from naewidth.matchings import adjacency_from_sets
-from naewidth.red1 import PAPER, SMALL, build_bottleneck, build_bottleneck_sequence, build_H, decode_assignment, witness_order
+from naewidth.red1 import PAPER, SMALL, Constants, build_bottleneck, build_bottleneck_sequence, build_H, decode_assignment, witness_order
 from naewidth.red2 import build_partitioned, cut_value, mapping_value, path_mapping_from_order
 from naewidth.red3 import build_Gstar, build_gadget, caterpillar_layout, find_default_edge, group_gadget, hybrid_from_layout, hybrid_sim_values, hybrid_to_tree_mapping, project_mapping_to_G
 from naewidth.wgraph import WeightedGraph, check_balancing_order, enumerate_balancing_orders, solve_balancing_order
-from naewidth.widths import enumerate_leaf_trees, exact_width
+from naewidth.widths import enumerate_leaf_trees, exact_width, layout_value
 
 from conftest import brute_validate_gstar, double_factorial, matching_partners, part_owners, path_graph, random_weighted_graph, sample_oracle_check, star_graph, table_blocks
 
@@ -316,6 +316,26 @@ def test_width_oracle_sanity():
         ok = ok and count == double_factorial(2 * leaves - 5)
     elapsed = time.time() - start
     report("width-oracle-sanity", ok and elapsed < 300.0)
+
+
+def test_linear_width_vs_caterpillar():
+    """Exact linear mim-width of toy G* graphs (path([2]) at custom:12,1,2,1,b;
+    8, 16 and 24 vertices) against the caterpillar layout's value.  The
+    36-vertex small-profile toy of path([3]) takes seconds and stays out."""
+    start = time.time()
+    ok = True
+    for b in (1, 2, 3):
+        star = build_Gstar(build_partitioned(path_graph([2])), Constants(12, 1, 2, 1, b))
+        verts = range(star.n)
+        exact, witness = exact_width(star.adjacent, verts, "mim", linear=True)
+        caterpillar = layout_value(star.adjacent, verts,
+                                   caterpillar_layout(star, sorted(star.parts())), "mim")
+        print(f"  b={b}: |V(G*)| = {star.n}, exact linear mim-width {exact}, "
+              f"caterpillar {caterpillar}")
+        ok = ok and exact <= caterpillar
+        ok = ok and layout_value(star.adjacent, verts, witness, "mim") == exact
+    elapsed = time.time() - start
+    report("linear-width-vs-caterpillar", ok and elapsed < 60.0)
 
 
 def test_pipeline_smoke(tmp_path):

@@ -7,6 +7,7 @@ import json
 import operator
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from naewidth.cli import run
 from naewidth.formula import brute_force_nae, emit_nae_dimacs, parse_nae_dimacs, random_strict_formula
 from naewidth.red1 import Constants
 from naewidth.tree import Tree
-from naewidth.wgraph import ROLES, WeightedGraph, check_balancing_order
+from naewidth.wgraph import DEAD_SET_CAP, ROLES, WeightedGraph, check_balancing_order
 
 from conftest import adjacency_sets, graph_doc, path_graph, weighted_graph_doc
 
@@ -241,10 +242,10 @@ def test_linear_width_exact_above_the_general_cap(tmp_path, capsys):
 
 
 def test_width_cap_cannot_raise_the_bound(tmp_path):
-    """--cap 30 on a 30-cycle would ask for a 2^30-entry cut table; the cap
+    """--cap 30 on a 30-cycle would ask for all 2^29 cut values; the cap
     only lowers the bound of 12, so the command exits 3 at once.  It runs in
-    a child process held to 1 GiB of address space, so code that honours the
-    raised cap fails here with a MemoryError instead of filling the host."""
+    a child process held to 1 GiB of address space and 120 s, so code that
+    honours the raised cap fails here instead of filling the host."""
     path = tmp_path / "c30.json"
     path.write_text(serialize.canonical_json(
         graph_doc({v: {(v - 1) % 30, (v + 1) % 30} for v in range(30)})))
@@ -392,10 +393,9 @@ def test_balance_solve_long_path_without_recursion(tmp_path):
     assert check_balancing_order(g, order, 2) == (True, None)
 
 
-def test_balance_solve_refutes_the_union_of_paths_and_a_triangle(tmp_path, capsys):
-    """Four unit 3-vertex paths beside a weight-2 triangle have no
-    2-balancing order: the order search proves each dead prefix set once, so
-    it answers NO well within 10^5 placements."""
+def paths_and_a_triangle(tmp_path):
+    """Four unit 3-vertex paths beside a weight-2 triangle, written as a
+    graph document: they have no 2-balancing order."""
     g = WeightedGraph()
     for _ in range(4):
         a, b, c = g.add_vertices(["a", "b", "c"])
@@ -404,9 +404,31 @@ def test_balance_solve_refutes_the_union_of_paths_and_a_triangle(tmp_path, capsy
     x, y, z = g.add_vertices(["x", "y", "z"])
     for u, v in ((x, y), (y, z), (x, z)):
         g.add_edge(u, v, 2)
-    path = write_graph_doc(tmp_path, g)
+    return write_graph_doc(tmp_path, g)
+
+
+def test_balance_solve_refutes_the_union_of_paths_and_a_triangle(tmp_path, capsys):
+    """The order search proves each dead prefix set once, so it answers NO
+    well within 10^5 placements."""
+    path = paths_and_a_triangle(tmp_path)
     assert run(["balance", "solve", "-i", path, "--threshold", "2", "--budget", "100000"]) == 1
     assert json.loads(capsys.readouterr().out) == {"balanced": False}
+
+
+def test_balance_solve_budget_message_counts_the_dead_sets(tmp_path, capsys):
+    """An exhausted order search exits 4 and says how many dead prefix sets
+    it kept, against DEAD_SET_CAP; the count grows with the budget."""
+    path = paths_and_a_triangle(tmp_path)
+    counts = []
+    for budget in (20, 200):
+        assert run(["balance", "solve", "-i", path, "--threshold", "2",
+                    "--budget", str(budget)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "budget"
+        found = re.fullmatch(rf"order search exceeded {budget} nodes, with (\d+) of "
+                             rf"DEAD_SET_CAP = {DEAD_SET_CAP} dead sets", err["error"])
+        counts.append(int(found.group(1)))
+    assert 0 < counts[0] < counts[1] <= 200
 
 
 def test_layout_group_project_flow(cnf_file, tmp_path, capsys):

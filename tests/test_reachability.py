@@ -1,18 +1,18 @@
-"""Every public name of src/naewidth is reached from the program.
+"""Every name of src/naewidth is reached from the program.
 
 A function, class, method, field or option that only the tests reach is
 code the program does not need.  The program is the library itself,
 scripts/ and perfbench/; tests/ does not count.  The files are parsed with
 ast, not imported.
 
-1. Every public module-level name is read (a Name or Attribute load, or an
-   import) outside its own definition.  Every public method, property,
-   dataclass field and self. attribute of a public class is read as an
-   attribute.  The receiver's class is inferred where the code says it:
-   self, an annotated parameter, a name bound to a call of a class or of a
-   function annotated to return one.  A read through any other receiver
-   counts for every class with a member of that name, and a read off the
-   parsed command line (args) for none.
+1. Every module-level name but a dunder, private ones too, is read (a Name
+   or Attribute load, or an import) outside its own definition.  Every
+   public method, property, dataclass field and self. attribute of a public
+   class is read as an attribute.  The receiver's class is inferred where
+   the code says it: self, an annotated parameter, a name bound to a call
+   of a class or of a function annotated to return one.  A read through
+   any other receiver counts for every class with a member of that name,
+   and a read off the parsed command line (args) for none.
 2. Every defaulted parameter of a public function or method is set, by
    keyword or by position, by some call of that name; a call of a class is a
    call of its __init__.  A call through a receiver whose class is inferred
@@ -161,8 +161,8 @@ class Program:
                        else node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             for target in targets:
-                name = getattr(target, "name", getattr(target, "id", "_"))
-                if not name.startswith("_"):
+                name = getattr(target, "name", getattr(target, "id", "__"))
+                if not name.startswith("__"):
                     self.globals.append((f"{module}.{name}", name, id(node)))
             if isinstance(node, ast.FunctionDef):
                 self._define_params(f"{module}.{node.name}", node.name, node, None)
@@ -255,7 +255,10 @@ def test_the_guard_sees_dead_members_fields_attributes_and_options(tmp_path):
         "    def helper(self):\n        return self.used()\n\n"
         "class E:\n    def used(self):\n        return 0\n\n"
         "    def dead(self):\n        return 0\n\n"
-        "def f(a, b=1, c=LIMIT):\n    return a + b + c\n\n"
+        "def f(a, b=1, c=LIMIT):\n    return a + b + c + _used()\n\n"
+        "_SCALE = 2\n\ndef _used():\n    return _SCALE\n\n"
+        "def _dead():\n    return _only_dead_reads()\n\n"
+        "def _only_dead_reads():\n    return 1\n\n"
         "def g(a, c=2):\n    return f(a, c=c)\n\n"
         "def make() -> E:\n    return E()\n\n"
         "class K:\n    def go(self, fast=False):\n        return fast\n\n"
@@ -268,4 +271,4 @@ def test_the_guard_sees_dead_members_fields_attributes_and_options(tmp_path):
         "def both():\n    return K().go(fast=True), go()\n")
     assert Program([module], [main]).unreached() == {
         "m.UNUSED", "m.D.dead", "m.C.gone", "m.C.dead", "m.C.helper", "m.C(y=)",
-        "m.f(c=)", "m.g(c=)", "m.go(fast=)"}
+        "m.f(c=)", "m.g(c=)", "m.go(fast=)", "m._dead", "m._only_dead_reads"}

@@ -383,7 +383,7 @@ def test_exact_width_matches_a_per_cut_table(adj, kind, linear):
         ref_value, order = suffix_dp_linear_exact(table, len(verts))
         assert [layout.leaf_vertex[x] for x in sorted(layout.leaf_vertex)] == [verts[i] for i in order]
     else:
-        ref_value, tree_adj = _general_exact(table, len(verts))
+        ref_value, tree_adj = _general_exact(len(verts), lambda mask, bound: table[mask])
         assert list(layout.tree_adj.items()) == list(tree_adj.items())
         assert layout.leaf_vertex == dict(enumerate(verts))
         assert stats == raw_stats
