@@ -146,6 +146,7 @@ def _cmd_reduce(args):
     elif args.step == "step3":
         doc = _load(args.input)
         gs, meta = serialize.partitioned_from_doc(doc), doc["base"].get("meta")
+        serialize.check_base_constants(meta, c)
     if args.step in ("step3", "all"):
         gs, scale = red3.ensure_divisible(gs, c)
         texts["step3"] = serialize.gstar_text(red3.build_Gstar(gs, c), base_meta=meta,

@@ -20,6 +20,7 @@ to a tree mapping of (G*, S*), which projects back to one of (G, S).
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 
 from .errors import CapExceededError, ValidationError
@@ -74,10 +75,6 @@ class Gadget:
 
     def locate(self, vid):
         return divmod(vid - self.base, self.plen)
-
-    def copy_vertices(self, copy):
-        start = self.base + copy * self.plen
-        return range(start, start + self.plen)
 
     def adjacent(self, x, y):
         """Edge kind between two vertices of this gadget: "path" for an edge
@@ -213,14 +210,6 @@ def caterpillar_layout(star: Gstar, h_order) -> TreeLayout:
     return linear_layout_from_order(leaves)
 
 
-def _held(ht: Tree) -> dict:
-    """{node: set of the G*-vertices placed on it} over every node of ht."""
-    held = {node: set() for node in ht.tree_adj}
-    for v, node in ht.placement.items():
-        held[node].add(v)
-    return held
-
-
 def gadget_nodes(ht: Tree, star: Gstar) -> dict:
     """{node: owner} of the nodes of hybrid tree ht holding a whole gadget.
 
@@ -235,14 +224,16 @@ def gadget_nodes(ht: Tree, star: Gstar) -> dict:
     for x, nbrs in ht.tree_adj.items():
         if len(nbrs) > 3:
             raise ValidationError(f"node {x} has degree {len(nbrs)} > 3")
+    count = collections.Counter(ht.placement.values())
+    some = dict(zip(ht.placement.values(), ht.placement))  # node -> a vertex on it
     owners = {}
-    for node, vertices in _held(ht).items():
-        if len(vertices) <= 1:
-            continue
-        u = star.owner_of(next(iter(vertices)))
-        if vertices != set(star.part_vertices(u)):
-            raise ValidationError(f"node {node} holds a strict partial gadget")
-        owners[node] = u
+    for node in ht.tree_adj:
+        if count[node] > 1:
+            u = star.owner_of(some[node])
+            vertices = star.part_vertices(u)
+            if count[node] != len(vertices) or any(ht.placement[v] != node for v in vertices):
+                raise ValidationError(f"node {node} holds a strict partial gadget")
+            owners[node] = u
     return owners
 
 
@@ -269,29 +260,30 @@ class DefaultEdgeNotFound(ValidationError):
 
 def find_default_edge(star: Gstar, ht: Tree, u):
     """Either ("node", t) with preimage V(G(u))), or ("edge", (x, y)) with a
-    whole copy of P_u on both sides; deterministic BFS scan from the
-    minimum-id node."""
+    whole copy of P_u on both sides: a BFS from the minimum-id node counts
+    each copy's vertices below every child y."""
     gadget = star.gadget(u)
-    whole, held = set(star.part_vertices(u)), _held(ht)
-    for node in sorted(ht.tree_adj):
-        if held[node] == whole:
+    for node, owner in gadget_nodes(ht, star).items():
+        if owner == u:
             return "node", node
-    copies = [set(gadget.copy_vertices(i)) for i in range(gadget.copies)]
-    far = dict(ht.sides())
-    placed = frozenset(ht.placement)
-    queue = [min(ht.tree_adj)]
-    seen = set(queue)
-    for x in queue:
+    parent = {min(ht.tree_adj): None}
+    order = list(parent)
+    for x in order:
         for y in sorted(ht.tree_adj[x]):
-            if y in seen:
-                continue
-            seen.add(y)
-            queue.append(y)
-            side_b = far[(x, y)] if x < y else placed - far[(y, x)]
-            has_b = any(cp <= side_b for cp in copies)
-            has_a = any(not (cp & side_b) for cp in copies)
-            if has_a and has_b:
-                return "edge", (x, y)
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    below = {}  # node -> vertices of each copy placed below it
+    for v in star.part_vertices(u):
+        below.setdefault(ht.placement[v], [0] * gadget.copies)[gadget.locate(v)[0]] += 1
+    for y in reversed(order[1:]):
+        if y in below:
+            up = below.setdefault(parent[y], [0] * gadget.copies)
+            up[:] = map(int.__add__, up, below[y])
+    for y in order[1:]:
+        counts = below.get(y)
+        if counts and gadget.plen in counts and 0 in counts:
+            return "edge", (parent[y], y)
     raise DefaultEdgeNotFound(f"no default node or edge for gadget of {u}")
 
 

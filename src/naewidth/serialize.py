@@ -114,10 +114,7 @@ _EDGES_END = '],"format_version":'  # the first "]" of a weighted graph's text e
 
 def _edge_rows(g: WeightedGraph, scale=1):
     """(u, v, weight·scale) of every edge, u < v, in ascending order."""
-    for u, lst in enumerate(g.adj):
-        for v, w in lst:
-            if u < v:
-                yield u, v, w * scale
+    return g.edges() if scale == 1 else ((u, v, w * scale) for u, v, w in g.edges())
 
 
 def _edges_text(g: WeightedGraph, scale):
@@ -200,6 +197,13 @@ def constants_from_doc(doc) -> Constants:
                       a=doc["a"], b=doc["b"])
         validate_constants(c)
         return c
+
+
+def check_base_constants(meta, c: Constants):
+    """Refuse the step-1 meta of a base (None: a plain graph) built at other constants than c."""
+    if meta is not None and meta["constants"] != _constants_doc(c):
+        raise ValidationError(f"step-1 base built at constants {_json(meta['constants'])}, "
+                              f"not at the step-3 constants {_json(_constants_doc(c))}")
 
 
 def _handle_doc(h: BottleneckHandle):
@@ -316,13 +320,14 @@ def partitioned_doc(gs: PartitionedGraph, base_meta=None):
 
 def partitioned_from_doc(doc, scale=1, c=None) -> PartitionedGraph:
     """The (G, S) of the base graph H, if the document is exactly its.  Given
-    constants c, it is scaled as step 3 scales it, and scale, the factor on
-    the base's weights, must be step 3's factor."""
+    constants c, it is scaled as step 3 scales it, scale (the factor on the
+    base's weights) must be step 3's factor and a step-1 base must be built at c."""
     with _malformed("partitioned_graph"):
         _expect(doc, "partitioned_graph")
         base = doc["base"]
         gs = PartitionedGraph(weighted_graph_from_doc(base, scale))
         if c is not None:
+            check_base_constants(base.get("meta"), c)
             gs, factor = ensure_divisible(gs, c)
             if factor != scale:
                 raise ValidationError(f"weight_scale {scale} is not the factor step 3 picks for H")

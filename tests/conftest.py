@@ -21,6 +21,7 @@ from naewidth.errors import CapExceededError, ValidationError
 from naewidth.formula import eval_nae
 from naewidth.matchings import AdjacencyCache
 from naewidth.red1 import validate_constants
+from naewidth.red3 import LAYOUT_CAP, DefaultEdgeNotFound
 from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph, check_balancing_order, check_balancing_tree
 from naewidth.widths import TreeLayout, enumerate_leaf_trees
@@ -607,6 +608,88 @@ def brute_sides(tree_adj, placement):
                             stack.append(b)
                 out.append(((x, y), {item for item, node in placement.items() if node in seen}))
     return out
+
+
+def copy_vertices(gadget, copy):
+    """The G*-vertices of one copy of P_u in the gadget."""
+    start = gadget.base + copy * gadget.plen
+    return range(start, start + gadget.plen)
+
+
+def reference_gadget_nodes(ht, star):
+    """Reference for red3.gadget_nodes: the G*-vertices of every node
+    collected as a set and compared with the set of one whole gadget."""
+    if star.n > LAYOUT_CAP:
+        raise CapExceededError(f"|V(G*)| = {star.n} exceeds the layout cap {LAYOUT_CAP}")
+    if ht.placement.keys() != set(range(star.n)):
+        raise ValidationError("hybrid tree placement does not cover the G*-vertices")
+    for x, nbrs in ht.tree_adj.items():
+        if len(nbrs) > 3:
+            raise ValidationError(f"node {x} has degree {len(nbrs)} > 3")
+    held = {node: set() for node in ht.tree_adj}
+    for v, node in ht.placement.items():
+        held[node].add(v)
+    owners = {}
+    for node, vertices in held.items():
+        if len(vertices) <= 1:
+            continue
+        u = star.owner_of(next(iter(vertices)))
+        if vertices != set(star.part_vertices(u)):
+            raise ValidationError(f"node {node} holds a strict partial gadget")
+        owners[node] = u
+    return owners
+
+
+def reference_find_default_edge(star, ht, u):
+    """Reference for red3.find_default_edge: the least node whose vertex set
+    is the gadget of u, else the first edge (x, y) of a BFS from the least
+    node, neighbours in ascending order, whose far side (Tree.sides() of every
+    edge, held at once) holds a whole copy of P_u and misses another."""
+    gadget = star.gadget(u)
+    whole = set(star.part_vertices(u))
+    held = {node: set() for node in ht.tree_adj}
+    for v, node in ht.placement.items():
+        held[node].add(v)
+    for node in sorted(ht.tree_adj):
+        if held[node] == whole:
+            return "node", node
+    copies = [set(copy_vertices(gadget, i)) for i in range(gadget.copies)]
+    far = dict(ht.sides())
+    placed = frozenset(ht.placement)
+    queue = [min(ht.tree_adj)]
+    seen = set(queue)
+    for x in queue:
+        for y in sorted(ht.tree_adj[x]):
+            if y in seen:
+                continue
+            seen.add(y)
+            queue.append(y)
+            side_b = far[(x, y)] if x < y else placed - far[(y, x)]
+            if any(cp <= side_b for cp in copies) and any(not (cp & side_b) for cp in copies):
+                return "edge", (x, y)
+    raise DefaultEdgeNotFound(f"no default node or edge for gadget of {u}")
+
+
+def random_ternary_hybrid(rng: random.Random, vertices):
+    """A hybrid tree whose leaves hold the given vertices one each in a random
+    order and whose inner nodes have degree 3: each further leaf hangs off a
+    new node on a uniformly drawn edge."""
+    vertices = list(vertices)
+    rng.shuffle(vertices)
+    n = len(vertices)
+    adj = {i: [] for i in range(n)}
+    edges = []
+    if n > 1:
+        adj[0], adj[1], edges = [1], [0], [(0, 1)]
+    for leaf in range(2, n):
+        x, y = edges.pop(rng.randrange(len(edges)))
+        mid = len(adj)
+        adj[x][adj[x].index(y)] = mid
+        adj[y][adj[y].index(x)] = mid
+        adj[mid] = [x, y, leaf]
+        adj[leaf] = [mid]
+        edges += [(x, mid), (mid, y), (mid, leaf)]
+    return TreeLayout(tree_adj=adj, leaf_vertex=dict(enumerate(vertices)))
 
 
 def random_weighted_graph(rng: random.Random, n, p=0.5, max_w=5) -> WeightedGraph:

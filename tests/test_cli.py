@@ -802,7 +802,8 @@ CATERPILLAR_ARGV = ["witness", "caterpillar", "-i", "{doc}", "--order", "{order}
     ("step2toy", _in_base(_edge_written_backwards),
      ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
     ("step1", _bl_attach_weight_changed, ["reduce", "step2", "-i", "{doc}", "-o", "{out}"]),
-    ("step2m", _in_base(_bl_attach_weight_changed), ["reduce", "step3", "-i", "{doc}", "-o", "{out}"]),
+    ("step2m", _in_base(_bl_attach_weight_changed),
+     ["reduce", "step3", "--profile", TINY, "-i", "{doc}", "-o", "{out}"]),
     ("step2toy", _num_vertices_float,
      ["witness", "path-mapping", "-i", "{doc}", "--order", "{order}", "-o", "{out}"]),
     ("step2toy", _format_version_true,
@@ -958,33 +959,96 @@ def _site_groups(doc):
     return groups
 
 
+def _another_b(mutated, path, how):
+    """Whether the mutation was a ±1 on the step-1 constant b that left it
+    valid (b >= 1).  Step 1 never reads b, so that document is the build at
+    the other b, which a command on it must read as the original."""
+    return (path[-3:] == ("meta", "constants", "b") and how in ("+1", "-1")
+            and functools.reduce(operator.getitem, path, mutated) >= 1)
+
+
+def _decode(step1_fuzz, doc):
+    return _run_quietly(["witness", "decode", "-i", doc, "--cnf", step1_fuzz["f.cnf"],
+                         "--order", step1_fuzz["order.json"]])
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_step1_loader_accepts_exactly_the_build(step1_fuzz, data):
     """One mutated value (a meta entry, vertex field or edge field: ±1 or a
     float on an int, a boolean on 0 or 1, another type, or deleted) makes
     `witness decode` exit 3 with a JSON diagnostic unless the document still
-    equals the original."""
+    equals the original or is the build at another b."""
     text = open(step1_fuzz["H.json"]).read()
     original, mutated = json.loads(text), json.loads(text)
     sites = {"meta": [("meta",) + p for p in _paths(original["meta"]) if p],
              **{part: [(part, i, key) for i, rec in enumerate(original[part]) for key in rec]
                 for part in ("vertices", "edges")}}
-    _mutate(data, mutated, sites[data.draw(st.sampled_from(sorted(sites)))])
+    path, how = _mutate(data, mutated, sites[data.draw(st.sampled_from(sorted(sites)))])
     open(step1_fuzz["mutated.json"], "w").write(json.dumps(mutated))
-    code, _, err = _run_quietly(["witness", "decode", "-i", step1_fuzz["mutated.json"],
-                              "--cnf", step1_fuzz["f.cnf"], "--order", step1_fuzz["order.json"]])
-    if _same_json(mutated, original):
+    code, out, err = _decode(step1_fuzz, step1_fuzz["mutated.json"])
+    if _another_b(mutated, path, how):
+        assert (code, out, err) == _decode(step1_fuzz, step1_fuzz["H.json"])
+    elif _same_json(mutated, original):
         assert code == 0
     else:
         assert code == 3
         assert json.loads(err)["type"] == "validation"
 
 
+@pytest.mark.parametrize("b", [4, 2])
+def test_step1_loader_reads_the_build_at_another_b(step1_fuzz, tmp_path, b):
+    """The four-copies document at `small` (b = 3) with b set to 4 or 2 is the
+    output of `reduce step1 --profile custom:36,3,6,3,b`, and `witness decode`
+    reads it as the original."""
+    doc = json.loads(open(step1_fuzz["H.json"]).read())
+    doc["meta"]["constants"]["b"] = b
+    mutated, rebuilt = tmp_path / "mutated.json", tmp_path / "rebuilt.json"
+    mutated.write_text(json.dumps(doc))
+    assert run(["reduce", "step1", "--profile", f"custom:36,3,6,3,{b}", "-i", step1_fuzz["f.cnf"],
+                "-o", str(rebuilt)]) == 0
+    assert json.loads(rebuilt.read_text()) == doc
+    assert _decode(step1_fuzz, str(mutated)) == _decode(step1_fuzz, step1_fuzz["H.json"])
+
+
 REBUILT_DOCUMENTS = {
     "step2m": ["witness", "path-mapping", "-i", "{mutated}", "--order", "{orderm}", "-o", "{out}"],
     "step3": ["witness", "caterpillar", "-i", "{mutated}", "--order", "{order}", "-o", "{out}"],
 }
+
+
+def _rebuilt_command(step_docs, step, doc):
+    """The command of REBUILT_DOCUMENTS[step] on step_docs[doc], its output
+    beside that document."""
+    paths = dict(step_docs, mutated=step_docs[doc], out=step_docs[doc] + ".out")
+    return _run_quietly([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
+
+
+def _rebuilt_output(step_docs, step):
+    """What the command of REBUILT_DOCUMENTS[step] writes for the original."""
+    assert _rebuilt_command(step_docs, step, step)[0] == 0
+    return open(step_docs[step] + ".out").read()
+
+
+def test_step2_loader_reads_the_base_at_another_b(step_docs, tmp_path):
+    """The four-copies step-2 document at custom:12,1,2,1,1 with its base's
+    b set to 2 is the step-2 output of the step-1 build at
+    custom:12,1,2,1,2, and `witness path-mapping` reads it as the original;
+    b = 0 is no valid constant and exits 3."""
+    doc = json.loads(open(step_docs["step2m"]).read())
+    doc["base"]["meta"]["constants"]["b"] = 2
+    cnf, h_path, g_path = (str(tmp_path / name) for name in ("f.cnf", "H.json", "g.json"))
+    open(cnf, "w").write(FOUR_COPIES)
+    assert run(["reduce", "step1", "--profile", "custom:12,1,2,1,2", "-i", cnf, "-o", h_path]) == 0
+    assert run(["reduce", "step2", "-i", h_path, "-o", g_path]) == 0
+    assert json.loads(open(g_path).read()) == doc
+    open(step_docs["mutated"], "w").write(json.dumps(doc))
+    assert _rebuilt_command(step_docs, "step2m", "mutated")[0] == 0
+    assert open(step_docs["mutated"] + ".out").read() == _rebuilt_output(step_docs, "step2m")
+    doc["base"]["meta"]["constants"]["b"] = 0
+    open(step_docs["mutated"], "w").write(json.dumps(doc))
+    code, _, err = _rebuilt_command(step_docs, "step2m", "mutated")
+    assert code == 3 and json.loads(err)["type"] == "validation"
 
 
 @pytest.mark.parametrize("step", REBUILT_DOCUMENTS)
@@ -995,22 +1059,58 @@ def test_step2_and_step3_loaders_accept_exactly_the_rebuild(step_docs, step, dat
     (under `witness path-mapping`) or in the toy step-3 document, which lists
     its edges (under `witness caterpillar`): ±1 or a float on an int, a
     boolean on 0 or 1, another type, or deleted.  The command exits 0
-    exactly when the document still equals the original, and otherwise 3
-    with a JSON diagnostic.  Deleting
+    exactly when the document still equals the original or has the base of
+    another b, and otherwise 3 with a JSON diagnostic.  Deleting
     the step-1 meta alone leaves the step-2 document of the plain graph H,
     which is accepted as such."""
     text = open(step_docs[step]).read()
     original, mutated = json.loads(text), json.loads(text)
     groups = _site_groups(original)
     path, how = _mutate(data, mutated, groups[data.draw(st.sampled_from(sorted(groups)))])
-    paths = dict(step_docs, out=step_docs["mutated"] + ".out")
-    open(paths["mutated"], "w").write(json.dumps(mutated))
-    code, _, err = _run_quietly([arg.format(**paths) for arg in REBUILT_DOCUMENTS[step]])
-    if _same_json(mutated, original) or (path, how) == (("base", "meta"), "delete"):
+    open(step_docs["mutated"], "w").write(json.dumps(mutated))
+    code, _, err = _rebuilt_command(step_docs, step, "mutated")
+    if _another_b(mutated, path, how):
+        assert code == 0
+        assert open(step_docs["mutated"] + ".out").read() == _rebuilt_output(step_docs, step)
+    elif _same_json(mutated, original) or (path, how) == (("base", "meta"), "delete"):
         assert code == 0
     else:
         assert code == 3
         assert json.loads(err)["type"] == "validation"
+
+
+def test_reduce_step3_refuses_a_step1_base_of_other_constants(cnf_file, tmp_path, capsys):
+    """A step-2 document whose base is the step-1 build at `small` is refused
+    by `reduce step3 --profile paper`, which would write a gadget graph whose
+    constants are not its base's, and read at `small`."""
+    h_path, g_path, star_path = (str(tmp_path / f"{name}.json") for name in ("H", "g", "star"))
+    assert run(["reduce", "step1", "--profile", "small", "-i", cnf_file, "-o", h_path]) == 0
+    assert run(["reduce", "step2", "-i", h_path, "-o", g_path]) == 0
+    capsys.readouterr()
+    assert run(["reduce", "step3", "--profile", "paper", "-i", g_path, "-o", star_path]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "step-1 base" in err["error"]
+    assert not os.path.exists(star_path)
+    assert run(["reduce", "step3", "--profile", "small", "-i", g_path, "-o", star_path]) == 0
+
+
+def test_step3_loader_refuses_a_step1_base_of_other_constants(cnf_file, tmp_path, capsys):
+    """The four-copies step-3 document at `small` with its step-1 base's b
+    set to 4 is refused: that base is the build at b = 4, not at the
+    document's own constants."""
+    out, order = str(tmp_path / "r"), str(tmp_path / "order.json")
+    assert run(["reduce", "all", "--profile", "small", "-i", cnf_file, "-o", out]) == 0
+    assert run(["witness", "order", "-i", out + ".step1.json", "--cnf", cnf_file,
+                "-o", order]) == 0
+    doc = json.loads(open(out + ".step3.json").read())
+    doc["base"]["base"]["meta"]["constants"]["b"] = 4
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["witness", "caterpillar", "-i", str(mutated), "--order", order,
+                "-o", str(tmp_path / "layout.json")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "validation" and "step-1 base" in err["error"]
 
 
 @pytest.fixture(scope="module")
@@ -1461,6 +1561,36 @@ def test_witness_caterpillar_refuses_paper_gstar(tmp_path, argv):
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert err["type"] == "validation" and "layout cap" in err["error"]
+
+
+def test_layout_group_on_a_7200_vertex_caterpillar_under_1_gib(tmp_path):
+    """`layout group` on the caterpillar tree layout of the `small` G* of
+    path([30] * 20) (7,200 vertices) writes the hybrid tree of the library's
+    group_all.  The command runs in a child process held to 1 GiB of address
+    space: grouping that holds a vertex set per tree edge at once fails here
+    with a MemoryError."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in
+             ("g", "star", "order", "tree_layout", "hybrid_tree")}
+    open(paths["order"], "w").write(serialize.canonical_json(serialize.order_doc(range(21))))
+    for argv in (["reduce", "step2", "-i", write_graph_doc(tmp_path, path_graph([30] * 20)),
+                  "-o", "{g}"],
+                 ["reduce", "step3", "--profile", "small", "-i", "{g}", "-o", "{star}"],
+                 ["witness", "caterpillar", "-i", "{star}", "--order", "{order}",
+                  "-o", "{tree_layout}"]):
+        assert run([arg.format(**paths) for arg in argv]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "naewidth.cli", "layout", "group", "-i", paths["star"],
+         "--hybrid", paths["tree_layout"], "-o", paths["hybrid_tree"]],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(naewidth.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    star = serialize.gstar_from_doc(json.loads(open(paths["star"]).read()))
+    assert star.n == 7200
+    layout = serialize.tree_layout_from_doc(json.loads(open(paths["tree_layout"]).read()))
+    grouped = red3.group_all(star, red3.hybrid_from_layout(layout))
+    assert open(paths["hybrid_tree"]).read() == serialize.canonical_json(
+        serialize.hybrid_tree_doc(grouped))
 
 
 def test_width_survey_script_runs_from_any_directory(tmp_path):

@@ -25,8 +25,11 @@ from naewidth.red3 import (
 )
 from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph
+from naewidth.widths import linear_layout_from_order
 
-from conftest import brute_gstar_ids, brute_Pu, brute_validate_gstar, path_graph, random_weighted_graph, scale_weights, star_graph, table_blocks
+from conftest import (brute_gstar_ids, brute_Pu, brute_validate_gstar, copy_vertices, path_graph,
+                      random_ternary_hybrid, random_weighted_graph, reference_find_default_edge,
+                      reference_gadget_nodes, scale_weights, star_graph, table_blocks)
 
 A1 = Constants(36, 3, 6, 1, 3)  # a=1 keeps tiny blocks legal
 validate_constants(A1)
@@ -227,7 +230,7 @@ def test_gadget_copies_stay_induced_paths():
     gs = build_partitioned(star9())
     gadget = build_gadget(gs, 0, SMALL)
     for copy in range(gadget.copies):
-        verts = list(gadget.copy_vertices(copy))
+        verts = list(copy_vertices(gadget, copy))
         for i, x in enumerate(verts):
             for j in range(i + 1, len(verts)):
                 assert gadget.adjacent(x, verts[j]) == ("path" if j == i + 1 else None)
@@ -237,7 +240,7 @@ def test_gadget_appended_vertex_exclusions():
     gs = build_partitioned(star9())
     gadget = build_gadget(gs, 0, SMALL)
     last = gadget.plen - 1
-    first, second, third = map(gadget.copy_vertices, range(3))
+    first, second, third = (copy_vertices(gadget, i) for i in range(3))
     x = first[last]  # appended vertex of the first copy
     # its Q_u successor stays adjacent (a path edge of Q_u), while the
     # successor of the *next* copy's appended vertex is excluded, as are the
@@ -332,7 +335,7 @@ def test_split_every_copy_forces_large_sim():
     gs = build_partitioned(single_edge_h(2))
     star = build_Gstar(gs, c5)
     gadget = star.gadget(0)
-    copies = list(map(gadget.copy_vertices, range(gadget.copies)))
+    copies = [copy_vertices(gadget, i) for i in range(gadget.copies)]
     side_a = [copy[p] for copy in copies for p in (0, 1)]
     side_b = [copy[p] for copy in copies for p in (2, 3)]
     witness = [(copy[1], copy[2]) for copy in copies]
@@ -349,7 +352,7 @@ def test_tripartition_forces_large_sim():
     star = build_Gstar(gs, c9)
     gadget = star.gadget(0)
     # every copy meets all three classes
-    copies = list(map(gadget.copy_vertices, range(gadget.copies)))
+    copies = [copy_vertices(gadget, i) for i in range(gadget.copies)]
     part_a = [copy[p] for copy in copies for p in (0, 1)]
     part_b = [copy[2] for copy in copies]
     part_c = [copy[3] for copy in copies]
@@ -405,7 +408,7 @@ def test_find_default_edge_two_gadget_caterpillar():
     assert kind == "edge"
     side_b = set(ht.side(x, y))
     gadget = star.gadget(0)
-    copies = [set(gadget.copy_vertices(i)) for i in range(gadget.copies)]
+    copies = [set(copy_vertices(gadget, i)) for i in range(gadget.copies)]
     assert any(cp <= side_b for cp in copies)
     assert any(not (cp & side_b) for cp in copies)
 
@@ -458,6 +461,76 @@ def test_group_gadget_never_increases_sim_values():
                 orig = mapper(edge)
                 assert value <= before_vals[orig]
             ht = ht_next
+
+
+def _outcome(fn, *args):
+    """fn's answer, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return type(exc)
+
+
+GROUPING_CASES = [
+    (path_graph([3]), SMALL), (path_graph([3, 3]), SMALL), (star9(), SMALL),
+    (path_graph([2, 3]), Constants(12, 1, 2, 1, 2)), (path_graph([2]), Constants(12, 1, 2, 1, 3)),
+    (path_graph([3, 3]), Constants(36, 3, 6, 3, 1)),
+]
+
+
+def _start_trees(rng, star, draws):
+    """Sorted, shuffled and nearly sorted caterpillars and random ternary
+    layouts of G*, draws of each, their nodes renamed at random and their
+    neighbour lists in random order."""
+    for _ in range(draws):
+        owners = star.parts()
+        rng.shuffle(owners)
+        layouts = [caterpillar_layout(star, owners)]
+        order = list(range(star.n))
+        rng.shuffle(order)
+        layouts.append(linear_layout_from_order(order))
+        order.sort()
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(star.n - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        layouts += [linear_layout_from_order(order), random_ternary_hybrid(rng, range(star.n))]
+        for layout in layouts:
+            name = dict(zip(layout.tree_adj, rng.sample(range(len(layout.tree_adj)),
+                                                        len(layout.tree_adj))))
+            adj = {name[x]: rng.sample([name[y] for y in nbrs], len(nbrs))
+                   for x, nbrs in layout.tree_adj.items()}
+            yield Tree(adj, {v: name[x] for v, x in layout.placement.items()})
+
+
+def _moved_vertex(rng, ht, star):
+    """ht with one vertex moved onto the node of another."""
+    v, w = rng.sample(range(star.n), 2)
+    return Tree(ht.tree_adj, {**ht.placement, v: ht.placement[w]})
+
+
+def test_counting_grouping_matches_the_set_reference(rng):
+    """gadget_nodes and find_default_edge give the answer, or the error type,
+    of their set-based references for every owner on every tree of a chain
+    that groups the gadgets one by one in ascending owner order; so does
+    gadget_nodes with one vertex of the tree moved onto another's node."""
+    trees, seen = 0, set()
+    for h, c in GROUPING_CASES:
+        star = build_Gstar(ensure_divisible(build_partitioned(h), c)[0], c)
+        for ht in _start_trees(rng, star, 30):
+            for u in star.parts() + [None]:
+                trees += 1
+                assert _outcome(gadget_nodes, ht, star) == reference_gadget_nodes(ht, star)
+                moved = _moved_vertex(rng, ht, star)
+                assert _outcome(gadget_nodes, moved, star) == _outcome(reference_gadget_nodes,
+                                                                       moved, star)
+                for owner in star.parts():
+                    got = _outcome(find_default_edge, star, ht, owner)
+                    assert got == _outcome(reference_find_default_edge, star, ht, owner)
+                    seen.add(got if isinstance(got, type) else got[0])
+                if u is None or isinstance(_outcome(find_default_edge, star, ht, u), type):
+                    break
+                ht = group_gadget(star, ht, u)
+    assert trees >= 1500 and seen == {"node", "edge", DefaultEdgeNotFound}
 
 
 def test_hybrid_to_tree_mapping_identity_case():
