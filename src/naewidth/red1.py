@@ -9,7 +9,9 @@ that raises all but two vertex weights above the threshold gap.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 
 from .errors import ValidationError
 from .formula import NaeFormula, eval_nae, validate_formula
@@ -105,37 +107,45 @@ def build_bottleneck(g: WeightedGraph, terminals, c: Constants, name: str = "B",
     if min(tau, link) < 1:
         raise ValidationError(f"spine weights {tau} and {link} must be positive")
     k = len(terminals)
-    spine_a = list(range(n, n + 2 * k, 2))
-    spine_b = list(range(n + 1, n + 2 * k, 2))
-    labels = [f"{name}.{side}{i}" for i in range(1, k + 1) for side in "ab"]
-    roles = ["spine_a", "spine_b"] * (k - 1) + ["spine_a", "root"]
+    spine_a, spine_b = [], []
+    for i in range(1, k + 1):
+        spine_a.append(g.add_vertex(f"{name}.a{i}", "spine_a"))
+        if i < k or shared_root is None:
+            spine_b.append(g.add_vertex(f"{name}.b{i}", "spine_b" if i < k else "root"))
     if shared_root is not None:
-        spine_b[-1] = shared_root
-        del labels[-1], roles[-1]
-    g.labels += labels
-    g.roles += roles
-    adj = g.adj
-    adj += [[] for _ in labels]
-    # the edges without add_edge's checks, each list in ascending order: a_i's
-    # terminal (an older vertex), then the spine edges a_i b_i and links
-    # b_i a_(i+1); only a shared root can precede a_k's terminal
-    for a, (v, w) in zip(spine_a, terminals):
-        adj[a].append((v, w))
-        adj[v].append((a, w))
-    for i, (a, b) in enumerate(zip(spine_a, spine_b)):
-        adj[a].append((b, tau))
-        adj[b].append((a, tau))
-        if i + 1 < k:
-            adj[b].append((spine_a[i + 1], link))
-            adj[spine_a[i + 1]].append((b, link))
-    if shared_root is not None:
-        adj[spine_a[-1]].sort()
+        spine_b.append(shared_root)
+    for (v, w), a, b in zip(terminals, spine_a, spine_b):
+        g.add_edge(v, a, w)
+        g.add_edge(a, b, tau)
+    for b, a in zip(spine_b, spine_a[1:]):
+        g.add_edge(b, a, link)
     return BottleneckHandle(
         spine_a=spine_a,
         spine_b=spine_b,
         terminals=[v for v, _ in terminals],
         attach_weights=[w for _, w in terminals],
     )
+
+
+def _padding_bottleneck(ids, first, terminals, attach):
+    """Handle of the padding bottleneck whose spine a_1 b_1 .. a_k b_k takes
+    the ids from first on, with attachment weight attach on every terminal."""
+    k = len(terminals)
+    return BottleneckHandle(spine_a=ids[first:first + 2 * k:2], spine_b=ids[first + 1:first + 2 * k:2],
+                            terminals=list(terminals), attach_weights=[attach] * k)
+
+
+def _spine_rows(h: BottleneckHandle, c: Constants):
+    """The rows of a bottleneck's spine in vertex order, a_i = (terminal,
+    b_(i-1), b_i) and b_i = (a_i, a_(i+1)), as neighbour and weight lists:
+    the rows of a bottleneck whose terminals precede its spine."""
+    tau, link = c.tau, c.gamma + 1
+    rows = list(chain.from_iterable(zip(h.terminals, [None] + h.spine_b[:-1], h.spine_b,
+                                        h.spine_a, h.spine_a[1:] + [None])))
+    weights = list(chain.from_iterable(zip(h.attach_weights, repeat(link), repeat(tau),
+                                           repeat(tau), repeat(link))))
+    del rows[-1], rows[1], weights[-1], weights[1]  # no b_0 and no a_(k+1)
+    return rows, weights
 
 
 @dataclass
@@ -281,28 +291,45 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
         raise ValidationError(f"H would have {hprime_n + 6 * p} vertices, "
                               f"more than the {max_vertices} allowed")
 
-    x_ids = list(g.add_vertices((f"x{j}" for j in range(p)), "pad_x"))
-    y_ids = list(g.add_vertices((f"y{j}" for j in range(p)), "pad_y"))
-    # edges in ascending neighbour order per list: the pad edges to H', then
-    # the x-y pairs, then the BL and BR spines, whose ids come after y_ids
-    adj = g.adj
-    pad_assign = {}
-    ptr = 0
+    if not p:
+        raise ValidationError("bottleneck needs at least one terminal")
+    # H' rows, each followed by its pad edges, then the rows of X, Y, B_L and
+    # B_R in vertex order by arithmetic; every id is the one int of ids
+    ids = list(range(hprime_n + 6 * p))
+    x_ids, y_ids = ids[hprime_n:hprime_n + p], ids[hprime_n + p:hprime_n + 2 * p]
+    attach, pair = tau - gamma - 1, 2 * gamma + 2  # pair: positive weights on x-y pairs
+    bl = _padding_bottleneck(ids, hprime_n + 2 * p, x_ids, attach)
+    br = _padding_bottleneck(ids, hprime_n + 4 * p, y_ids, attach)
+    nbr, wt, degrees = [], [], []
+    pad_assign, pad_owner = {}, []
     for v in range(hprime_n):
-        if missing[v]:
-            mine = x_ids[ptr:ptr + missing[v]]
-            ptr += missing[v]
+        lo, hi = g.start[v], g.start[v + 1]
+        mine = x_ids[len(pad_owner):len(pad_owner) + missing[v]]
+        if mine:
             pad_assign[v] = mine
-            adj[v] += [(xj, 1) for xj in mine]
-            for xj in mine:
-                adj[xj].append((v, 1))
-    pair = 2 * gamma + 2  # positive weights on fresh vertex pairs
-    for xj, yj in zip(x_ids, y_ids):
-        adj[xj].append((yj, pair))
-        adj[yj].append((xj, pair))
-    attach = tau - gamma - 1
-    bl = build_bottleneck(g, [(v, attach) for v in x_ids], c, "BL")
-    br = build_bottleneck(g, [(v, attach) for v in y_ids], c, "BR")
+            pad_owner += [ids[v]] * missing[v]
+        nbr += map(ids.__getitem__, g.nbr[lo:hi])
+        nbr += mine
+        wt += g.wt[lo:hi]
+        wt += [1] * missing[v]
+        degrees.append(hi - lo + missing[v])
+    nbr += chain.from_iterable(zip(pad_owner, y_ids, bl.spine_a))
+    wt += [1, pair, attach] * p
+    nbr += chain.from_iterable(zip(x_ids, br.spine_a))
+    wt += [pair, attach] * p
+    degrees += [3] * p + [2] * p
+    for handle in (bl, br):
+        rows, weights = _spine_rows(handle, c)
+        nbr += rows
+        wt += weights
+        degrees += [2, 2] + [3, 2] * (p - 1)
+        degrees[-1] = 1  # b_k has no a_(k+1)
+    g.labels += [f"x{j}" for j in range(p)] + [f"y{j}" for j in range(p)]
+    g.roles += ["pad_x"] * p + ["pad_y"] * p
+    for name in ("BL", "BR"):
+        g.labels += [f"{name}.{side}{i}" for i in range(1, p + 1) for side in "ab"]
+        g.roles += ["spine_a", "spine_b"] * (p - 1) + ["spine_a", "root"]
+    g.start, g.nbr, g.wt = list(accumulate(degrees, initial=0)), nbr, wt
 
     return HBuild(
         graph=g, constants=c, formula=f, num_vars=n, num_clauses=m,
@@ -346,7 +373,6 @@ def witness_order(f: NaeFormula, build: HBuild, assignment):
     g = build.graph
     middle = _middle_order(build, assignment)
     pos = {v: i for i, v in enumerate(middle)}
-    hprime = set(range(build.hprime_n))
 
     order = []
     bl_asc = build.bl.spine_ascending()
@@ -358,12 +384,13 @@ def witness_order(f: NaeFormula, build: HBuild, assignment):
         if xs:
             s_l = s_r = 0
             pu = pos[u]
-            for v, w in g.adj[u]:
-                if v in hprime:
-                    if pos[v] < pu:
-                        s_l += w
-                    else:
-                        s_r += w
+            lo = g.start[u]  # u's H' neighbours lead its row, before its X neighbours
+            hi = bisect.bisect_left(g.nbr, build.hprime_n, lo, g.start[u + 1])
+            for v, w in zip(g.nbr[lo:hi], g.wt[lo:hi]):
+                if pos[v] < pu:
+                    s_l += w
+                else:
+                    s_r += w
             if s_r > c.gamma + 1:
                 before = xs
             else:

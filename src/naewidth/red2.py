@@ -29,7 +29,7 @@ from .wgraph import WeightedGraph
 class PartitionedGraph:
     """Implicit (G, S) over H with its weights times scale: a block table.
 
-    Blocks are laid out in ascending (u, v), the order of H.adj, so every
+    Blocks are laid out in ascending (u, v), the order of H's rows, so every
     part S(u) is a contiguous id range and a block is found by bisection.
     adjacent(p, q) returns "matching", "dummy", or None in O(log #blocks).
     """
@@ -103,16 +103,13 @@ class PartitionedGraph:
 
 def block_layout(h: WeightedGraph, scale=1):
     """(block_pairs, block_start, part_range, n) of H's weights times scale:
-    one block I(u, v) per entry of H.adj, in its order, from G-vertex 0."""
-    pairs, starts, parts, nxt = [], [], {}, 0
-    for u, lst in enumerate(h.adj):
-        part_start = nxt
-        for v, w in lst:
-            pairs.append((u, v))
-            starts.append(nxt)
-            nxt += w * scale
-        parts[u] = (part_start, nxt)
-    return pairs, starts, parts, nxt
+    one block I(u, v) per adjacency entry, in list order, from G-vertex 0, so
+    the starts are the prefix sums of H.wt and part u spans its row's."""
+    weights = h.wt if scale == 1 else map(mul, h.wt, itertools.repeat(scale))
+    starts = list(itertools.accumulate(weights, initial=0))
+    bounds = list(map(starts.__getitem__, h.start))
+    n = starts.pop()
+    return list(zip(h.owners(), h.nbr)), starts, dict(enumerate(zip(bounds, bounds[1:]))), n
 
 
 def build_partitioned(h: WeightedGraph) -> PartitionedGraph:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import collections
 import itertools
+import operator
 
 from .errors import CapExceededError, ValidationError
 from .red1 import Constants, validate_constants
@@ -137,7 +138,9 @@ class Gstar:
     def __init__(self, gs: PartitionedGraph, c: Constants):
         validate_constants(c)
         # build_gadget refuses the least faulty owner, as building every gadget would
-        empty = gs.H.adj.index([]) if [] in gs.H.adj else None
+        starts = gs.H.start
+        empty = next(itertools.compress(itertools.count(), map(
+            operator.eq, starts, itertools.islice(starts, 1, None))), None)
         faulty = [u for u in (_first_indivisible(gs, c.a), empty) if u is not None]
         if faulty:
             build_gadget(gs, min(faulty), c)

@@ -56,7 +56,10 @@ def canonical_json(doc) -> str:
 
 
 def _records(record, rows):
-    return ",".join(map(record[1].__mod__, rows))
+    """The rows written by the record's template, comma-separated: one %
+    over all their values, so no string per record is built."""
+    values = tuple(itertools.chain.from_iterable(rows))
+    return ",".join(itertools.repeat(record[1], len(values) // len(record[0]))) % values
 
 
 def _same_records(records, record, rows, count):
@@ -123,7 +126,8 @@ def _edges_text(g: WeightedGraph, scale):
 
 def weighted_graph_text(g: WeightedGraph, meta=None, scale=1) -> str:
     """The canonical text of g's document, its weights times scale."""
-    vertices = _records(_VERTEX, zip(range(g.n), map(_string, g.labels), map(_string, g.roles)))
+    roles = {role: _string(role) for role in set(g.roles)}  # a few roles, many vertices
+    vertices = _records(_VERTEX, zip(range(g.n), map(_string, g.labels), map(roles.__getitem__, g.roles)))
     meta = "" if meta is None else ',"meta":' + _json(meta)
     return (f'{_edges_text(g, scale)}{_EDGES_END}{FORMAT_VERSION},"kind":"weighted_graph"'
             f'{meta},"vertices":[{vertices}]}}\n')
@@ -142,23 +146,24 @@ def weighted_graph_from_doc(doc, scale=1) -> WeightedGraph:
         return hbuild_from_doc(doc, scale).graph
     with _malformed("weighted_graph"):
         _expect(doc, "weighted_graph")
-        g = WeightedGraph()
+        labels, roles = [], []
         for i, rec in enumerate(doc["vertices"]):
             if type(rec["id"]) is not int or rec["id"] != i:
                 raise ValidationError("vertex ids must be dense from 0")
             if type(rec["label"]) is not str or rec["role"] not in ROLES:
                 raise ValidationError(f"vertex {i} needs a string label and a known role")
-            g.add_vertex(rec["label"], rec["role"])
+            labels.append(rec["label"])
+            roles.append(rec["role"])
         edges = []
         for rec in doc["edges"]:
             u, v, w = rec["u"], rec["v"], rec["weight"]
-            if not (type(u) is type(v) is type(w) is int and 0 <= u < g.n and 0 <= v < g.n):
+            if not (type(u) is type(v) is type(w) is int and 0 <= u < len(labels)
+                    and 0 <= v < len(labels)):
                 raise ValidationError(f"edge ({u!r}, {v!r}, {w!r}) is not integers on known ids")
             if w % scale:
                 raise ValidationError(f"edge weight {w} is not a multiple of the scale {scale}")
-            edges.append((min(u, v), max(u, v), w // scale))
-        for u, v, w in sorted(edges):  # ascending, so add_edge always appends
-            g.add_edge(u, v, w)
+            edges.append((u, v, w // scale))
+        g = WeightedGraph.from_edges(labels, roles, edges)
         g.check_simple()
         return g
 
@@ -168,7 +173,7 @@ def graph_from_doc(doc):
     weights dropped."""
     if isinstance(doc, dict) and doc.get("kind") == "weighted_graph":
         g = weighted_graph_from_doc(doc)
-        return {u: {v for v, _ in g.adj[u]} for u in g.vertex_ids()}
+        return {u: set(g.nbr[lo:hi]) for u, (lo, hi) in enumerate(zip(g.start, g.start[1:]))}
     with _malformed("graph"):
         _expect(doc, "graph")
         ids = [rec["id"] for rec in doc["vertices"]]

@@ -11,7 +11,9 @@ tree edge e at v's node, v's edges across the cut of e weigh at most t.
 from __future__ import annotations
 
 import bisect
-from itertools import islice
+from collections import Counter
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
+from operator import eq, gt, itemgetter, lt, ne, sub
 
 from .errors import BudgetExceededError, ValidationError
 from .tree import Tree
@@ -24,114 +26,203 @@ ROLES = (
 DEFAULT_ORDER_BUDGET = 10 ** 7
 
 
+def _check_edge(u, v, w):
+    if u == v:
+        raise ValidationError(f"self-loop at vertex {u}")
+    if w < 1:
+        raise ValidationError(f"edge weight {w} < 1 on ({u}, {v})")
+
+
+def _first(flags):
+    """Index of the first true flag, or None."""
+    return next(compress(count(), flags), None)
+
+
+class _Adjacency:
+    """Read-only per-vertex view of the flat lists: adj[u] is the tuple of
+    u's (neighbour, weight) pairs.  It holds the lists, never the graph."""
+
+    __slots__ = ("_start", "_nbr", "_wt")
+
+    def __init__(self, start, nbr, wt):
+        self._start, self._nbr, self._wt = start, nbr, wt
+
+    def __len__(self):
+        return len(self._start) - 1
+
+    def __getitem__(self, u):
+        if not 0 <= u < len(self._start) - 1:
+            raise IndexError(f"vertex {u} out of range")
+        lo, hi = self._start[u], self._start[u + 1]
+        return tuple(zip(self._nbr[lo:hi], self._wt[lo:hi]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 class WeightedGraph:
     """Undirected graph with positive integer edge weights and dense ids.
 
-    Vertices are 0..n-1 with a label and a role tag; adjacency is stored as
-    per-vertex lists of (neighbor, weight), each kept ascending: add_edge
-    inserts in order, and builders that fill lists directly append in
-    ascending order.  So the edges come out in (u, v) order with no sort.
-    Builders never add duplicate edges; check_simple() audits that, plus
-    symmetry and positivity.
+    Vertices are 0..n-1 with a label and a role tag.  The adjacency is three
+    flat lists (compressed sparse rows): u's neighbours, ascending, are
+    nbr[start[u]:start[u + 1]], and the weights of those edges are the same
+    slice of wt.  add_edge inserts in order, from_edges lays out every row at
+    once, and builders that write the lists directly write each row
+    ascending, so the edges come out in (u, v) order with no sort.  adj[u]
+    reads one vertex's (neighbour, weight) pairs.  Builders never add
+    duplicate edges; check_simple() audits that, plus symmetry, positivity
+    and the offsets.
     """
 
-    __slots__ = ("labels", "roles", "adj")
+    __slots__ = ("labels", "roles", "start", "nbr", "wt")
 
     def __init__(self):
         self.labels = []
         self.roles = []
-        self.adj = []
+        self.start = [0]
+        self.nbr = []
+        self.wt = []
+
+    @classmethod
+    def from_edges(cls, labels, roles, edges):
+        """The graph on the labelled vertices with the (u, v, weight) edges,
+        given in any order and orientation, laid out in one sort."""
+        edges = [(u, v, w) if u < v else (v, u, w) for u, v, w in edges]
+        bad = min((e for e in edges if e[0] == e[1] or e[2] < 1), default=None)
+        if bad is not None:
+            _check_edge(*bad)
+        entries = sorted(chain(edges, map(itemgetter(1, 0, 2), edges)))
+        degree = Counter(map(itemgetter(0), entries))
+        g = cls()
+        g.labels, g.roles = list(labels), list(roles)
+        g.start = list(accumulate(map(degree.__getitem__, range(len(g.labels))), initial=0))
+        g.nbr = list(map(itemgetter(1), entries))
+        g.wt = list(map(itemgetter(2), entries))
+        return g
 
     @property
     def n(self):
-        return len(self.adj)
+        return len(self.start) - 1
+
+    @property
+    def adj(self):
+        return _Adjacency(self.start, self.nbr, self.wt)
 
     def vertex_ids(self):
-        return range(len(self.adj))
+        return range(len(self.start) - 1)
 
     def add_vertex(self, label: str = "", role: str = "plain") -> int:
         self.labels.append(label)
         self.roles.append(role)
-        self.adj.append([])
-        return len(self.adj) - 1
-
-    def add_vertices(self, labels, role: str = "plain"):
-        start = len(self.adj)
-        self.labels += labels
-        added = len(self.labels) - start
-        self.roles += [role] * added
-        self.adj += ([] for _ in range(added))
-        return range(start, len(self.adj))
+        self.start.append(self.start[-1])
+        return len(self.start) - 2
 
     def add_edge(self, u: int, v: int, w: int) -> None:
-        if u == v:
-            raise ValidationError(f"self-loop at vertex {u}")
-        if w < 1:
-            raise ValidationError(f"edge weight {w} < 1 on ({u}, {v})")
-        bisect.insort(self.adj[u], (v, w))
-        bisect.insort(self.adj[v], (u, w))
+        """Insert uv into both rows in order: O(n + |E|), for small builds."""
+        _check_edge(u, v, w)
+        start, nbr, wt = self.start, self.nbr, self.wt
+        if not (0 <= u < len(start) - 1 and 0 <= v < len(start) - 1):
+            raise ValidationError(f"edge ({u}, {v}) names an unknown vertex")
+        for x, y in sorted(((u, v), (v, u)), reverse=True):  # the later row first
+            i = bisect.bisect(nbr, y, start[x], start[x + 1])
+            nbr.insert(i, y)
+            wt.insert(i, w)
+            start[x + 1:] = [s + 1 for s in islice(start, x + 1, None)]
+
+    def owners(self):
+        """Iterator over the vertex of every adjacency entry, in list order:
+        u deg(u) times."""
+        start = self.start
+        return chain.from_iterable(map(repeat, range(len(start) - 1),
+                                       map(sub, islice(start, 1, None), start)))
 
     def edges(self):
         """(u, v, weight) of every edge, u < v, in ascending order."""
-        for u, lst in enumerate(self.adj):
-            for v, w in lst:
-                if u < v:
-                    yield u, v, w
+        owners, tails = tee(self.owners())
+        return compress(zip(owners, self.nbr, self.wt), map(lt, tails, self.nbr))
 
     def num_edges(self):
-        return sum(map(len, self.adj)) // 2
+        return len(self.nbr) // 2
 
     def total_weight(self):
-        return sum(w for _, _, w in self.edges())
+        return sum(map(itemgetter(2), self.edges()))
 
     def vertex_weight(self, v: int) -> int:
         """Sum of the weights of the edges incident to v."""
-        if not 0 <= v < len(self.adj):
+        if not 0 <= v < len(self.start) - 1:
             raise ValidationError(f"unknown vertex id {v}")
-        return sum(w for _, w in self.adj[v])
+        return sum(self.wt[self.start[v]:self.start[v + 1]])
 
     def check_simple(self) -> None:
-        """O(|E|) audit: no self-loop, duplicate, one-sided edge, weight below 1
-        or adjacency list out of ascending order."""
-        n = len(self.adj)
-        weights = list(map(dict, self.adj))
-        for u, lst in enumerate(self.adj):
-            if len(weights[u]) != len(lst):
-                raise ValidationError(f"duplicate edge at {u}")
-            prev = -1
-            for v, w in lst:
-                if v == u:
-                    raise ValidationError(f"self-loop at {u}")
-                if w < 1:
-                    raise ValidationError(f"non-positive weight on ({u}, {v})")
-                if not 0 <= v < n or weights[v].get(u) != w:
-                    raise ValidationError(f"asymmetric edge ({u}, {v})")
-                if v < prev:
-                    raise ValidationError(f"adjacency list of {u} is not ascending")
-                prev = v
+        """O(|E|) audit: offsets that bound the neighbour and weight lists, and
+        no self-loop, duplicate, one-sided edge, weight below 1 or row out of
+        ascending order.  Of several faults it names the first a walk over the
+        rows in order meets: a row's duplicate before its entries, and at one
+        entry a self-loop, a weight, a missing twin, then the order."""
+        start, nbr, wt = self.start, self.nbr, self.wt
+        n = len(start) - 1
+        if (n < 0 or start[0] != 0 or start[-1] != len(nbr) or len(wt) != len(nbr)
+                or len(self.labels) != n or len(self.roles) != n
+                or any(map(gt, start, islice(start, 1, None)))):
+            raise ValidationError("the offsets do not bound the neighbour and weight lists")
+        owners = list(self.owners())
+        keys = list(zip(owners, nbr))
+        last = dict(zip(keys, count()))  # the last entry of each (u, v)
+        twin_weight = map((wt + [None]).__getitem__,
+                          map(last.get, zip(nbr, owners), repeat(len(wt))))
+        dup = _first(map(ne, map(last.__getitem__, keys), count()))
+        descent = _first(map(lt, islice(keys, 1, None), keys))
+        found = [(entry, place, message) for place, (entry, message) in enumerate([
+            (None if dup is None else start[owners[dup]], "duplicate edge at {u}"),
+            (_first(map(eq, owners, nbr)), "self-loop at {u}"),
+            (_first(map(gt, repeat(1), wt)), "non-positive weight on ({u}, {v})"),
+            (_first(map(ne, twin_weight, wt)), "asymmetric edge ({u}, {v})"),
+            (None if descent is None else descent + 1, "adjacency list of {u} is not ascending"),
+        ]) if entry is not None]
+        if found:  # the first entry at fault, and its first check that fails
+            entry, _, message = min(found)
+            raise ValidationError(message.format(u=owners[entry], v=nbr[entry]))
 
 
 def check_balancing_order(g, order, t):
     """Return (True, None) if the order is t-balancing, else (False, violator).
 
     The violator is the earliest vertex in the order whose left or right
-    weight exceeds t.
+    weight exceeds t.  One pass over the rows in list order sums each
+    vertex's neighbours to either side by their rank in the order.
     """
-    pos = {u: i for i, u in enumerate(order)}
-    if len(pos) != len(order) or set(pos) != set(g.vertex_ids()):
+    n = g.n
+    if len(order) != n or (order and not 0 <= min(order) <= max(order) < n):
         raise ValidationError("order is not a permutation of the vertex set")
-    for v in order:
-        pv = pos[v]
-        left = 0
-        right = 0
-        for u, w in g.adj[v]:
-            if pos[u] < pv:
-                left += w
-            else:
-                right += w
-        if left > t or right > t:
-            return False, v
-    return True, None
+    rank = [None] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    if None in rank:
+        raise ValidationError("order is not a permutation of the vertex set")
+    if t < 0:  # every vertex weighs at least 0 on either side
+        return (False, order[0]) if order else (True, None)
+    nbr, wt, over = g.nbr, g.wt, []
+    ends = iter(g.start)
+    u, end, left, right = -1, next(ends), 0, 0
+    for k, v in enumerate(nbr):
+        if k == end:  # u's row is summed up; entry k opens the next non-empty row
+            if left > t or right > t:
+                over.append(u)
+            left = right = 0
+            while k == end:
+                u += 1
+                end = next(ends)
+            rank_u = rank[u]
+        if rank[v] < rank_u:
+            left += wt[k]
+        else:
+            right += wt[k]
+    if left > t or right > t:
+        over.append(u)
+    if not over:
+        return True, None
+    over = set(over)
+    return False, next(v for v in order if v in over)
 
 
 _PROPAGATION_DEGREE_CAP = 12
@@ -268,7 +359,7 @@ def _extensions(g, t, budget):
     right weight (total - left) exceeds t; no order reaches that set with v
     earlier, so remembering it would only fill the dead sets.  The new set is
     dead when an unplaced vertex's left weight exceeds t or _alive refuses it."""
-    adj = g.adj
+    adj = list(g.adj)  # one snapshot of the rows: the search reads them again and again
     total = [sum(w for _, w in lst) for lst in adj]
     if any(tw > 2 * t for tw in total):
         return

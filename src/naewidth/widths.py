@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from .errors import CapExceededError, ValidationError
 from .matchings import DEFAULT_BUDGET, AdjacencyCache
-from .tree import Tree, path
+from .tree import Tree
 from .wgraph import prefix_orders
 
 EXACT_CAP = 12
@@ -61,15 +61,14 @@ def linear_layout_from_order(order) -> TreeLayout:
         raise ValidationError("empty order")
     if n == 1:
         return TreeLayout(tree_adj={0: []}, leaf_vertex={0: order[0]}, linear=True)
-    adj = path(range(n - 1)).tree_adj  # spine nodes 0..n-2; leaf j sits at node n-1+j
-    leaf_vertex = {}
-    for j, v in enumerate(order):
-        spine = min(j, n - 2)
-        leaf = n - 1 + j
-        adj[spine].append(leaf)
-        adj[leaf] = [spine]
-        leaf_vertex[leaf] = v
-    return TreeLayout(tree_adj=adj, leaf_vertex=leaf_vertex, linear=True)
+    # spine nodes 0..n-2 as tree.path lists them, each followed by its leaf:
+    # leaf j sits at node n-1+j under spine node min(j, n-2)
+    adj = {i: [i - 1, i + 1, n - 1 + i] for i in range(n - 1)}
+    del adj[0][0]
+    adj[n - 2][-2:] = [2 * n - 3, 2 * n - 2]
+    adj.update((n - 1 + j, [min(j, n - 2)]) for j in range(n))
+    return TreeLayout(tree_adj=adj, leaf_vertex=dict(zip(range(n - 1, 2 * n - 1), order)),
+                      linear=True)
 
 
 def tree_cut_values(adjacent, vertices, tree: Tree, kind: str):

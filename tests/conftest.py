@@ -8,6 +8,7 @@ here as record dicts, whose canonical_json the library's text writers must
 write byte for byte.
 """
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -147,17 +148,129 @@ def edge_weight(g: WeightedGraph, u, v):
 
 def scale_weights(g: WeightedGraph, factor: int) -> WeightedGraph:
     """Reference for PartitionedGraph.scaled: a copy of g with every edge
-    weight multiplied by factor.
+    weight multiplied by factor, laid out again from its edges.
 
     Scaling is exact for balancing: an order or tree is t-balancing on g iff
     it is (t*factor)-balancing on the scaled copy.
     """
-    out = WeightedGraph()
-    for v in g.vertex_ids():
-        out.add_vertex(g.labels[v], g.roles[v])
+    return WeightedGraph.from_edges(g.labels, g.roles,
+                                    ((u, v, w * factor) for u, v, w in g.edges()))
+
+
+class ReferenceGraph:
+    """Reference for WeightedGraph: the adjacency as one list of (neighbour,
+    weight) pairs per vertex, each kept ascending by add_edge's insort."""
+
+    def __init__(self):
+        self.labels = []
+        self.roles = []
+        self.adj = []
+
+    @property
+    def n(self):
+        return len(self.adj)
+
+    def vertex_ids(self):
+        return range(len(self.adj))
+
+    def add_vertex(self, label="", role="plain"):
+        self.labels.append(label)
+        self.roles.append(role)
+        self.adj.append([])
+        return len(self.adj) - 1
+
+    def add_edge(self, u, v, w):
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        if w < 1:
+            raise ValidationError(f"edge weight {w} < 1 on ({u}, {v})")
+        bisect.insort(self.adj[u], (v, w))
+        bisect.insort(self.adj[v], (u, w))
+
+    def edges(self):
+        for u, lst in enumerate(self.adj):
+            for v, w in lst:
+                if u < v:
+                    yield u, v, w
+
+    def num_edges(self):
+        return sum(map(len, self.adj)) // 2
+
+    def vertex_weight(self, v):
+        if not 0 <= v < len(self.adj):
+            raise ValidationError(f"unknown vertex id {v}")
+        return sum(w for _, w in self.adj[v])
+
+    def check_simple(self):
+        n = len(self.adj)
+        weights = list(map(dict, self.adj))
+        for u, lst in enumerate(self.adj):
+            if len(weights[u]) != len(lst):
+                raise ValidationError(f"duplicate edge at {u}")
+            prev = -1
+            for v, w in lst:
+                if v == u:
+                    raise ValidationError(f"self-loop at {u}")
+                if w < 1:
+                    raise ValidationError(f"non-positive weight on ({u}, {v})")
+                if not 0 <= v < n or weights[v].get(u) != w:
+                    raise ValidationError(f"asymmetric edge ({u}, {v})")
+                if v < prev:
+                    raise ValidationError(f"adjacency list of {u} is not ascending")
+                prev = v
+
+
+def reference_check_balancing_order(g, order, t):
+    """Reference for wgraph.check_balancing_order: one vertex at a time, in
+    the order, summing its (neighbour, weight) pairs to either side."""
+    pos = {u: i for i, u in enumerate(order)}
+    if len(pos) != len(order) or set(pos) != set(g.vertex_ids()):
+        raise ValidationError("order is not a permutation of the vertex set")
+    for v in order:
+        pv = pos[v]
+        left = 0
+        right = 0
+        for u, w in g.adj[v]:
+            if pos[u] < pv:
+                left += w
+            else:
+                right += w
+        if left > t or right > t:
+            return False, v
+    return True, None
+
+
+def reference_of(g):
+    """The ReferenceGraph of g's labels, roles and edges, added edge by edge."""
+    ref = ReferenceGraph()
+    for label, role in zip(g.labels, g.roles):
+        ref.add_vertex(label, role)
     for u, v, w in g.edges():
-        out.add_edge(u, v, w * factor)
-    return out
+        ref.add_edge(u, v, w)
+    return ref
+
+
+def simple_verdict(g):
+    """None if g passes check_simple, else the message it is refused with."""
+    try:
+        g.check_simple()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def set_row(g, u, pairs):
+    """Make u's (neighbour, weight) pairs exactly the given ones, in their
+    order, on a WeightedGraph (its flat lists, later offsets shifted) or a
+    ReferenceGraph: how the tests break a graph."""
+    if isinstance(g, ReferenceGraph):
+        g.adj[u] = list(pairs)
+        return
+    lo, hi = g.start[u], g.start[u + 1]
+    g.nbr[lo:hi] = [v for v, _ in pairs]
+    g.wt[lo:hi] = [w for _, w in pairs]
+    shift = len(pairs) - (hi - lo)
+    g.start[u + 1:] = [s + shift for s in g.start[u + 1:]]
 
 
 def table_blocks(gs):
@@ -716,16 +829,18 @@ NON_BIJECTIVE_PLACEMENTS = {
 }
 
 
-# faults of H, each made in the adjacency lists of path_graph([2, 3]), and
+# faults of H, each made in the rows of path_graph([2, 3]) by set_row, and
 # the message WeightedGraph.check_simple refuses it with
 SIMPLE_FAULTS = [
-    (lambda adj: adj[1].append((1, 2)), "self-loop"),
-    (lambda adj: (adj[0].append((1, 2)), adj[1].append((0, 2))), "duplicate edge"),
-    (lambda adj: (adj[0].append((2, 0)), adj[2].append((0, 0))), "non-positive weight"),
-    (lambda adj: adj[2].append((0, 4)), "asymmetric edge"),
-    (lambda adj: adj.__setitem__(2, [(1, 4)]), "asymmetric edge"),
-    (lambda adj: adj[2].append((5, 3)), "asymmetric edge"),
-    (lambda adj: adj[1].reverse(), "not ascending"),
+    (lambda g: set_row(g, 1, [*g.adj[1], (1, 2)]), "self-loop"),
+    (lambda g: (set_row(g, 0, [*g.adj[0], (1, 2)]), set_row(g, 1, [*g.adj[1], (0, 2)])),
+     "duplicate edge"),
+    (lambda g: (set_row(g, 0, [*g.adj[0], (2, 0)]), set_row(g, 2, [*g.adj[2], (0, 0)])),
+     "non-positive weight"),
+    (lambda g: set_row(g, 2, [*g.adj[2], (0, 4)]), "asymmetric edge"),
+    (lambda g: set_row(g, 2, [(1, 4)]), "asymmetric edge"),
+    (lambda g: set_row(g, 2, [*g.adj[2], (5, 3)]), "asymmetric edge"),
+    (lambda g: set_row(g, 1, g.adj[1][::-1]), "not ascending"),
 ]
 
 

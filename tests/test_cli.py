@@ -319,11 +319,8 @@ def test_balance_check_on_a_20000_leaf_star(tmp_path):
     """Loading a graph audits it in O(|E|): the centre of a star with 20,000
     unit-weight leaves, placed in the middle of the order, has 10,000 leaves
     on either side."""
-    h = WeightedGraph()
-    h.add_vertex("centre")
-    for i in range(1, 20001):
-        h.add_vertex(f"leaf{i}")
-        h.add_edge(0, i, 1)
+    h = WeightedGraph.from_edges(["centre"] + [f"leaf{i}" for i in range(1, 20001)],
+                                 ["plain"] * 20001, [(0, i, 1) for i in range(1, 20001)])
     order = tmp_path / "order.json"
     order.write_text(serialize.canonical_json(
         serialize.order_doc(list(range(1, 10001)) + [0] + list(range(10001, 20001)))))
@@ -398,10 +395,10 @@ def paths_and_a_triangle(tmp_path):
     graph document: they have no 2-balancing order."""
     g = WeightedGraph()
     for _ in range(4):
-        a, b, c = g.add_vertices(["a", "b", "c"])
+        a, b, c = (g.add_vertex(label) for label in "abc")
         g.add_edge(a, b, 1)
         g.add_edge(b, c, 1)
-    x, y, z = g.add_vertices(["x", "y", "z"])
+    x, y, z = (g.add_vertex(label) for label in "xyz")
     for u, v in ((x, y), (y, z), (x, z)):
         g.add_edge(u, v, 2)
     return write_graph_doc(tmp_path, g)
@@ -1234,7 +1231,8 @@ def _draw_graph_doc(data, weighted):
     if not weighted:
         return graph_doc(adjacency_sets(n, edges))
     g = WeightedGraph()
-    g.add_vertices(map(str, range(n)))
+    for i in range(n):
+        g.add_vertex(str(i))
     for u, v in edges:
         g.add_edge(u, v, data.draw(st.integers(1, 5)))
     return weighted_graph_doc(g)

@@ -1,8 +1,11 @@
-"""The library names the benchmark calls still exist.
+"""The library names the benchmark calls still exist, and its reads of
+library objects still give its answers.
 
 perfbench runs outside this suite, so a change that deletes or renames a
 function, a method or a keyword parameter that perfbench uses would
-otherwise show only there.  The files are parsed with ast, not imported.
+otherwise show only there.  The name checks parse the files with ast; the
+last test imports perfbench's workloads and harness and runs the three
+checks that read a WeightedGraph's members.
 """
 
 import argparse
@@ -13,7 +16,12 @@ import inspect
 import io
 import random
 import subprocess
+import sys
 from pathlib import Path
+
+from naewidth.formula import brute_force_nae, parse_nae_dimacs
+from naewidth.red1 import SMALL, build_H, witness_order
+from naewidth.red2 import build_partitioned
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
@@ -140,3 +148,24 @@ def test_perfbench_methods_exist_on_library_classes():
     missing = {source for name, source in called.items() if name not in known | library}
     assert not missing, f"perfbench calls names no naewidth class has: {sorted(missing)}"
     assert {"num_dummy_edges", "validate", "adjacent"} <= called.keys() & library
+
+
+def test_perfbench_reads_of_a_step1_graph():
+    """workloads._saturation (H.adj[v]), harness.balancing_violation
+    (H.edges()) and harness.dummy_edge_closed_form give their answers on
+    the four-copies build at small and its witness order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import harness
+        import run
+        run.import_library()
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    f = parse_nae_dimacs(workloads.FOUR_COPIES)
+    build = build_H(f, SMALL)
+    order = witness_order(f, build, brute_force_nae(f))
+    edges = list(build.graph.edges())
+    assert workloads._saturation(build) == ""
+    assert harness.balancing_violation(build.graph.n, edges, order, SMALL.tau) == ""
+    assert harness.dummy_edge_closed_form(edges) == build_partitioned(build.graph).num_dummy_edges()

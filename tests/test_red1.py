@@ -1,7 +1,11 @@
+import gc
+import json
 import random
+import tracemalloc
 
 import pytest
 
+from naewidth import serialize
 from naewidth.errors import ValidationError
 from naewidth.formula import brute_force_nae, eval_nae, parse_nae_dimacs, random_strict_formula
 from naewidth.red1 import (
@@ -101,7 +105,7 @@ def test_build_bottleneck_adjacency_is_the_edge_by_edge_order(k, shared):
             g.add_edge(terms[0][0], root, 5)
         handle = build(g, terms, SMALL, "B", shared_root=root)
         spines = (handle.spine_a, handle.spine_b) if build is build_bottleneck else handle
-        built.append((g.labels, g.roles, g.adj, spines))
+        built.append((g.labels, g.roles, g.start, g.nbr, g.wt, spines))
     assert built[0] == built[1]
 
 
@@ -304,3 +308,33 @@ def test_witness_orders_respect_clause_structure():
         for j, clause in enumerate(f.clauses):
             var_pos = [pos[b.vx[v - 1]] for v in clause]
             assert min(var_pos) < pos[b.cvert[j]] < max(var_pos)
+
+
+def test_paper_build_of_four_copies_holds_at_most_8_mb():
+    """The 34,955-vertex paper H of four copies is three flat lists of shared
+    ids, not a list and a tuple per adjacency entry: 12.9 MB in that layout,
+    about 7 MB in this one (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build = build_H(FOUR_COPIES, PAPER)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert build.graph.n == 34955
+    assert size <= 8_000_000
+
+
+def test_step1_build_write_and_reload_leave_no_cyclic_garbage():
+    """A build, its text, its reload and a row read off each graph are freed
+    by reference counting alone: nothing the build holds refers back to it."""
+    gc.collect()
+    gc.disable()
+    try:
+        build = build_H(FOUR_COPIES, PAPER)
+        back = serialize.hbuild_from_doc(json.loads(serialize.hbuild_text(build)))
+        rows = build.graph.adj[0], back.graph.adj[back.hprime_n], list(back.graph.adj)[-1]
+        del build, back, rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -22,7 +22,7 @@ from naewidth.red2 import (
 from naewidth.red3 import build_Gstar
 from naewidth.wgraph import WeightedGraph, check_balancing_tree, solve_balancing_order
 
-from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_edge_iter, brute_mim, brute_sim, brute_validate, edge_weight, matching_partners, oracle_check, part_owners, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, star_graph, table_blocks
+from conftest import SIMPLE_FAULTS, adj_fn, adjacency_sets, brute_dummy_edges, brute_edge_iter, brute_mim, brute_sim, brute_validate, edge_weight, matching_partners, oracle_check, part_owners, path_graph, random_weighted_graph, sample_oracle_check, scale_weights, set_row, star_graph, table_blocks
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -77,7 +77,8 @@ def test_dummy_edge_count_matches_pairwise(rng):
 
 def copy_of(h):
     g = WeightedGraph()
-    g.adj = [list(lst) for lst in h.adj]
+    g.labels, g.roles = list(h.labels), list(h.roles)
+    g.start, g.nbr, g.wt = list(h.start), list(h.nbr), list(h.wt)
     return g
 
 
@@ -87,7 +88,7 @@ def twisted_twins(h, rng):
     g = copy_of(h)
 
     def twist(u, v, d):  # v > u: W(H) reads the weight on u's side
-        g.adj[v] = [(x, w + d if x == u else w) for x, w in g.adj[v]]
+        set_row(g, v, [(x, w + d if x == u else w) for x, w in g.adj[v]])
 
     edges = sorted(h.edges(), key=lambda e: e[2])
     twist(*edges[0][:2], 1)
@@ -142,7 +143,7 @@ def dropped_last_block(h, rng):
 def self_loop_block(h, rng):
     """A block I(u, u), with |V(G)| set back to 2·W(H)."""
     g = copy_of(h)
-    g.adj[0].append((0, 1))
+    set_row(g, 0, [*g.adj[0], (0, 1)])
     gs = PartitionedGraph(g)
     gs.n = 2 * g.total_weight()
     return gs
@@ -153,8 +154,8 @@ def duplicate_edge(h, rng):
     g = copy_of(h)
     u, v, w = rng.choice(list(h.edges()))
     w += rng.choice((0, 1))
-    g.adj[u].append((v, w))
-    g.adj[v].append((u, w))
+    set_row(g, u, [*g.adj[u], (v, w)])
+    set_row(g, v, [*g.adj[v], (u, w)])
     return PartitionedGraph(g)
 
 
@@ -165,7 +166,8 @@ def unsorted_adjacency(h, rng):
     if max(map(len, g.adj)) < 2:
         (u, _, _), (x, _, _) = list(h.edges())[:2]
         g.add_edge(u, x, 1)
-    max(g.adj, key=len).reverse()
+    u = max(g.vertex_ids(), key=lambda u: len(g.adj[u]))
+    set_row(g, u, g.adj[u][::-1])
     return PartitionedGraph(g)
 
 
@@ -179,7 +181,7 @@ def test_build_partitioned_refuses_each_fault_of_h(fault, message):
     """build_partitioned audits only H, and refuses every fault check_simple
     refuses, with its message; validate refuses the table laid out anyway."""
     h = path_graph([2, 3])
-    fault(h.adj)
+    fault(h)
     for build in (build_partitioned, lambda h: PartitionedGraph(h).validate()):
         with pytest.raises(ValidationError, match=message):
             build(h)
@@ -278,7 +280,8 @@ def test_table_counts_oracle_and_edge_rows_agree(data):
     explicit step-3 edge rows are the G* oracle's over all pairs."""
     n = data.draw(st.integers(2, 8))
     h = WeightedGraph()
-    h.add_vertices(map(str, range(n)))
+    for i in range(n):
+        h.add_vertex(str(i))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for u, v in sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True))):
         h.add_edge(u, v, data.draw(st.integers(1, 4)))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from naewidth import wgraph
 from naewidth.errors import BudgetExceededError, CapExceededError, ValidationError
-from naewidth.red1 import SMALL
+from naewidth.formula import brute_force_nae, parse_nae_dimacs
+from naewidth.red1 import SMALL, build_H, witness_order
 from naewidth.tree import Tree, path
 from naewidth.wgraph import (
+    ROLES,
     WeightedGraph,
     check_balancing_order,
     check_balancing_tree,
@@ -17,9 +19,10 @@ from naewidth.wgraph import (
     solve_balancing_order,
 )
 
-from conftest import (NON_BIJECTIVE_PLACEMENTS, SIMPLE_FAULTS, enumerate_labeled_trees,
-                      naive_balancing_orders, path_graph, random_weighted_graph, scale_weights,
-                      solve_balancing_tree, star_graph)
+from conftest import (NON_BIJECTIVE_PLACEMENTS, SIMPLE_FAULTS, ReferenceGraph,
+                      enumerate_labeled_trees, naive_balancing_orders, path_graph,
+                      random_weighted_graph, reference_check_balancing_order, reference_of,
+                      scale_weights, set_row, simple_verdict, solve_balancing_tree, star_graph)
 
 
 def triangle(w):
@@ -116,7 +119,8 @@ def test_restriction_to_induced_subgraph(rng):
             continue
         new_id = {v: i for i, v in enumerate(keep)}
         sub = WeightedGraph()
-        sub.add_vertices(g.labels[v] for v in keep)
+        for v in keep:
+            sub.add_vertex(g.labels[v])
         for u, v, w in g.edges():
             if u in new_id and v in new_id:
                 sub.add_edge(new_id[u], new_id[v], w)
@@ -226,9 +230,103 @@ def test_scale_weights_preserves_balancing(rng):
 def test_check_simple_refuses_each_fault(fault, message):
     g = path_graph([2, 3])
     g.check_simple()
-    fault(g.adj)
+    fault(g)
     with pytest.raises(ValidationError, match=message):
         g.check_simple()
+
+
+@pytest.mark.parametrize("fault, message", SIMPLE_FAULTS)
+def test_check_simple_names_the_fault_the_reference_names(fault, message):
+    """On each fault the flat lists and the list-of-tuples reference refuse
+    with the same message."""
+    g = path_graph([2, 3])
+    ref = reference_of(g)
+    fault(g)
+    fault(ref)
+    assert message in simple_verdict(g)
+    assert simple_verdict(g) == simple_verdict(ref)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda g: g.start.__setitem__(0, 1),
+    lambda g: g.start.__setitem__(1, 4),
+    lambda g: g.start.pop(),
+    lambda g: g.nbr.append(0),
+    lambda g: g.wt.pop(),
+    lambda g: g.labels.pop(),
+    lambda g: g.roles.append("plain"),
+], ids=["start-0", "descending", "short-start", "long-nbr", "short-wt", "labels", "roles"])
+def test_check_simple_refuses_offsets_that_do_not_bound_the_lists(fault):
+    g = path_graph([2, 3])
+    fault(g)
+    with pytest.raises(ValidationError, match="offsets"):
+        g.check_simple()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_lists_agree_with_the_reference_graph(data):
+    """The same add_vertex and add_edge calls on WeightedGraph and on the
+    list-of-tuples ReferenceGraph give the same edges, rows, vertex weights
+    and edge count; from_edges lays out the same lists from the edges in any
+    order; check_simple refuses the same rows replaced at random with the same
+    message; and check_balancing_order gives the same verdict and violator on
+    random orders and thresholds."""
+    n = data.draw(st.integers(0, 9))
+    g, ref = WeightedGraph(), ReferenceGraph()
+    for i in range(n):
+        role = data.draw(st.sampled_from(ROLES))
+        assert g.add_vertex(f"v{i}", role) == ref.add_vertex(f"v{i}", role)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for u, v in edges:
+        w = data.draw(st.integers(1, 6))
+        u, v = data.draw(st.permutations((u, v)))
+        g.add_edge(u, v, w)
+        ref.add_edge(u, v, w)
+    assert list(g.edges()) == list(ref.edges())
+    assert [list(row) for row in g.adj] == ref.adj
+    assert [g.vertex_weight(u) for u in g.vertex_ids()] == [
+        ref.vertex_weight(u) for u in ref.vertex_ids()]
+    assert g.num_edges() == ref.num_edges()
+    batch = WeightedGraph.from_edges(g.labels, g.roles, data.draw(st.permutations(
+        [(v, u, w) for u, v, w in g.edges()])))
+    assert (batch.labels, batch.roles, batch.start, batch.nbr, batch.wt) == (
+        g.labels, g.roles, g.start, g.nbr, g.wt)
+    for _ in range(3):
+        order = data.draw(st.permutations(range(n)))
+        t = data.draw(st.integers(-1, 20))
+        assert check_balancing_order(g, order, t) == reference_check_balancing_order(ref, order, t)
+    assert simple_verdict(g) is simple_verdict(ref) is None
+    for u in data.draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []:
+        row = data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, 6)), max_size=4))
+        set_row(g, u, row)
+        set_row(ref, u, row)
+    assert simple_verdict(g) == simple_verdict(ref)
+
+
+def test_witness_order_and_its_adjacent_swaps_agree_with_the_reference():
+    """check_balancing_order gives the reference's verdict and violator on the
+    witness order of the four-copies H at small, and on 200 seeded adjacent
+    swaps of it, at tau and at tau + gamma."""
+    f = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
+    build = build_H(f, SMALL)
+    ref = reference_of(build.graph)
+    order = witness_order(f, build, brute_force_nae(f))
+    rng = random.Random(20240831)
+    orders = [order]
+    for _ in range(200):
+        i = rng.randrange(len(order) - 1)
+        swapped = list(order)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        orders.append(swapped)
+    verdicts = set()
+    for o in orders:
+        for t in (SMALL.tau, SMALL.tau + SMALL.gamma):
+            got = check_balancing_order(build.graph, o, t)
+            assert got == reference_check_balancing_order(ref, o, t)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_labeled_tree_enumeration_counts():
