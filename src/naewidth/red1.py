@@ -131,7 +131,8 @@ def _padding_bottleneck(ids, first, terminals, attach):
     """Handle of the padding bottleneck whose spine a_1 b_1 .. a_k b_k takes
     the ids from first on, with attachment weight attach on every terminal."""
     k = len(terminals)
-    return BottleneckHandle(spine_a=ids[first:first + 2 * k:2], spine_b=ids[first + 1:first + 2 * k:2],
+    return BottleneckHandle(spine_a=ids[first:first + 2 * k:2],
+                            spine_b=ids[first + 1:first + 2 * k:2],
                             terminals=list(terminals), attach_weights=[attach] * k)
 
 

@@ -127,7 +127,8 @@ def _edges_text(g: WeightedGraph, scale):
 def weighted_graph_text(g: WeightedGraph, meta=None, scale=1) -> str:
     """The canonical text of g's document, its weights times scale."""
     roles = {role: _string(role) for role in set(g.roles)}  # a few roles, many vertices
-    vertices = _records(_VERTEX, zip(range(g.n), map(_string, g.labels), map(roles.__getitem__, g.roles)))
+    vertices = _records(_VERTEX, zip(range(g.n), map(_string, g.labels),
+                                     map(roles.__getitem__, g.roles)))
     meta = "" if meta is None else ',"meta":' + _json(meta)
     return (f'{_edges_text(g, scale)}{_EDGES_END}{FORMAT_VERSION},"kind":"weighted_graph"'
             f'{meta},"vertices":[{vertices}]}}\n')

@@ -19,7 +19,7 @@ class Tree:
         self.placement = placement
         if not tree_adj:
             raise ValidationError("empty tree")
-        degree_sum = sum(len(nbrs) for nbrs in tree_adj.values())
+        degree_sum = sum(map(len, tree_adj.values()))
         if len(self._parents()) != len(tree_adj) or degree_sum != 2 * (len(tree_adj) - 1):
             raise ValidationError("tree is not connected and acyclic")
         for node in placement.values():

@@ -47,7 +47,7 @@ class TreeLayout(Tree):
                 continue
             if not linear and len(nbrs) != 3:
                 raise ValidationError(f"internal node {x} has degree {len(nbrs)}")
-            if linear and (len(nbrs) > 3 or sum(y not in leaves for y in nbrs) > 2):
+            if linear and (len(nbrs) > 3 or len(nbrs) - sum(map(leaves.__contains__, nbrs)) > 2):
                 raise ValidationError(f"linear layout is not a caterpillar at node {x}")
         super().__init__(tree_adj, {v: leaf for leaf, v in leaf_vertex.items()})
         self.leaf_vertex = leaf_vertex  # leaf node -> graph vertex
@@ -62,13 +62,14 @@ def linear_layout_from_order(order) -> TreeLayout:
     if n == 1:
         return TreeLayout(tree_adj={0: []}, leaf_vertex={0: order[0]}, linear=True)
     # spine nodes 0..n-2 as tree.path lists them, each followed by its leaf:
-    # leaf j sits at node n-1+j under spine node min(j, n-2)
-    adj = {i: [i - 1, i + 1, n - 1 + i] for i in range(n - 1)}
+    # leaf j sits at node n-1+j under spine node min(j, n-2); one int per node
+    node = list(range(2 * n - 1))
+    spine, leaves = node[:n - 1], node[n - 1:]
+    adj = dict(zip(spine, map(list, zip([None] + spine[:-1], spine[1:] + [None], leaves))))
     del adj[0][0]
-    adj[n - 2][-2:] = [2 * n - 3, 2 * n - 2]
-    adj.update((n - 1 + j, [min(j, n - 2)]) for j in range(n))
-    return TreeLayout(tree_adj=adj, leaf_vertex=dict(zip(range(n - 1, 2 * n - 1), order)),
-                      linear=True)
+    adj[n - 2][-2:] = leaves[-2:]
+    adj.update(zip(leaves, map(list, zip(spine + spine[-1:]))))
+    return TreeLayout(tree_adj=adj, leaf_vertex=dict(zip(leaves, order)), linear=True)
 
 
 def tree_cut_values(adjacent, vertices, tree: Tree, kind: str):
