@@ -292,8 +292,7 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
         raise ValidationError(f"H would have {hprime_n + 6 * p} vertices, "
                               f"more than the {max_vertices} allowed")
 
-    if not p:
-        raise ValidationError("bottleneck needs at least one terminal")
+    # p >= 1: s_1's two edges weigh (gamma + 1) + s_edge_weight(c) < target.
     # H' rows, each followed by its pad edges, then the rows of X, Y, B_L and
     # B_R in vertex order by arithmetic; every id is the one int of ids
     ids = list(range(hprime_n + 6 * p))

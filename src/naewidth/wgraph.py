@@ -56,9 +56,6 @@ class _Adjacency:
         lo, hi = self._start[u], self._start[u + 1]
         return tuple(zip(self._nbr[lo:hi], self._wt[lo:hi]))
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
 
 class WeightedGraph:
     """Undirected graph with positive integer edge weights and dense ids.
@@ -168,6 +165,7 @@ class WeightedGraph:
         owners = list(self.owners())
         keys = list(zip(owners, nbr))
         last = dict(zip(keys, count()))  # the last entry of each (u, v)
+        # the weight of the last entry (v, u) at each entry (u, v), None if there is none
         twin_weight = map((wt + [None]).__getitem__,
                           map(last.get, zip(nbr, owners), repeat(len(wt))))
         dup = _first(map(ne, map(last.__getitem__, keys), count()))
