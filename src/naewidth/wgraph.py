@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
-from operator import eq, gt, itemgetter, lt, ne, sub
+from operator import ge, gt, itemgetter, lt, sub
 
 from .errors import BudgetExceededError, ValidationError
 from .tree import Tree
@@ -31,11 +31,6 @@ def _check_edge(u, v, w):
         raise ValidationError(f"self-loop at vertex {u}")
     if w < 1:
         raise ValidationError(f"edge weight {w} < 1 on ({u}, {v})")
-
-
-def _first(flags):
-    """Index of the first true flag, or None."""
-    return next(compress(count(), flags), None)
 
 
 class _Adjacency:
@@ -135,8 +130,8 @@ class WeightedGraph:
 
     def edges(self):
         """(u, v, weight) of every edge, u < v, in ascending order."""
-        owners, tails = tee(self.owners())
-        return compress(zip(owners, self.nbr, self.wt), map(lt, tails, self.nbr))
+        owners, owners_again = tee(self.owners())
+        return compress(zip(owners, self.nbr, self.wt), map(lt, owners_again, self.nbr))
 
     def num_edges(self):
         return len(self.nbr) // 2
@@ -153,33 +148,52 @@ class WeightedGraph:
     def check_simple(self) -> None:
         """O(|E|) audit: offsets that bound the neighbour and weight lists, and
         no self-loop, duplicate, one-sided edge, weight below 1 or row out of
-        ascending order.  Of several faults it names the first a walk over the
-        rows in order meets: a row's duplicate before its entries, and at one
-        entry a self-loop, a weight, a missing twin, then the order."""
+        ascending order.  The verdict is one pass that lays the rows out as
+        columns: with every row strictly ascending, the graph is symmetric iff
+        each row is its vertex's column.  A graph at fault is then walked row
+        by row, and the first fault met is named: a row's duplicate before its
+        entries, and at one entry a self-loop, a weight, a missing twin, then
+        the order."""
         start, nbr, wt = self.start, self.nbr, self.wt
         n = len(start) - 1
         if (n < 0 or start[0] != 0 or start[-1] != len(nbr) or len(wt) != len(nbr)
                 or len(self.labels) != n or len(self.roles) != n
                 or any(map(gt, start, islice(start, 1, None)))):
             raise ValidationError("the offsets do not bound the neighbour and weight lists")
-        owners = list(self.owners())
-        keys = list(zip(owners, nbr))
-        last = dict(zip(keys, count()))  # the last entry of each (u, v)
-        # the weight of the last entry (v, u) at each entry (u, v), None if there is none
-        twin_weight = map((wt + [None]).__getitem__,
-                          map(last.get, zip(nbr, owners), repeat(len(wt))))
-        dup = _first(map(ne, map(last.__getitem__, keys), count()))
-        descent = _first(map(lt, islice(keys, 1, None), keys))
-        found = [(entry, place, message) for place, (entry, message) in enumerate([
-            (None if dup is None else start[owners[dup]], "duplicate edge at {u}"),
-            (_first(map(eq, owners, nbr)), "self-loop at {u}"),
-            (_first(map(gt, repeat(1), wt)), "non-positive weight on ({u}, {v})"),
-            (_first(map(ne, twin_weight, wt)), "asymmetric edge ({u}, {v})"),
-            (None if descent is None else descent + 1, "adjacency list of {u} is not ascending"),
-        ]) if entry is not None]
-        if found:  # the first entry at fault, and its first check that fails
-            entry, _, message = min(found)
-            raise ValidationError(message.format(u=owners[entry], v=nbr[entry]))
+        if (min(wt, default=1) >= 1 and (not nbr or 0 <= min(nbr) <= max(nbr) < n)
+                and set(compress(count(1), map(ge, nbr, islice(nbr, 1, None)))) <= set(start)):
+            column, column_wt, fill = [None] * len(nbr), [None] * len(nbr), start[:-1]
+            ends = iter(start)
+            u, end = -1, next(ends)
+            for k, v in enumerate(nbr):
+                while k == end:  # entry k opens the next non-empty row
+                    u += 1
+                    end = next(ends)
+                i = fill[v]
+                if v == u or i == start[v + 1]:  # a self-loop, or v's column is full
+                    break
+                fill[v] = i + 1
+                column[i] = u
+                column_wt[i] = wt[k]
+            else:
+                if column == nbr and column_wt == wt:
+                    return
+        rows = list(zip(start, islice(start, 1, None)))
+        weights = [dict(zip(nbr[lo:hi], wt[lo:hi])) for lo, hi in rows]
+        for u, (lo, hi) in enumerate(rows):
+            if len(weights[u]) != hi - lo:
+                raise ValidationError(f"duplicate edge at {u}")
+            prev = -1
+            for v, w in zip(nbr[lo:hi], wt[lo:hi]):
+                if v == u:
+                    raise ValidationError(f"self-loop at {u}")
+                if w < 1:
+                    raise ValidationError(f"non-positive weight on ({u}, {v})")
+                if not 0 <= v < n or weights[v].get(u) != w:
+                    raise ValidationError(f"asymmetric edge ({u}, {v})")
+                if v < prev:
+                    raise ValidationError(f"adjacency list of {u} is not ascending")
+                prev = v
 
 
 def check_balancing_order(g, order, t):
