@@ -306,7 +306,7 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
         lo, hi = g.start[v], g.start[v + 1]
         mine = x_ids[len(pad_owner):len(pad_owner) + missing[v]]
         if mine:
-            pad_assign[v] = mine
+            pad_assign[ids[v]] = mine
             pad_owner += [ids[v]] * missing[v]
         nbr += map(ids.__getitem__, g.nbr[lo:hi])
         nbr += mine

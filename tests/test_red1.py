@@ -325,6 +325,19 @@ def test_paper_build_of_four_copies_holds_at_most_8_mb():
     assert size <= 8_000_000
 
 
+def test_paper_build_holds_one_int_per_vertex_id():
+    """Every id in the flat lists and in the padding handles is the one int
+    object of its vertex: a 34,955-vertex H would otherwise hold an int per
+    adjacency entry and per handle entry besides."""
+    build = build_H(FOUR_COPIES, PAPER)
+    one = {}
+    for group in (build.graph.nbr, build.x_ids, build.y_ids, list(build.pad_assign),
+                  *build.pad_assign.values(), *(getattr(h, name) for h in (build.bl, build.br)
+                                                for name in ("spine_a", "spine_b", "terminals"))):
+        assert all(one.setdefault(v, v) is v for v in group)
+    assert len(one) == build.graph.n
+
+
 def test_step1_build_write_and_reload_leave_no_cyclic_garbage():
     """A build, its text, its reload and a row read off each graph are freed
     by reference counting alone: nothing the build holds refers back to it."""
