@@ -101,7 +101,7 @@ class WeightedGraph:
         return _Adjacency(self.start, self.nbr, self.wt)
 
     def vertex_ids(self):
-        return range(len(self.start) - 1)
+        return range(self.n)
 
     def add_vertex(self, label: str = "", role: str = "plain") -> int:
         self.labels.append(label)
@@ -113,7 +113,7 @@ class WeightedGraph:
         """Insert uv into both rows in order: O(n + |E|), for small builds."""
         _check_edge(u, v, w)
         start, nbr, wt = self.start, self.nbr, self.wt
-        if not (0 <= u < len(start) - 1 and 0 <= v < len(start) - 1):
+        if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValidationError(f"edge ({u}, {v}) names an unknown vertex")
         for x, y in sorted(((u, v), (v, u)), reverse=True):  # the later row first
             i = bisect.bisect(nbr, y, start[x], start[x + 1])
@@ -125,7 +125,7 @@ class WeightedGraph:
         """Iterator over the vertex of every adjacency entry, in list order:
         u deg(u) times."""
         start = self.start
-        return chain.from_iterable(map(repeat, range(len(start) - 1),
+        return chain.from_iterable(map(repeat, range(self.n),
                                        map(sub, islice(start, 1, None), start)))
 
     def edges(self):
@@ -141,7 +141,7 @@ class WeightedGraph:
 
     def vertex_weight(self, v: int) -> int:
         """Sum of the weights of the edges incident to v."""
-        if not 0 <= v < len(self.start) - 1:
+        if not 0 <= v < self.n:
             raise ValidationError(f"unknown vertex id {v}")
         return sum(self.wt[self.start[v]:self.start[v + 1]])
 
