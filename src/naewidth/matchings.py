@@ -25,7 +25,10 @@ endpoint x are nbr[x] & ends, ends the endpoints on x's side.
 Cost of one cut value (cut_value): one cut_edges pass of |A|·|B| oracle
 calls lists the candidates; mim then makes no more oracle calls, and sim and
 omim at most C(k_A,2) + C(k_B,2), one per pair of distinct endpoints on a
-side.
+side.  When every candidate shares one endpoint (one row, or one column)
+the value is forced to 1: no compatibility graph is built, no conflict pair
+is asked, and each kernel call counts the one node its search would explore.
+A cut with no candidate is 0 with no node counted, as the search gives it.
 
 Cost of a sweep over one n-vertex graph (the cuts of every edge of a tree or
 tree mapping, and the cuts an exact width values: all 2^(n-1) for general
@@ -57,6 +60,10 @@ def _kernel_calls(kind):
 
 class _ThresholdHit(Exception):
     pass
+
+
+def _over_budget(budget):
+    return BudgetExceededError(f"matching search exceeded {budget} nodes")
 
 
 def cut_edges(adjacent, side_a, side_b):
@@ -159,17 +166,29 @@ class AdjacencyCache:
         if conflict_in_a:
             self._side_conflicts(on_a, block_a, sum(1 << i for i, _ in rows))
         if conflict_in_b:
-            self._side_conflicts(on_b, block_b, sum(1 << j for j in range(n) if on_b[j]))
+            ends_b = {j for _, cols in rows for j in cols}
+            self._side_conflicts(on_b, block_b, sum(map((1).__lshift__, ends_b)))
         full = (1 << k) - 1
         return [full & ~(block_a[i] | block_b[j]) for i, cols in rows for j in cols]
 
     def value(self, rows, kind: str, threshold=None, budget: int = DEFAULT_BUDGET,
               stats=None):
         """cut_value of the cut whose cut edges are the rows; omim's swapped
-        kernel call takes them transposed."""
+        kernel call takes them transposed.  A cut with no cut edge, or whose
+        cut edges share one endpoint, is answered as the search would answer
+        it, with no compatibility graph and no search."""
         calls = _kernel_calls(kind)
+        if not rows:
+            return 0, True
         if threshold is not None and threshold <= 0:
-            return 0, not rows
+            return 0, False
+        if len(rows) == 1 or len(rows[0][1]) == 1 and all(cols == rows[0][1] for _, cols in rows):
+            # one shared endpoint: every kernel call would explore one node and find 1
+            if stats is not None:
+                stats["nodes"] = stats.get("nodes", 0) + (len(calls) if budget >= 1 else 1)
+            if budget < 1:
+                raise _over_budget(budget)
+            return 1, threshold is None or threshold > 1
         results = []
         for swap, in_x, in_y in calls:
             edges = _rows(sorted((j, i) for i, cols in rows for j in cols)) if swap else rows
@@ -223,26 +242,26 @@ def max_clique(masks, threshold=None, budget: int = DEFAULT_BUDGET, stats=None):
     full = (1 << m) - 1
 
     def colour_order(p):
-        order = []
-        bounds = []
+        order, bounds = [], []
+        add_vertex, add_bound = order.append, bounds.append
         colour = 0
         while p:
             colour += 1
             q = p
             while q:
-                v = (q & -q).bit_length() - 1
-                bit = 1 << v
-                p &= ~bit
-                q &= ~bit & ~masks[v]
-                order.append(v)
-                bounds.append(colour)
+                bit = q & -q
+                v = bit.bit_length() - 1
+                q &= ~(bit | masks[v])
+                p ^= bit
+                add_vertex(v)
+                add_bound(colour)
         return order, bounds
 
     def expand(size, p):
         nonlocal best, nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(f"matching search exceeded {budget} nodes")
+            raise _over_budget(budget)
         order, bounds = colour_order(p)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= best:

@@ -8,8 +8,8 @@ ensure_divisible first scales (G, S) by a, by arithmetic on its block table:
 every start and size times a.  The gadget concatenates b quasi-copies of
 P_u that are densely interconnected except around corresponding positions.
 Inter-gadget edges are bicliques between the copy sets of G-adjacent
-originals.  Neither P_u nor the id layout of G* is stored: a gadget reads any
-position off the block layout of (G, S), and the gadget of u holds the
+originals.  Neither P_u nor the id layout of G* is stored: the G* oracle reads
+any position off the block layout of (G, S), and the gadget of u holds the
 2b·|S(u)| ids from 2b·start(S(u)) on, so G* is built in O(|E(H)|).
 
 Grouping moves each gadget of a hybrid tree (a Tree placing V(G*), one vertex
@@ -44,8 +44,8 @@ class Gadget:
     gadgets before it hold 2b ids per G-vertex, so it starts at 2b·start.
     """
 
-    def __init__(self, gs: PartitionedGraph, owner, copies, a):
-        self.gs, self.copies, self.a = gs, copies, a
+    def __init__(self, gs: PartitionedGraph, owner, copies):
+        self.copies = copies
         self.start, self.end = gs.part_range[owner]
         self.first = bisect.bisect_left(gs.block_start, self.start)
         self.last = bisect.bisect_left(gs.block_start, self.end)
@@ -55,24 +55,6 @@ class Gadget:
     @property
     def size(self):
         return self.copies * self.plen
-
-    def entry(self, pos):
-        """(tag, original G-vertex or None) at position pos of P_u.
-
-        Even positions hold the originals: original pos/2 is offset r of one
-        chunk.  A chunk holds a slice of each block of u, 1/a of its size, so
-        offset r lies in the block that holds G-vertex start + r·a."""
-        if pos == self.plen - 1:
-            return "appended", None
-        if pos % 2:
-            return "subdivision", None
-        chunk, r = divmod(pos // 2, self.plen // (2 * self.a))
-        at = self.start + r * self.a
-        starts = self.gs.block_start
-        k = bisect.bisect_right(starts, at, self.first, self.last) - 1
-        first = starts[k]
-        width = ((starts[k + 1] if k + 1 < self.last else self.end) - first) // self.a
-        return "original", first + chunk * width + (at - first) // self.a
 
     def locate(self, vid):
         return divmod(vid - self.base, self.plen)
@@ -85,8 +67,8 @@ class Gadget:
         positions, their path neighbors, and the copy-boundary successors and
         predecessors (the symmetrized closed neighborhood of the copy set in
         Q_u); the concatenation edges of Q_u stay."""
-        ci, p = self.locate(x)
-        cj, q = self.locate(y)
+        ci, p = divmod(x - self.base, self.plen)
+        cj, q = divmod(y - self.base, self.plen)
         if ci == cj:
             return "path" if abs(p - q) == 1 else None
         if ci > cj:
@@ -107,7 +89,7 @@ def build_gadget(gs: PartitionedGraph, u, c: Constants) -> Gadget:
     Refuses an empty S(u) and a block whose size a does not divide."""
     if u not in gs.part_range:
         raise ValidationError(f"{u} is not an H-vertex of the partition")
-    gadget = Gadget(gs, u, c.b, c.a)
+    gadget = Gadget(gs, u, c.b)
     if gadget.plen == 0:
         raise ValidationError(f"S({u}) is empty, so |V(P_{u})| = 2|S({u})| = 0")
     sizes = itertools.islice(gs.block_sizes(), gadget.first, gadget.last)
@@ -152,7 +134,7 @@ class Gstar:
     def gadget(self, u) -> Gadget:
         """The gadget of owner u, made on the first call and kept."""
         if u not in self._gadgets:
-            self._gadgets[u] = Gadget(self.GS, u, self.constants.b, self.constants.a)
+            self._gadgets[u] = Gadget(self.GS, u, self.constants.b)
         return self._gadgets[u]
 
     def owner_of(self, vid):
@@ -170,21 +152,39 @@ class Gstar:
 
     def adjacent(self, x, y):
         """Edge kind between two G*-vertices ("path", "cross", "matching",
-        "dummy"), or None (also for x == y)."""
-        ux, uy = self.owner_of(x), self.owner_of(y)
+        "dummy"), or None (also for x == y).
+
+        This is the oracle's hot path, so owners, positions and originals are
+        read off the block table here.  Position pos of P_u holds an original
+        iff it is even (the appended last one is odd): original pos/2 is
+        offset r of one chunk, and a chunk holds a slice of each block of u,
+        1/a of its size, so offset r lies in the block that holds G-vertex
+        start + r·a."""
+        if not 0 <= x < self.n:
+            raise ValidationError(f"G*-vertex {x} out of range")
+        if not 0 <= y < self.n:
+            raise ValidationError(f"G*-vertex {y} out of range")
         if x == y:
             return None
-        try:  # a hit is one dict lookup per end: this is the oracle's hot path
-            gadget_x, gadget_y = self._gadgets[ux], self._gadgets[uy]
-        except KeyError:
-            gadget_x, gadget_y = self.gadget(ux), self.gadget(uy)
+        gs, span, a = self.GS, self.span, self.constants.a
+        starts, pairs = gs.block_start, gs.block_pairs
+        ux = pairs[bisect.bisect_right(starts, x // span) - 1][0]
+        uy = pairs[bisect.bisect_right(starts, y // span) - 1][0]
         if ux == uy:
-            return gadget_x.adjacent(x, y)
-        _, gx = gadget_x.entry(gadget_x.locate(x)[1])
-        _, gy = gadget_y.entry(gadget_y.locate(y)[1])
-        if gx is None or gy is None:
-            return None
-        return self.GS.adjacent(gx, gy)
+            return (self._gadgets.get(ux) or self.gadget(ux)).adjacent(x, y)
+        originals = []
+        for vid, u in ((x, ux), (y, uy)):
+            start, end = gs.part_range[u]
+            pos = (vid - span * start) % (2 * (end - start))
+            if pos % 2:
+                return None
+            chunk, r = divmod(pos // 2, (end - start) // a)
+            at = start + r * a
+            k = bisect.bisect_right(starts, at) - 1
+            first = starts[k]
+            width = ((starts[k + 1] if k + 1 < len(starts) else gs.n) - first) // a
+            originals.append(first + chunk * width + (at - first) // a)
+        return gs.adjacent(*originals)
 
 
 def build_Gstar(gs: PartitionedGraph, c: Constants) -> Gstar:

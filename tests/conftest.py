@@ -20,7 +20,7 @@ import pytest
 from naewidth import serialize
 from naewidth.errors import CapExceededError, ValidationError
 from naewidth.formula import eval_nae
-from naewidth.matchings import AdjacencyCache
+from naewidth.matchings import DEFAULT_BUDGET, AdjacencyCache, _kernel_calls, _rows, max_clique
 from naewidth.red1 import validate_constants
 from naewidth.red3 import LAYOUT_CAP, DefaultEdgeNotFound
 from naewidth.tree import Tree
@@ -80,6 +80,21 @@ def brute_max_matching(adjacent, side_a, side_b, conflict_in_a, conflict_in_b):
 
     rec(0, [])
     return best
+
+
+def reference_value(cache, rows, kind, threshold=None, budget=DEFAULT_BUDGET, stats=None):
+    """Reference for AdjacencyCache.value as it was before forced answers:
+    every kernel call builds its compatibility graph and runs max_clique,
+    also on a cut with no candidate or with one shared endpoint."""
+    calls = _kernel_calls(kind)
+    if threshold is not None and threshold <= 0:
+        return 0, not rows
+    results = []
+    for swap, in_x, in_y in calls:
+        edges = _rows(sorted((j, i) for i, cols in rows for j in cols)) if swap else rows
+        masks = cache.compatibility(edges, in_x, in_y)
+        results.append(max_clique(masks, threshold=threshold, budget=budget, stats=stats))
+    return min(results)
 
 
 def brute_compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b):
@@ -375,7 +390,7 @@ def sample_oracle_check(gs, rng, samples: int = 2000) -> None:
 
 
 def brute_Pu(gs, u, c):
-    """Reference for Gadget.entry: the path P_u of part u listed as
+    """Reference for gadget_entry: the path P_u of part u listed as
     [(tag, G-vertex or None)].  Blocks I(u, v) are split into a chunks; chunk
     i concatenates the i-th slice of every block in ascending neighbor order;
     the full original sequence is 1-subdivided and one vertex is appended."""
@@ -403,6 +418,61 @@ def brute_Pu(gs, u, c):
     return path
 
 
+def gadget_entry(gs, a, gadget, pos):
+    """(tag, original G-vertex or None) at position pos of P_u, as the
+    gadget read it before the G* oracle took it inline.
+
+    Even positions hold the originals: original pos/2 is offset r of one
+    chunk.  A chunk holds a slice of each block of u, 1/a of its size, so
+    offset r lies in the block that holds G-vertex start + r·a."""
+    if pos == gadget.plen - 1:
+        return "appended", None
+    if pos % 2:
+        return "subdivision", None
+    chunk, r = divmod(pos // 2, gadget.plen // (2 * a))
+    at = gadget.start + r * a
+    starts = gs.block_start
+    k = bisect.bisect_right(starts, at, gadget.first, gadget.last) - 1
+    first = starts[k]
+    width = ((starts[k + 1] if k + 1 < gadget.last else gadget.end) - first) // a
+    return "original", first + chunk * width + (at - first) // a
+
+
+def reference_gadget_adjacent(gadget, x, y):
+    """Reference for Gadget.adjacent: copy and position through locate."""
+    ci, p = gadget.locate(x)
+    cj, q = gadget.locate(y)
+    if ci == cj:
+        return "path" if abs(p - q) == 1 else None
+    if ci > cj:
+        ci, cj = cj, ci
+        p, q = q, p
+    last = gadget.plen - 1
+    if p == last and q == 0:
+        return "path" if ci + 1 == cj else None
+    if abs(p - q) <= 1 or (p == 0 and q == last and not (ci == 0 and cj == gadget.copies - 1)):
+        return None
+    return "cross"
+
+
+def reference_gstar_adjacent(star, x, y):
+    """Reference for Gstar.adjacent: owners through owner_of (which checks
+    the range, x first), positions through locate, originals through
+    gadget_entry, and the (G, S) oracle between originals."""
+    ux, uy = star.owner_of(x), star.owner_of(y)
+    if x == y:
+        return None
+    gadget_x, gadget_y = star.gadget(ux), star.gadget(uy)
+    if ux == uy:
+        return reference_gadget_adjacent(gadget_x, x, y)
+    a = star.constants.a
+    _, gx = gadget_entry(star.GS, a, gadget_x, gadget_x.locate(x)[1])
+    _, gy = gadget_entry(star.GS, a, gadget_y, gadget_y.locate(y)[1])
+    if gx is None or gy is None:
+        return None
+    return star.GS.adjacent(gx, gy)
+
+
 def brute_gstar_ids(star):
     """Reference for the arithmetic G*-ids: ({owner: base}, |V(G*)|) found by
     summing gadget sizes, b·2|S(u)| with |S(u)| the weighted degree of u in
@@ -416,14 +486,15 @@ def brute_gstar_ids(star):
 
 def brute_validate_gstar(star):
     """Audit of the gadget paths G* reads off the block layout: materialize
-    every P_u through Gadget.entry and check its length, that its originals
+    every P_u through gadget_entry and check its length, that its originals
     cover S(u), and that the tags alternate original/subdivision before the
     appended vertex."""
     for u in star.parts():
         gadget = star.gadget(u)
         if gadget.plen != 2 * len(star.GS.part_vertices(u)):
             raise ValidationError(f"|V(P_{u})| != 2|S({u})|")
-        path = [gadget.entry(pos) for pos in range(gadget.plen)]
+        path = [gadget_entry(star.GS, star.constants.a, gadget, pos)
+                for pos in range(gadget.plen)]
         originals = [gv for tag, gv in path if tag == "original"]
         if sorted(originals) != list(star.GS.part_vertices(u)):
             raise ValidationError(f"P_{u} originals do not cover S({u})")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -24,7 +25,7 @@ from naewidth.red1 import Constants
 from naewidth.tree import Tree
 from naewidth.wgraph import DEAD_SET_CAP, ROLES, WeightedGraph, check_balancing_order
 
-from conftest import adjacency_sets, graph_doc, path_graph, weighted_graph_doc
+from conftest import adjacency_sets, gadget_entry, graph_doc, path_graph, weighted_graph_doc
 
 FOUR_COPIES = "p cnf 3 4\n" + "1 2 3 0\n" * 4
 
@@ -1653,7 +1654,8 @@ def test_gadget_document_version_1_exits_3(toy_gstar, step_docs, tmp_path, capsy
     for rec in doc["gadgets"]:
         gadget = star.gadget(rec["owner"])
         rec["path"] = [{"tag": tag, "gvid": gv}
-                       for tag, gv in map(gadget.entry, range(gadget.plen))]
+                       for tag, gv in (gadget_entry(star.GS, star.constants.a, gadget, pos)
+                                       for pos in range(gadget.plen))]
     old = tmp_path / "v1.json"
     old.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -1750,6 +1752,22 @@ def test_a_crash_exits_4_as_a_resource_budget(monkeypatch, error):
     code, out, err = _run_quietly(["cutval", "--kind", "mim", "-i", "g.json", "--cut", "c.json"])
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": f"{error.__name__}: out of it", "type": "resource"}
+
+
+def test_run_reuses_one_parser(monkeypatch):
+    """Once a run has built the parser, no later run builds one: --help
+    still exits 0, a usage error 2, and a handler put in _HANDLERS
+    dispatches."""
+    _run_quietly(["--help"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setitem(naewidth.cli._HANDLERS, "cutval", lambda args: (args.kind, args.cut))
+    assert _run_quietly(["--help"])[0] == 0
+    assert _run_quietly(["cutval", "--kind", "tim"])[0] == 2
+    assert run(["cutval", "--kind", "sim", "-i", "g.json", "--cut", "c.json"]) == ("sim", "c.json")
+    assert built == []
 
 
 def test_cutval_on_a_long_induced_matching_exits_4(tmp_path):

@@ -4,8 +4,9 @@ library objects still give its answers.
 perfbench runs outside this suite, so a change that deletes or renames a
 function, a method or a keyword parameter that perfbench uses would
 otherwise show only there.  The name checks parse the files with ast; the
-last test imports perfbench's workloads and harness and runs the three
-checks that read a WeightedGraph's members.
+other tests import perfbench's workloads and harness, run the three checks
+that read a WeightedGraph's members, and make one pass of the cut-kernel
+and width-exact workloads under the benchmark's own checks.
 """
 
 import argparse
@@ -14,10 +15,13 @@ import hashlib
 import importlib
 import inspect
 import io
+import json
 import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from naewidth.formula import brute_force_nae, parse_nae_dimacs
 from naewidth.red1 import SMALL, build_H, witness_order
@@ -150,10 +154,8 @@ def test_perfbench_methods_exist_on_library_classes():
     assert {"num_dummy_edges", "validate", "adjacent"} <= called.keys() & library
 
 
-def test_perfbench_reads_of_a_step1_graph():
-    """workloads._saturation (H.adj[v]), harness.balancing_violation
-    (H.edges()) and harness.dummy_edge_closed_form give their answers on
-    the four-copies build at small and its witness order."""
+def perfbench_modules():
+    """perfbench's harness, run and workloads modules, on this checkout's src/."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import harness
@@ -162,6 +164,14 @@ def test_perfbench_reads_of_a_step1_graph():
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return harness, run, workloads
+
+
+def test_perfbench_reads_of_a_step1_graph():
+    """workloads._saturation (H.adj[v]), harness.balancing_violation
+    (H.edges()) and harness.dummy_edge_closed_form give their answers on
+    the four-copies build at small and its witness order."""
+    harness, _, workloads = perfbench_modules()
     f = parse_nae_dimacs(workloads.FOUR_COPIES)
     build = build_H(f, SMALL)
     order = witness_order(f, build, brute_force_nae(f))
@@ -169,3 +179,16 @@ def test_perfbench_reads_of_a_step1_graph():
     assert workloads._saturation(build) == ""
     assert harness.balancing_violation(build.graph.n, edges, order, SMALL.tau) == ""
     assert harness.dummy_edge_closed_form(edges) == build_partitioned(build.graph).num_dummy_edges()
+
+
+@pytest.mark.parametrize("workload", ["cut-kernel", "width-exact"])
+def test_perfbench_cut_workloads_pass_their_own_checks(workload, tmp_path):
+    """One pass of the benchmark's cut-kernel and width-exact workloads, the
+    only runs of the cut kernel at the benchmark's sizes, made at seed 0:
+    every operation answers and passes the benchmark's own check."""
+    _, run, workloads = perfbench_modules()
+    reference = json.loads(Path(run.REFERENCE).read_text(encoding="utf-8"))
+    prepare, run_pass = workloads.WORKLOADS[workload]
+    inputs = prepare(0, str(tmp_path), reference)
+    done = run.one_pass(run_pass, inputs, None, str(tmp_path))
+    assert done.attempted > 0 and done.failed == {}, done.failed

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,11 @@ from naewidth.tree import Tree
 from naewidth.wgraph import WeightedGraph
 from naewidth.widths import linear_layout_from_order
 
-from conftest import (brute_gstar_ids, brute_Pu, brute_validate_gstar, copy_vertices, path_graph,
-                      random_ternary_hybrid, random_weighted_graph, reference_find_default_edge,
-                      reference_gadget_nodes, scale_weights, star_graph, table_blocks)
+from conftest import (brute_gstar_ids, brute_Pu, brute_validate_gstar, copy_vertices,
+                      gadget_entry, path_graph, random_ternary_hybrid, random_weighted_graph,
+                      reference_find_default_edge, reference_gadget_adjacent,
+                      reference_gadget_nodes, reference_gstar_adjacent, scale_weights,
+                      star_graph, table_blocks)
 
 A1 = Constants(36, 3, 6, 1, 3)  # a=1 keeps tiny blocks legal
 validate_constants(A1)
@@ -91,7 +94,7 @@ def literal_gadget_edges(gadget):
 
 def gadget_path(gs, u, c):
     gadget = build_gadget(gs, u, c)
-    return [gadget.entry(pos) for pos in range(gadget.plen)]
+    return [gadget_entry(gs, c.a, gadget, pos) for pos in range(gadget.plen)]
 
 
 def test_build_Pu_star9_layout():
@@ -140,7 +143,7 @@ def test_entry_matches_listed_path(rng):
 
 def test_arithmetic_ids_match_the_accumulated_layout(rng):
     """Every gadget base, |V(G*)| and the owner, copy, position and entry of
-    every G*-vertex, as Gstar.adjacent reads them, agree with ids accumulated
+    every G*-vertex, as the reference oracle reads them, agree with ids accumulated
     gadget by gadget and with the listed paths."""
     for c in (A1, SMALL) * 10:
         gs = build_partitioned(random_h_for(rng, c))
@@ -154,7 +157,7 @@ def test_arithmetic_ids_match_the_accumulated_layout(rng):
         for x in range(star.n):
             u = star.owner_of(x)
             copy, pos = star.gadget(u).locate(x)
-            assert (u, copy, pos) + star.gadget(u).entry(pos) == located[x]
+            assert (u, copy, pos) + gadget_entry(gs, c.a, star.gadget(u), pos) == located[x]
 
 
 def test_isolated_vertex_has_no_gadget():
@@ -281,13 +284,37 @@ def test_gstar_oracle_checks_the_range_before_a_self_pair():
     assert star.adjacent(71, 71) is None
 
 
+def test_one_frame_oracles_answer_as_their_helpers():
+    """Gstar.adjacent and Gadget.adjacent, which read owners, copies,
+    positions and originals inline, give the answer of the reference built on
+    owner_of, locate and gadget_entry on every ordered pair, and G* refuses an
+    out-of-range id on either side with the reference's message, x first.  A
+    gadget checks no range, as before: it answers as the reference does."""
+    stars = [build_Gstar(build_partitioned(h), SMALL)
+             for h in (path_graph([3]), path_graph([3, 3]), star9())]
+    for star in stars:
+        n = star.n
+        for x, y in itertools.product(range(n), repeat=2):
+            assert star.adjacent(x, y) == reference_gstar_adjacent(star, x, y), (x, y)
+        for x, y in [(-1, 0), (0, -1), (n, 0), (0, n), (-1, n), (n, -1), (-1, -1), (n, n)]:
+            with pytest.raises(ValidationError) as expected:
+                reference_gstar_adjacent(star, x, y)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+                star.adjacent(x, y)
+    gadget = build_gadget(build_partitioned(star9()), 0, SMALL)
+    assert gadget.size == 54
+    ids = range(-1, gadget.size + 1)
+    for x, y in itertools.product(ids, repeat=2):
+        assert gadget.adjacent(x, y) == reference_gadget_adjacent(gadget, x, y), (x, y)
+
+
 def test_gstar_intergadget_edges_original_only():
     gs = build_partitioned(star9())
     star = build_Gstar(gs, SMALL)
 
-    def tag(x):  # read as Gstar.adjacent reads it
+    def tag(x):  # read as the reference reads it
         gadget = star.gadget(star.owner_of(x))
-        return gadget.entry(gadget.locate(x)[1])[0]
+        return gadget_entry(gs, SMALL.a, gadget, gadget.locate(x)[1])[0]
 
     for u, v in itertools.combinations(star.parts(), 2):
         for x in star.part_vertices(u):
