@@ -140,19 +140,20 @@ def assert_value_is_the_search_value(adj, side_a, side_b, kind):
     adjacent = adj_fn(adj)
     verts = side_a + side_b
 
-    def rows():  # a fresh cache per call, so no call profits from another's asks
+    def fresh():  # a cache per call, so no call profits from another's asks
         cache = AdjacencyCache(adjacent, verts)
         return cache, cache.rows(cache.mask(side_a), cache.mask(side_b))
 
     for threshold, budget in itertools.product((None, 0, 1, 2), (0, DEFAULT_BUDGET)):
-        want = outcome(lambda stats: reference_value(*rows(), kind, threshold, budget, stats))
-        got = outcome(lambda stats: AdjacencyCache.value(*rows(), kind, threshold, budget, stats))
+        want = outcome(lambda stats: reference_value(*fresh(), kind, threshold, budget, stats))
+        got = outcome(lambda stats: AdjacencyCache.value(*fresh(), kind, threshold, budget, stats))
         assert got == want, (kind, threshold, budget, side_a, side_b, adj)
         plain = outcome(lambda _: cut_value(adjacent, side_a, side_b, kind, threshold, budget))
         assert plain[0] == want[0]
     brute = min(brute_max_matching(adjacent, side_a, side_b, in_a, in_b)
                 for in_a, in_b in BRUTE_FLAGS[kind])
-    assert rows()[0].value(rows()[1], kind) == (brute, True)
+    cache, rows = fresh()
+    assert cache.value(rows, kind) == (brute, True)
 
 
 @pytest.mark.parametrize("kind", ["mim", "sim", "omim"])
