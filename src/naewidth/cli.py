@@ -10,7 +10,6 @@ deterministic; --seed only affects the test-data generators.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -384,13 +383,10 @@ _HANDLERS = {
 }
 
 
-# one parser serves every run of a process: building it is about 2 ms of argparse set-up
-_parser = functools.cache(build_parser)
-
-
 def run(argv) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import functools
 import hashlib
@@ -1752,22 +1751,6 @@ def test_a_crash_exits_4_as_a_resource_budget(monkeypatch, error):
     code, out, err = _run_quietly(["cutval", "--kind", "mim", "-i", "g.json", "--cut", "c.json"])
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": f"{error.__name__}: out of it", "type": "resource"}
-
-
-def test_run_reuses_one_parser(monkeypatch):
-    """Once a run has built the parser, no later run builds one: --help
-    still exits 0, a usage error 2, and a handler put in _HANDLERS
-    dispatches."""
-    _run_quietly(["--help"])
-    built = []
-    init = argparse.ArgumentParser.__init__
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    monkeypatch.setitem(naewidth.cli._HANDLERS, "cutval", lambda args: (args.kind, args.cut))
-    assert _run_quietly(["--help"])[0] == 0
-    assert _run_quietly(["cutval", "--kind", "tim"])[0] == 2
-    assert run(["cutval", "--kind", "sim", "-i", "g.json", "--cut", "c.json"]) == ("sim", "c.json")
-    assert built == []
 
 
 def test_cutval_on_a_long_induced_matching_exits_4(tmp_path):
