@@ -10,8 +10,9 @@ that raises all but two vertex weights above the threshold gap.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, repeat
 
 from .errors import ValidationError
 from .formula import NaeFormula, eval_nae, validate_formula
@@ -210,7 +211,47 @@ def direct_order_of_sequence(handles: SequenceHandles):
     return order
 
 
-@dataclass
+class _PaddedLabels:
+    """Read-only labels of H: H′'s list, then the 6p padding labels
+    x0..x(p-1), y0..y(p-1), BL.a1 BL.b1 .. BL.ap BL.bp and the same for BR,
+    computed from the index.  It holds the list and p, never the graph."""
+
+    __slots__ = ("_head", "_p")
+
+    def __init__(self, head, p):
+        self._head, self._p = head, p
+
+    def __len__(self):
+        return len(self._head) + 6 * self._p
+
+    def __iter__(self):
+        p, spine = self._p, range(1, self._p + 1)
+        return chain(self._head, map("x{}".format, range(p)), map("y{}".format, range(p)),
+                     *(chain.from_iterable(zip(map(f"{name}.a{{}}".format, spine),
+                                               map(f"{name}.b{{}}".format, spine)))
+                       for name in ("BL", "BR")))
+
+    def __getitem__(self, i):
+        head, p, n, i = self._head, self._p, len(self), operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("label index out of range")
+        k = i % n - len(head)
+        if k < 0:
+            return head[k]  # from the end of H′'s list
+        if k < 2 * p:
+            return f"{'xy'[k // p]}{k % p}"
+        spine, j = divmod(k - 2 * p, 2 * p)
+        return f"{('BL', 'BR')[spine]}.{'ab'[j % 2]}{j // 2 + 1}"
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _PaddedLabels)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+# compared and printed as objects: a field-wise == would compare the graphs
+# by identity, and a field-wise repr would print id lists as long as the padding
+@dataclass(eq=False, repr=False)
 class HBuild:
     """Built H graph plus the named vertex groups the later steps rely on."""
 
@@ -324,11 +365,9 @@ def build_H(f: NaeFormula, c: Constants, max_vertices=None) -> HBuild:
         wt += weights
         degrees += [2, 2] + [3, 2] * (p - 1)
         degrees[-1] = 1  # b_k has no a_(k+1)
-    g.labels += [f"x{j}" for j in range(p)] + [f"y{j}" for j in range(p)]
+    g.labels = _PaddedLabels(g.labels, p)
     g.roles += ["pad_x"] * p + ["pad_y"] * p
-    for name in ("BL", "BR"):
-        g.labels += [f"{name}.{side}{i}" for i in range(1, p + 1) for side in "ab"]
-        g.roles += ["spine_a", "spine_b"] * (p - 1) + ["spine_a", "root"]
+    g.roles += (["spine_a", "spine_b"] * (p - 1) + ["spine_a", "root"]) * 2  # B_L, B_R
     g.start, g.nbr, g.wt = list(accumulate(degrees, initial=0)), nbr, wt
 
     return HBuild(
@@ -417,7 +456,7 @@ def decode_assignment(f: NaeFormula, build: HBuild, order):
     if not ok:
         raise ValidationError(
             f"order is not ({c.tau + c.gamma})-balancing: vertex {violator} violates")
-    pos = {v: i for i, v in enumerate(order)}
+    pos = dict(compress(zip(order, count()), map(build.hprime_n.__gt__, order)))  # H' only
     c_positions = [pos[v] for v in build.cvert]
     c_min, c_max = min(c_positions), max(c_positions)
     values = []

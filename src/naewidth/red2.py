@@ -50,12 +50,6 @@ class PartitionedGraph:
         out.part_range = {u: (a * factor, b * factor) for u, (a, b) in self.part_range.items()}
         return out
 
-    def _block(self, p):
-        """Index of the block containing G-vertex p."""
-        if not 0 <= p < self.n:
-            raise ValidationError(f"G-vertex {p} out of range")
-        return bisect.bisect_right(self.block_start, p) - 1
-
     def block_sizes(self):
         """Sizes of the blocks in table order, as one C-level map: block k
         ends where block k + 1 starts, and the last block ends at |V(G)|."""
@@ -70,13 +64,19 @@ class PartitionedGraph:
         return sorted(self.part_range)
 
     def adjacent(self, p, q):
-        """Edge kind between two G-vertices, or None (also for p == q)."""
-        k, l = self._block(p), self._block(q)
+        """Edge kind between two G-vertices, or None (also for p == q).  The
+        oracle's hot path: ranges and blocks are read here, p checked first."""
+        n, starts = self.n, self.block_start
+        if not 0 <= p < n:
+            raise ValidationError(f"G-vertex {p} out of range")
+        if not 0 <= q < n:
+            raise ValidationError(f"G-vertex {q} out of range")
         if p == q:
             return None
+        k, l = bisect.bisect_right(starts, p) - 1, bisect.bisect_right(starts, q) - 1
         (u, v), (x, y) = self.block_pairs[k], self.block_pairs[l]
         if (x, y) == (v, u):
-            return "matching" if p - self.block_start[k] == q - self.block_start[l] else None
+            return "matching" if p - starts[k] == q - starts[l] else None
         return "dummy" if u != x and u != y and v != x and v != y else None
 
     def num_matching_edges(self):

@@ -66,9 +66,15 @@ class Gadget:
         Distinct copies are joined everywhere except at corresponding
         positions, their path neighbors, and the copy-boundary successors and
         predecessors (the symmetrized closed neighborhood of the copy set in
-        Q_u); the concatenation edges of Q_u stay."""
+        Q_u); the concatenation edges of Q_u stay.  An id outside the
+        gadget is refused, x checked first."""
+        copies = self.copies
         ci, p = divmod(x - self.base, self.plen)
+        if not 0 <= ci < copies:
+            raise ValidationError(f"G*-vertex {x} out of the gadget's range")
         cj, q = divmod(y - self.base, self.plen)
+        if not 0 <= cj < copies:
+            raise ValidationError(f"G*-vertex {y} out of the gadget's range")
         if ci == cj:
             return "path" if abs(p - q) == 1 else None
         if ci > cj:
@@ -79,7 +85,7 @@ class Gadget:
             return "path" if ci + 1 == cj else None
         # position 0 of copy ci and the last position of copy cj are Q_u
         # neighbors of each other's copies unless ci and cj are the outer copies
-        if abs(p - q) <= 1 or (p == 0 and q == last and not (ci == 0 and cj == self.copies - 1)):
+        if abs(p - q) <= 1 or (p == 0 and q == last and not (ci == 0 and cj == copies - 1)):
             return None
         return "cross"
 

@@ -63,7 +63,8 @@ class WeightedGraph:
     ascending, so the edges come out in (u, v) order with no sort.  adj[u]
     reads one vertex's (neighbour, weight) pairs.  Builders never add
     duplicate edges; check_simple() audits that, plus symmetry, positivity
-    and the offsets.
+    and the offsets.  For a step-1 build, labels may be a computed read-only
+    sequence (len, iteration, indexing and == against a list).
     """
 
     __slots__ = ("labels", "roles", "start", "nbr", "wt")

@@ -119,6 +119,17 @@ def brute_compatibility_masks(adjacent, candidates, conflict_in_a, conflict_in_b
     return masks
 
 
+def reference_labels(build):
+    """Reference for the labels of H: H′'s as built, then the padding labels
+    as a list of one string per padding vertex."""
+    p = len(build.x_ids)
+    labels = [build.graph.labels[v] for v in range(build.hprime_n)]
+    labels += [f"x{j}" for j in range(p)] + [f"y{j}" for j in range(p)]
+    for name in ("BL", "BR"):
+        labels += [f"{name}.{side}{i}" for i in range(1, p + 1) for side in "ab"]
+    return labels
+
+
 def brute_bottleneck(g: WeightedGraph, terminals, c, name="B", shared_root=None):
     """Reference for red1.build_bottleneck: the spine vertices, then one
     add_edge call per edge, which keeps every adjacency list ascending.
@@ -439,7 +450,11 @@ def gadget_entry(gs, a, gadget, pos):
 
 
 def reference_gadget_adjacent(gadget, x, y):
-    """Reference for Gadget.adjacent: copy and position through locate."""
+    """Reference for Gadget.adjacent: ids in [base, base + size), x checked
+    first, then copy and position through locate."""
+    for vid in (x, y):
+        if not gadget.base <= vid < gadget.base + gadget.size:
+            raise ValidationError(f"G*-vertex {vid} out of the gadget's range")
     ci, p = gadget.locate(x)
     cj, q = gadget.locate(y)
     if ci == cj:

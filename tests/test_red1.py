@@ -27,7 +27,8 @@ from naewidth.wgraph import (
     enumerate_balancing_orders,
 )
 
-from conftest import alpha_threshold, brute_bottleneck, edge_weight, naive_balancing_orders
+from conftest import (alpha_threshold, brute_bottleneck, edge_weight, naive_balancing_orders,
+                      reference_labels)
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -323,6 +324,47 @@ def test_paper_build_of_four_copies_holds_at_most_8_mb():
         tracemalloc.stop()
     assert build.graph.n == 34955
     assert size <= 8_000_000
+
+
+@pytest.mark.parametrize("c", [SMALL, PAPER, Constants(tau=12, gamma=1, lam=2, a=1, b=1)],
+                         ids=["small", "paper", "custom:12,1,2,1,1"])
+def test_computed_labels_are_the_stored_ones(c):
+    """H's labels, H′'s list plus the padding labels computed from their
+    index, equal the list build_H once stored, as a whole, vertex by vertex
+    at every block boundary and from the end, and refuse an index past
+    either end."""
+    rng = random.Random(3)
+    for f in (FOUR_COPIES, random_strict_formula(6, rng), random_strict_formula(12, rng)):
+        build = build_H(f, c)
+        labels, expected = build.graph.labels, reference_labels(build)
+        n, h, p = build.graph.n, build.hprime_n, len(build.x_ids)
+        assert len(labels) == len(expected) == n
+        assert list(labels) == expected
+        assert labels == expected and expected == labels and not labels != expected
+        assert labels == build_H(f, c).graph.labels
+        assert labels != expected[:-1] and expected[:-1] != labels
+        assert labels != expected[:h] + ["?"] + expected[h + 1:]
+        edges = [0, h - 1, h] + [h + k * p + d for k in range(6) for d in (0, p - 1)] + [n - 1]
+        for i in edges:
+            assert labels[i] == expected[i] and labels[i - n] == expected[i], i
+        assert labels[-1] == expected[-1] == "BR.b" + str(p)
+        for bad in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                labels[bad]
+
+
+def test_paper_build_of_four_copies_holds_at_most_160_bytes_per_vertex():
+    """The paper H of four copies stores no padding label: its labels are
+    computed from the index, so the build holds about 138 bytes per vertex
+    (tracemalloc), against 202 with one string per padding vertex."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build = build_H(FOUR_COPIES, PAPER)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 160 * build.graph.n
 
 
 def test_paper_build_holds_one_int_per_vertex_id():

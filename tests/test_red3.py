@@ -289,7 +289,7 @@ def test_one_frame_oracles_answer_as_their_helpers():
     positions and originals inline, give the answer of the reference built on
     owner_of, locate and gadget_entry on every ordered pair, and G* refuses an
     out-of-range id on either side with the reference's message, x first.  A
-    gadget checks no range, as before: it answers as the reference does."""
+    gadget does the same for an id outside its own range."""
     stars = [build_Gstar(build_partitioned(h), SMALL)
              for h in (path_graph([3]), path_graph([3, 3]), star9())]
     for star in stars:
@@ -301,11 +301,18 @@ def test_one_frame_oracles_answer_as_their_helpers():
                 reference_gstar_adjacent(star, x, y)
             with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
                 star.adjacent(x, y)
-    gadget = build_gadget(build_partitioned(star9()), 0, SMALL)
-    assert gadget.size == 54
-    ids = range(-1, gadget.size + 1)
-    for x, y in itertools.product(ids, repeat=2):
-        assert gadget.adjacent(x, y) == reference_gadget_adjacent(gadget, x, y), (x, y)
+    gadgets = [build_gadget(build_partitioned(star9()), u, SMALL) for u in (0, 1)]
+    assert gadgets[0].size == 54 and gadgets[1].base == 54
+    for gadget in gadgets:
+        lo, hi = gadget.base, gadget.base + gadget.size
+        for x, y in itertools.product(range(lo, hi), repeat=2):
+            assert gadget.adjacent(x, y) == reference_gadget_adjacent(gadget, x, y), (x, y)
+        for x, y in [(lo - 1, lo), (lo, lo - 1), (hi, lo), (lo, hi), (lo - 1, hi), (hi, lo - 1),
+                     (lo - 5, lo + 7), (hi, hi - 1), (-1, -1)]:
+            with pytest.raises(ValidationError) as expected:
+                reference_gadget_adjacent(gadget, x, y)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+                gadget.adjacent(x, y)
 
 
 def test_gstar_intergadget_edges_original_only():
