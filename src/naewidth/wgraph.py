@@ -245,9 +245,12 @@ def _alive(adj, committed, t, placed_mask):
     """False if precedence propagation proves the placed prefix dead.
 
     Per unplaced vertex, the remaining neighbors must split into a
-    before/after set keeping both sides at most t; neighbors forced onto one
-    side seed before/after arcs, propagated to a fixpoint, and the arcs must
-    be acyclic (Kahn's algorithm)."""
+    before/after set keeping both sides at most t.  The splits are read off
+    the 2^m subset sums of its m free neighbors, built by doubling.
+    Neighbors forced onto one side seed before/after arcs, propagated to a
+    fixpoint, and the arcs must be acyclic (Kahn's algorithm, skipped when
+    no arc was added).  The answer depends on the set alone: an unplaced
+    vertex's committed weight is its weight into the set."""
     n = len(adj)
     before = [0] * n
     after = [0] * n
@@ -274,22 +277,17 @@ def _alive(adj, committed, t, placed_mask):
         m = len(free)
         if m == 0 or m > _PROPAGATION_DEGREE_CAP:
             continue
-        always = (1 << m) - 1
+        sums = [0]  # sums[subset]: the weight of the free neighbors in subset, put before u
+        for _, w in free:
+            sums += [s + w for s in sums]
+        low, high = sums[-1] + rbase - t, t - lbase
+        always = -1  # stays -1 if no split fits
         union = 0
-        feasible = False
-        for subset in range(1 << m):
-            left = lbase
-            right = rbase
-            for i in range(m):
-                if subset >> i & 1:
-                    left += free[i][1]
-                else:
-                    right += free[i][1]
-            if left <= t and right <= t:
-                feasible = True
+        for subset, left in enumerate(sums):
+            if low <= left <= high:
                 always &= subset
                 union |= subset
-        if not feasible:
+        if always < 0:
             return False
         for i, (x, _) in enumerate(free):
             if always >> i & 1:
@@ -304,6 +302,8 @@ def _alive(adj, committed, t, placed_mask):
                 if not in_pending[y]:
                     in_pending[y] = True
                     pending.append(y)
+    if not any(before):  # no arc was added
+        return True
     indegree = [bits.bit_count() for bits in before]
     ready = [u for u in range(n) if not placed_mask >> u & 1 and indegree[u] == 0]
     for x in ready:
@@ -326,7 +326,8 @@ def prefix_orders(n, place, take_back, budget):
 
     place(v, mask) puts v after the prefix set mask: None refuses v there,
     changes nothing and marks nothing; False calls the new set dead, which
-    place must decide from the set alone; True goes on from it.
+    place must decide from the set alone; True goes on from it, and place
+    may remember the sets it went on from to answer them again unchecked.
     take_back(v, mask) undoes a False or True.  A set called dead, or whose
     subtree yielded no order, is dead whatever order reaches it; up to
     DEAD_SET_CAP of them are never entered again.  budget bounds the
@@ -371,21 +372,30 @@ def _extensions(g, t, budget):
     """The t-balancing orders by prefix_orders.  Placing v is refused when its
     right weight (total - left) exceeds t; no order reaches that set with v
     earlier, so remembering it would only fill the dead sets.  The new set is
-    dead when an unplaced vertex's left weight exceeds t or _alive refuses it."""
+    dead when an unplaced vertex's left weight exceeds t or _alive refuses it.
+    Up to DEAD_SET_CAP sets _alive accepted are remembered too, so each set
+    is propagated once however many orders reach it."""
     adj = list(g.adj)  # one snapshot of the rows: the search reads them again and again
     total = [sum(w for _, w in lst) for lst in adj]
     if any(tw > 2 * t for tw in total):
         return
     committed = [0] * len(adj)
+    live = set()
 
     def place(v, mask):
         if total[v] - committed[v] > t:
             return None
+        fits = True
         for u, w in adj[v]:
             if not mask >> u & 1:
                 committed[u] += w
-        return (all(committed[u] <= t for u, _ in adj[v] if not mask >> u & 1)
-                and _alive(adj, committed, t, mask | 1 << v))
+                fits = fits and committed[u] <= t
+        mask |= 1 << v
+        if not fits or (mask not in live and not _alive(adj, committed, t, mask)):
+            return False
+        if len(live) < DEAD_SET_CAP:
+            live.add(mask)
+        return True
 
     def take_back(v, mask):
         for u, w in adj[v]:

@@ -21,10 +21,11 @@ from naewidth import serialize
 from naewidth.errors import CapExceededError, ValidationError
 from naewidth.formula import eval_nae
 from naewidth.matchings import DEFAULT_BUDGET, AdjacencyCache, _kernel_calls, _rows, max_clique
-from naewidth.red1 import validate_constants
+from naewidth.red1 import SMALL, build_bottleneck_sequence, validate_constants
 from naewidth.red3 import LAYOUT_CAP, DefaultEdgeNotFound
 from naewidth.tree import Tree
-from naewidth.wgraph import WeightedGraph, check_balancing_order, check_balancing_tree
+from naewidth.wgraph import (_PROPAGATION_DEGREE_CAP, DEFAULT_ORDER_BUDGET, WeightedGraph,
+                             check_balancing_order, check_balancing_tree, prefix_orders)
 from naewidth.widths import TreeLayout, enumerate_leaf_trees
 
 
@@ -633,6 +634,119 @@ def naive_balancing_orders(g, t):
         if ok:
             out.append(list(perm))
     return out
+
+
+def reference_alive(adj, committed, t, placed_mask):
+    """Reference for wgraph._alive, as it was before it summed the subsets by
+    doubling: each before/after split of a vertex's free neighbours is summed
+    afresh, and Kahn's pass always runs."""
+    n = len(adj)
+    before = [0] * n
+    after = [0] * n
+    pending = [u for u in range(n) if not placed_mask >> u & 1]
+    unplaced = len(pending)
+    in_pending = [not placed_mask >> u & 1 for u in range(n)]
+    while pending:
+        u = pending.pop()
+        in_pending[u] = False
+        lbase = committed[u]
+        rbase = 0
+        free = []
+        for x, w in adj[u]:
+            if placed_mask >> x & 1:
+                continue
+            if before[u] >> x & 1:
+                lbase += w
+            elif after[u] >> x & 1:
+                rbase += w
+            else:
+                free.append((x, w))
+        if lbase > t or rbase > t:
+            return False
+        m = len(free)
+        if m == 0 or m > _PROPAGATION_DEGREE_CAP:
+            continue
+        always = (1 << m) - 1
+        union = 0
+        feasible = False
+        for subset in range(1 << m):
+            left = lbase
+            right = rbase
+            for i in range(m):
+                if subset >> i & 1:
+                    left += free[i][1]
+                else:
+                    right += free[i][1]
+            if left <= t and right <= t:
+                feasible = True
+                always &= subset
+                union |= subset
+        if not feasible:
+            return False
+        for i, (x, _) in enumerate(free):
+            if always >> i & 1:
+                before[u] |= 1 << x
+                after[x] |= 1 << u
+            elif not union >> i & 1:
+                after[u] |= 1 << x
+                before[x] |= 1 << u
+            else:
+                continue
+            for y in (u, x):
+                if not in_pending[y]:
+                    in_pending[y] = True
+                    pending.append(y)
+    indegree = [bits.bit_count() for bits in before]
+    ready = [u for u in range(n) if not placed_mask >> u & 1 and indegree[u] == 0]
+    for x in ready:
+        bits = after[x]
+        while bits:
+            y = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                ready.append(y)
+    return len(ready) == unplaced
+
+
+def reference_balancing_orders(g, t, stats, budget=DEFAULT_ORDER_BUDGET):
+    """Reference for wgraph._extensions, as it was before it remembered the
+    sets found alive: every set placed is propagated by reference_alive
+    again, however many orders reach it.  stats["place"] counts the
+    placements tried."""
+    adj = list(g.adj)
+    total = [sum(w for _, w in lst) for lst in adj]
+    if any(tw > 2 * t for tw in total):
+        return
+    committed = [0] * len(adj)
+
+    def place(v, mask):
+        stats["place"] += 1
+        if total[v] - committed[v] > t:
+            return None
+        for u, w in adj[v]:
+            if not mask >> u & 1:
+                committed[u] += w
+        return (all(committed[u] <= t for u, _ in adj[v] if not mask >> u & 1)
+                and reference_alive(adj, committed, t, mask | 1 << v))
+
+    def take_back(v, mask):
+        for u, w in adj[v]:
+            if not mask >> u & 1:
+                committed[u] -= w
+
+    yield from prefix_orders(len(adj), place, take_back, budget)
+
+
+def sequence_fixture(c=SMALL):
+    """The bottleneck sequence on three fresh terminals S1, S2, S3 (vertices
+    0, 1, 2) and its handles."""
+    g = WeightedGraph()
+    s1 = [(g.add_vertex("S1"), c.tau - c.lam)]
+    s2 = [(g.add_vertex("S2"), c.tau - 2 * c.lam)]
+    s3 = [(g.add_vertex("S3"), c.tau - c.lam)]
+    handles = build_bottleneck_sequence(g, s1, s2, s3, c)
+    return g, handles
 
 
 DEFAULT_TREE_CAP = 8

@@ -28,7 +28,7 @@ from naewidth.wgraph import (
 )
 
 from conftest import (alpha_threshold, brute_bottleneck, edge_weight, naive_balancing_orders,
-                      reference_labels)
+                      reference_labels, sequence_fixture)
 
 FOUR_COPIES = parse_nae_dimacs("p cnf 3 4\n" + "1 2 3 0\n" * 4)
 
@@ -117,15 +117,6 @@ def test_build_bottleneck_rejects_attachment_out_of_range():
         build_bottleneck(g, [(v, SMALL.gamma)], SMALL)
     with pytest.raises(ValidationError, match="attachment weight"):
         build_bottleneck(g, [(v, SMALL.tau - SMALL.gamma)], SMALL)
-
-
-def sequence_fixture(c=SMALL):
-    g = WeightedGraph()
-    s1 = [(g.add_vertex("S1"), c.tau - c.lam)]
-    s2 = [(g.add_vertex("S2"), c.tau - 2 * c.lam)]
-    s3 = [(g.add_vertex("S3"), c.tau - c.lam)]
-    handles = build_bottleneck_sequence(g, s1, s2, s3, c)
-    return g, handles
 
 
 def test_sequence_counts_and_s_edges():

@@ -11,6 +11,7 @@ from naewidth.formula import brute_force_nae, parse_nae_dimacs
 from naewidth.red1 import SMALL, build_H, witness_order
 from naewidth.tree import Tree, path
 from naewidth.wgraph import (
+    _PROPAGATION_DEGREE_CAP,
     ROLES,
     WeightedGraph,
     check_balancing_order,
@@ -21,8 +22,9 @@ from naewidth.wgraph import (
 
 from conftest import (NON_BIJECTIVE_PLACEMENTS, SIMPLE_FAULTS, ReferenceGraph,
                       enumerate_labeled_trees, naive_balancing_orders, path_graph,
-                      random_weighted_graph, reference_check_balancing_order, reference_of,
-                      scale_weights, set_row, simple_verdict, solve_balancing_tree, star_graph)
+                      random_weighted_graph, reference_alive, reference_balancing_orders,
+                      reference_check_balancing_order, reference_of, scale_weights,
+                      sequence_fixture, set_row, simple_verdict, solve_balancing_tree, star_graph)
 
 
 def triangle(w):
@@ -362,11 +364,81 @@ def test_enumeration_exactness_property(n, t, hyp_rng):
 
 
 def test_dead_sets_change_no_order(rng, monkeypatch):
-    """With no room for dead sets the search yields the same orders."""
+    """With no room, or room for one, for dead and live sets the search
+    yields the same orders."""
     cases = [(random_weighted_graph(rng, rng.randint(2, 7), p=0.5, max_w=5), rng.randint(1, 10))
              for _ in range(30)]
     remembered = [enumerate_balancing_orders(g, t) for g, t in cases]
-    monkeypatch.setattr(wgraph, "DEAD_SET_CAP", 0)
-    assert [enumerate_balancing_orders(g, t) for g, t in cases] == remembered
-    assert [solve_balancing_order(g, t) for g, t in cases] == [
-        orders[0] if orders else None for orders in remembered]
+    for cap in (0, 1):
+        monkeypatch.setattr(wgraph, "DEAD_SET_CAP", cap)
+        assert [enumerate_balancing_orders(g, t) for g, t in cases] == remembered
+        assert [solve_balancing_order(g, t) for g, t in cases] == [
+            orders[0] if orders else None for orders in remembered]
+
+
+def test_live_sets_change_no_order_or_placement(rng, monkeypatch):
+    """The search that remembers live sets yields the reference search's
+    orders after the same placements, on the bottleneck sequence at
+    tau + gamma (120 orders) and on 30 seeded random graphs, and asks _alive
+    about each prefix set at most once."""
+    stats, asked = {"place": 0}, []
+    alive, search = wgraph._alive, wgraph.prefix_orders
+
+    def counted_alive(adj, committed, t, mask):
+        asked.append(mask)
+        return alive(adj, committed, t, mask)
+
+    def counted_search(n, place, take_back, budget):
+        def counted_place(v, mask):
+            stats["place"] += 1
+            return place(v, mask)
+        return search(n, counted_place, take_back, budget)
+
+    monkeypatch.setattr(wgraph, "_alive", counted_alive)
+    monkeypatch.setattr(wgraph, "prefix_orders", counted_search)
+    sequence, _ = sequence_fixture()
+    cases = [(sequence, SMALL.tau + SMALL.gamma, 120)] + [
+        (random_weighted_graph(rng, rng.randint(2, 7), p=0.5, max_w=5), rng.randint(1, 10), None)
+        for _ in range(30)]
+    for i, (g, t, limit) in enumerate(cases):
+        stats["place"], asked[:], reference = 0, [], {"place": 0}
+        orders = enumerate_balancing_orders(g, t, limit=limit)
+        assert orders == list(itertools.islice(reference_balancing_orders(g, t, reference), limit))
+        assert stats["place"] == reference["place"]
+        assert len(asked) == len(set(asked))
+        if i == 0:
+            assert len(orders) == 120 and len(asked) == 134
+
+
+def test_alive_agrees_with_the_reference(rng):
+    """_alive gives reference_alive's answer on random prefix masks of small
+    graphs, on stars whose centre has 12 free neighbours, which are split, or
+    13, which are not, and on a set that only Kahn's pass refutes."""
+    cases = []
+    for _ in range(200):
+        g = random_weighted_graph(rng, rng.randint(1, 9), p=rng.choice((0.3, 0.6, 0.9)), max_w=5)
+        cases.append((g, rng.getrandbits(g.n) & rng.getrandbits(g.n), rng.randint(0, 12)))
+    for leaves in (_PROPAGATION_DEGREE_CAP, _PROPAGATION_DEGREE_CAP + 1):
+        for _ in range(20):
+            g = star_graph([rng.randint(1, 3) for _ in range(leaves)])
+            for x, w in [(rng.randint(1, leaves), 1) for _ in range(3)]:
+                extra = g.add_vertex(f"x{x}")
+                g.add_edge(x, extra, w)
+            mask = sum(1 << v for v in range(leaves + 1, g.n) if rng.random() < 0.5)
+            cases.append((g, mask, rng.randint(leaves // 2, leaves)))
+    for g, mask, t in cases:
+        adj = list(g.adj)
+        committed = [sum(w for x, w in adj[u] if mask >> x & 1) for u in range(g.n)]
+        assert wgraph._alive(adj, committed, t, mask) == reference_alive(adj, committed, t, mask)
+    unit = [list(star_graph([1] * leaves).adj)
+            for leaves in (_PROPAGATION_DEGREE_CAP, _PROPAGATION_DEGREE_CAP + 1)]
+    t = _PROPAGATION_DEGREE_CAP // 2 - 1  # the centre cannot split 12 unit edges
+    assert [wgraph._alive(adj, [0] * len(adj), t, 0) for adj in unit] == [False, True]
+    assert [reference_alive(adj, [0] * len(adj), t, 0) for adj in unit] == [False, True]
+    # with p placed at t = 2, y puts u before and x after it, x then puts u
+    # after it, and the arcs u < y < x < u close a cycle no side weight shows
+    p, u, x, y = range(4)
+    cycle = list(WeightedGraph.from_edges("puxy", ["plain"] * 4,
+                                          [(p, y, 1), (u, x, 1), (u, y, 1), (x, y, 2)]).adj)
+    assert wgraph._alive(cycle, [0, 0, 0, 1], 2, 1 << p) is reference_alive(
+        cycle, [0, 0, 0, 1], 2, 1 << p) is False
